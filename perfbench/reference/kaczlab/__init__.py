@@ -1,0 +1,71 @@
+"""kaczlab: randomized Kaczmarz on noisy overdetermined linear systems.
+
+Exact per-iteration MSE prediction and error floors via the lifted
+second-moment recursion, noise-averaged variants, the classical geometric
+upper bounds, and a reproducible Monte Carlo harness to verify them all.
+"""
+
+__version__ = "0.1.0"
+
+from .bounds import (
+    ConditionNumbers,
+    condition_numbers,
+    sv_bound_curve,
+    zf_avg_bound_curve,
+    zf_bound_curve,
+    zf_general_bound_curve,
+)
+from .lifted import (
+    DenseLift,
+    LiftedModel,
+    MseCurve,
+    SolverError,
+    apply_D,
+    apply_P,
+    apply_Q,
+    build_model,
+    dense_lift_oracle,
+    exact_mse_at,
+    exact_mse_curve,
+    lambda_max_P,
+    lambda_max_Q,
+    limiting_mse,
+    solve_v1,
+    solve_v2,
+    vec_e,
+    vec_f,
+)
+from .noise_avg import (
+    NoiseAveragedModel,
+    avg_limiting_mse,
+    avg_mse_curve,
+    expected_v1,
+    g_apply,
+)
+from .problems import (
+    FixedNoise,
+    IidNoise,
+    LinearSystem,
+    MatrixFileError,
+    NoiseSpec,
+    gen_gaussian,
+    gen_identity,
+    gen_tomography,
+    load_system,
+    load_vector,
+    make_measurements,
+    save_system,
+    save_vector,
+)
+from .rka import (
+    EmpiricalCurve,
+    RowDistribution,
+    make_distribution,
+    monte_carlo_mse,
+    rka_step,
+    row_norm_distribution,
+    run_trial,
+    sample_row,
+    uniform_distribution,
+)
+from .validate import enumerated_mse_curve, run_suite

@@ -1,0 +1,379 @@
+"""Exact fixed-noise MSE analysis of randomized Kaczmarz via lifting.
+
+The squared error is tracked through the pair (S_k, m_k) where
+S_k = E z^(k) z^(k)T and m_k = E z^(k): both evolve linearly under the
+probability-weighted projector moments
+
+    P = sum_i p_i P_i                    (n x n, implicit)
+    Q.vec(S) = vec(sum_i p_i P_i S P_i)  (n^2 x n^2, implicit)
+    D.v = vec(sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i))
+    e = vec(sum_i p_i eta~_i^2 a~_i a~_i^T),   f = sum_i p_i eta~_i a~_i
+
+with P_i = I - a~_i a~_i^T. Everything n^2-dimensional is represented as an
+n x n matrix; vec/mat are implicit reshapes and never materialized.
+"""
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from ._num import frob_dot, sq_norm
+from .problems import LinearSystem
+from .rka import RowDistribution
+
+DENSE_ORACLE_MAX_N = 12
+POWER_TOL = 1e-10
+POWER_MAX_ITER = 100_000
+CG_REL_TOL = 1e-11
+V2_REL_TOL = 1e-10
+
+
+class SolverError(RuntimeError):
+    """An iterative solver failed to reach its required residual."""
+
+
+@dataclass(frozen=True)
+class LiftedModel:
+    """Normalized rows, normalized noise, and selection probabilities."""
+
+    a_tilde: np.ndarray           # (m, n), unit rows
+    p: np.ndarray                 # (m,)
+    row_norms: np.ndarray         # (m,)
+    eta_tilde: Optional[np.ndarray] = None   # (m,) or None for noise-free
+
+    @property
+    def shape(self):
+        return self.a_tilde.shape
+
+    @property
+    def has_noise(self):
+        return self.eta_tilde is not None
+
+
+@dataclass(frozen=True)
+class MseCurve:
+    """MSE per iteration plus the limiting value it converges to."""
+
+    values: np.ndarray
+    floor: float
+
+
+@dataclass(frozen=True)
+class DenseLift:
+    """Explicitly assembled lifted operators (oracle use only, n <= 12)."""
+
+    P: np.ndarray   # (n, n)
+    Q: np.ndarray   # (n^2, n^2)
+    D: np.ndarray   # (n^2, n)
+    e: np.ndarray   # (n^2,)
+    f: np.ndarray   # (n,)
+    H: np.ndarray   # (n^2+n, n^2+n) block [[Q, D], [0, P]]
+
+
+def build_model(sys: LinearSystem, dist: RowDistribution, eta=None):
+    """Normalize rows and noise by the row norms; eta=None means noise-free."""
+    m, _ = sys.a.shape
+    if dist.m != m:
+        raise ValueError(f"distribution has {dist.m} entries for {m} rows")
+    a_tilde = sys.a / sys.row_norms[:, None]
+    a_tilde.setflags(write=False)
+    eta_tilde = None
+    if eta is not None:
+        eta = np.asarray(eta, dtype=float)
+        if eta.shape != (m,):
+            raise ValueError(f"eta must have length {m}, got {eta.shape}")
+        eta_tilde = eta / sys.row_norms
+        eta_tilde.setflags(write=False)
+    return LiftedModel(a_tilde, dist.p, sys.row_norms, eta_tilde)
+
+
+def apply_P(model, v):
+    """P v = sum_i p_i (v - a~_i (a~_i^T v)), in O(mn)."""
+    at = model.a_tilde
+    return v - at.T @ (model.p * (at @ v))
+
+
+def apply_Q(model, s):
+    """mat(Q vec(S)) = sum_i p_i P_i S P_i, in O(mn^2) via rank-one updates.
+
+    Symmetry of S is preserved; P_i is never formed.
+    """
+    at, p = model.a_tilde, model.p
+    u = at @ s                                  # rows a~_i^T S
+    quad = np.einsum("ij,ij->i", u, at)         # a~_i^T S a~_i
+    left = at.T @ (p[:, None] * u)              # sum p_i a~_i (a~_i^T S)
+    if s.shape[0] == s.shape[1] and np.array_equal(s, s.T):
+        right = left.T
+    else:
+        b = at @ s.T
+        right = (p[:, None] * b).T @ at         # sum p_i (S a~_i) a~_i^T
+    corr = at.T @ ((p * quad)[:, None] * at)
+    return s - left - right + corr
+
+
+def apply_D(model, v):
+    """mat(D v) = sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i); symmetric."""
+    if not model.has_noise:
+        raise ValueError("model has no noise vector; D is undefined")
+    at = model.a_tilde
+    c = model.p * model.eta_tilde
+    w = at @ v
+    half = np.outer(v, at.T @ c) - at.T @ ((c * w)[:, None] * at)
+    return half + half.T
+
+
+def vec_e(model):
+    """mat(e) = sum_i p_i eta~_i^2 a~_i a~_i^T (symmetric PSD)."""
+    if not model.has_noise:
+        raise ValueError("model has no noise vector; e is undefined")
+    at = model.a_tilde
+    w = model.p * model.eta_tilde**2
+    return at.T @ (w[:, None] * at)
+
+
+def vec_f(model):
+    """f = sum_i p_i eta~_i a~_i."""
+    if not model.has_noise:
+        raise ValueError("model has no noise vector; f is undefined")
+    return model.a_tilde.T @ (model.p * model.eta_tilde)
+
+
+def weighted_gram(model):
+    """G = sum_i p_i a~_i a~_i^T.  Note G = I - P exactly."""
+    at = model.a_tilde
+    return at.T @ (model.p[:, None] * at)
+
+
+def dense_p(model):
+    """P assembled as a dense n x n matrix."""
+    n = model.a_tilde.shape[1]
+    return np.eye(n) - weighted_gram(model)
+
+
+def solve_v2(model):
+    """v2 = (I - P)^{-1} f by dense factorization of the n x n system."""
+    if not model.has_noise:
+        raise ValueError("model has no noise vector; v2 is undefined")
+    g = weighted_gram(model)
+    f = vec_f(model)
+    try:
+        v2 = np.linalg.solve(g, f)
+    except np.linalg.LinAlgError as exc:
+        lam = 1.0 - float(np.linalg.eigvalsh(g)[0])
+        raise SolverError(
+            f"(I - P) is singular: lambda_max(P) = {lam!r} (rank deficiency)"
+        ) from exc
+    resid = np.linalg.norm(g @ v2 - f)
+    if resid > V2_REL_TOL * np.linalg.norm(f):
+        lam = 1.0 - float(np.linalg.eigvalsh(g)[0])
+        raise SolverError(
+            f"(I - P) solve residual {resid:.3e} too large; lambda_max(P) = {lam!r}"
+        )
+    return v2
+
+
+def _solve_i_minus_q(model, rhs, rel_tol=CG_REL_TOL):
+    """Conjugate gradients on (I - Q) x = rhs in the n x n matrix space.
+
+    I - Q is symmetric positive definite with spectrum in
+    (1 - lambda_max(Q), 1], so plain CG applies; the operator side only
+    ever calls apply_Q. Claimed convergence is verified against the true
+    residual before returning.
+    """
+    n = rhs.shape[0]
+    b_norm = np.linalg.norm(rhs)
+    if b_norm == 0.0:
+        return np.zeros_like(rhs)
+    max_iter = 10 * n * n
+    x = np.zeros_like(rhs)
+    r = 0.5 * (rhs + rhs.T)   # the true rhs is symmetric; drop ulp asymmetry
+    d = r.copy()
+    rs = frob_dot(r, r)
+    for _ in range(max_iter):
+        ad = d - apply_Q(model, d)
+        ad = 0.5 * (ad + ad.T)   # keep the Krylov basis in the symmetric subspace
+        alpha = rs / frob_dot(d, ad)
+        x += alpha * d
+        r -= alpha * ad
+        rs_new = frob_dot(r, r)
+        if np.sqrt(rs_new) <= rel_tol * b_norm:
+            true_r = rhs - (x - apply_Q(model, x))
+            tn = np.linalg.norm(true_r)
+            if tn <= rel_tol * b_norm:
+                return 0.5 * (x + x.T)
+            # recursive residual drifted; restart from the true one
+            r = 0.5 * (true_r + true_r.T)
+            rs_new = frob_dot(r, r)
+            d = r.copy()
+            rs = rs_new
+            continue
+        d = r + (rs_new / rs) * d
+        rs = rs_new
+    resid = np.linalg.norm(rhs - (x - apply_Q(model, x))) / b_norm
+    raise SolverError(
+        f"(I - Q) CG did not reach {rel_tol} in {max_iter} iterations "
+        f"(relative residual {resid:.3e})"
+    )
+
+
+def solve_v1(model):
+    """mat(v1) = (I - Q)^{-1} [e + D v2], the second-moment fixed point."""
+    rhs = vec_e(model) + apply_D(model, solve_v2(model))
+    return _solve_i_minus_q(model, rhs)
+
+
+def exact_mse_curve(model, z0, k_max):
+    """The exact MSE trajectory for a fixed noise vector.
+
+    Iterates S_k = Q S_{k-1} + D m_{k-1} + e and m_k = P m_{k-1} + f from
+    S_0 = z0 z0^T, m_0 = z0; values[k] = trace(S_k). Runs in O(k_max m n^2).
+    """
+    z0 = np.asarray(z0, dtype=float)
+    values = np.empty(k_max + 1)
+    values[0] = sq_norm(z0)
+    s = np.outer(z0, z0)
+    mv = z0.copy()
+    noisy = model.has_noise
+    if noisy:
+        e_mat = vec_e(model)
+        f = vec_f(model)
+    for k in range(1, k_max + 1):
+        if noisy:
+            s = apply_Q(model, s) + apply_D(model, mv) + e_mat
+            mv = apply_P(model, mv) + f
+        else:
+            s = apply_Q(model, s)
+            mv = apply_P(model, mv)
+        # the true iterate is symmetric; resymmetrizing kills ulp-level BLAS
+        # drift and keeps apply_Q on its symmetric fast path
+        s = 0.5 * (s + s.T)
+        values[k] = np.trace(s)
+    return MseCurve(values, limiting_mse(model))
+
+
+def exact_mse_at(model, z0, k):
+    """MSE at a single iteration via the closed form around (v1, v2).
+
+    Applies the homogeneous block map (S, m) -> (Q S + D m, P m) k times to
+    (z0 z0^T - v1, z0 - v2) and adds the fixed point back; algebraically
+    equal to exact_mse_curve(...).values[k].
+    """
+    z0 = np.asarray(z0, dtype=float)
+    if k == 0:
+        return sq_norm(z0)
+    noisy = model.has_noise
+    if noisy:
+        v1 = solve_v1(model)
+        v2 = solve_v2(model)
+        s = np.outer(z0, z0) - v1
+        mv = z0 - v2
+    else:
+        s = np.outer(z0, z0)
+        mv = z0.copy()
+    for _ in range(k):
+        if noisy:
+            s = apply_Q(model, s) + apply_D(model, mv)
+        else:
+            s = apply_Q(model, s)
+        s = 0.5 * (s + s.T)
+        mv = apply_P(model, mv)
+    if noisy:
+        s = s + v1
+    return float(np.trace(s))
+
+
+def limiting_mse(model):
+    """The error floor trace(mat(v1)); zero for noise-free models."""
+    if not model.has_noise:
+        return 0.0
+    return float(np.trace(solve_v1(model)))
+
+
+def _power_lambda_max(apply_op, start, tol, max_iter, symmetrize=False):
+    x = start / np.linalg.norm(start)
+    for _ in range(max_iter):
+        w = apply_op(x)
+        if symmetrize:
+            w = 0.5 * (w + w.T)
+        lam = frob_dot(x, w)
+        resid = np.linalg.norm(w - lam * x)
+        if resid <= tol * max(abs(lam), 1e-300):
+            return lam
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        x = w / nw
+    return None
+
+
+def lambda_max_P(model, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+    """Largest eigenvalue of P by power iteration (all-ones start).
+
+    A nearly degenerate top pair (tomography-style matrices) can stall the
+    iteration; P is only n x n, so the dense-eig fallback applies at any
+    practical n here.
+    """
+    n = model.a_tilde.shape[1]
+    lam = _power_lambda_max(lambda v: apply_P(model, v), np.ones(n), tol, max_iter)
+    if lam is not None:
+        return lam
+    if n <= 4096:
+        return float(np.linalg.eigvalsh(dense_p(model))[-1])
+    raise SolverError(f"power iteration on P failed to converge in {max_iter} steps")
+
+
+def lambda_max_Q(model, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+    """Largest eigenvalue of Q by power iteration with symmetric iterates."""
+    n = model.a_tilde.shape[1]
+    lam = _power_lambda_max(
+        lambda s: apply_Q(model, s), np.ones((n, n)), tol, max_iter, symmetrize=True
+    )
+    if lam is not None:
+        return lam
+    if n * n <= 4096:
+        return float(np.linalg.eigvalsh(_dense_q(model))[-1])
+    raise SolverError(f"power iteration on Q failed to converge in {max_iter} steps")
+
+
+def _dense_q(model):
+    m, n = model.a_tilde.shape
+    q = np.zeros((n * n, n * n))
+    eye = np.eye(n)
+    for i in range(m):
+        proj = eye - np.outer(model.a_tilde[i], model.a_tilde[i])
+        q += model.p[i] * np.kron(proj, proj)
+    return q
+
+
+def dense_lift_oracle(model):
+    """Assemble P, Q, D, e, f and H = [[Q, D], [0, P]] explicitly.
+
+    Kronecker products make this O(n^4) in space, so it is guarded to
+    n <= 12 and meant only for cross-checking the implicit operators.
+    """
+    m, n = model.a_tilde.shape
+    if n > DENSE_ORACLE_MAX_N:
+        raise ValueError(f"dense oracle limited to n <= {DENSE_ORACLE_MAX_N}, got {n}")
+    eye = np.eye(n)
+    p_mat = np.zeros((n, n))
+    q_mat = np.zeros((n * n, n * n))
+    d_mat = np.zeros((n * n, n))
+    e_v = np.zeros(n * n)
+    f_v = np.zeros(n)
+    for i in range(m):
+        at = model.a_tilde[i]
+        proj = eye - np.outer(at, at)
+        p_mat += model.p[i] * proj
+        q_mat += model.p[i] * np.kron(proj, proj)
+        if model.has_noise:
+            etai = model.eta_tilde[i]
+            col = at.reshape(-1, 1)
+            d_mat += model.p[i] * etai * (np.kron(col, proj) + np.kron(proj, col))
+            e_v += model.p[i] * etai**2 * np.kron(at, at)
+            f_v += model.p[i] * etai * at
+    h = np.zeros((n * n + n, n * n + n))
+    h[: n * n, : n * n] = q_mat
+    h[: n * n, n * n :] = d_mat
+    h[n * n :, n * n :] = p_mat
+    return DenseLift(p_mat, q_mat, d_mat, e_v, f_v, h)
