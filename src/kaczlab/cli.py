@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .bounds import condition_numbers, sv_bound_curve, zf_bound_curve, zf_general_bound_curve, zf_avg_bound_curve
 from .lifted import (
     SolverError,
@@ -67,6 +67,16 @@ def _require_keys(obj, allowed, required, where):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _int_value(obj, key, where, minimum=None):
+    """obj[key] as an int; bools, floats and strings are config errors."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+    return value
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -88,9 +98,12 @@ def _build_matrix(desc):
     kind = desc["kind"]
     if kind == "gaussian":
         _require_keys(desc, {"kind", "m", "n", "seed", "x_scale"}, {"m", "n", "seed"}, "matrix")
-        if desc["m"] < desc["n"]:
+        m = _int_value(desc, "m", "matrix.m", minimum=1)
+        n = _int_value(desc, "n", "matrix.n", minimum=1)
+        seed = _int_value(desc, "seed", "matrix.seed")
+        if m < n:
             raise ConfigError("matrix: m must be >= n")
-        return gen_gaussian(desc["m"], desc["n"], desc.get("x_scale", 1.0), desc["seed"])
+        return gen_gaussian(m, n, desc.get("x_scale", 1.0), seed)
     if kind == "tomography":
         _require_keys(desc, {"kind", "grid", "angles", "rays"}, {"grid", "angles", "rays"}, "matrix")
         try:
@@ -120,7 +133,11 @@ def _build_noise(desc, m):
         return FixedNoise(eta), False
     if kind == "iid":
         _require_keys(desc, {"kind", "sigma2", "resample"}, {"sigma2"}, "noise")
-        return IidNoise(desc["sigma2"]), bool(desc.get("resample", False))
+        try:
+            noise = IidNoise(desc["sigma2"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"noise.sigma2: {exc}") from exc
+        return noise, bool(desc.get("resample", False))
     raise ConfigError(f"noise: unknown kind {kind!r}")
 
 
@@ -166,19 +183,16 @@ def _parse_config(cfg):
         {"matrix", "noise", "k_max", "seed", "outputs"},
         "config",
     )
-    k_max = cfg["k_max"]
-    trials = cfg.get("trials", 1)
-    if not isinstance(k_max, int) or k_max < 0:
-        raise ConfigError("k_max must be a non-negative integer")
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError("trials must be a positive integer")
+    k_max = _int_value(cfg, "k_max", "k_max", minimum=0)
+    trials = _int_value(cfg, "trials", "trials", minimum=1) if "trials" in cfg else 1
+    seed = _int_value(cfg, "seed", "seed")
     outputs = cfg["outputs"]
     if not isinstance(outputs, list) or not outputs:
         raise ConfigError("outputs must be a non-empty list of curve kinds")
     for kind in outputs:
         if kind not in CURVE_KINDS:
             raise ConfigError(f"outputs: unknown curve kind {kind!r}")
-    return k_max, trials, outputs
+    return k_max, trials, seed, outputs
 
 
 def _validate_outputs(outputs, noise, resample, norm_proportional, warnings):
@@ -241,16 +255,16 @@ def run_experiment(cfg, threads=1, verbose=False):
     """Compute every requested curve; returns (curves, scalars, warnings).
 
     curves is an ordered {name: vector} dict, all of length k_max+1.
+    threads is deprecated and has no effect (see monte_carlo_mse).
     """
     warnings = []
-    k_max, trials, outputs = _parse_config(cfg)
+    k_max, trials, seed, outputs = _parse_config(cfg)
     sys_obj = _build_matrix(cfg["matrix"])
     m, n = sys_obj.a.shape
     noise, resample = _build_noise(cfg["noise"], m)
     dist, norm_proportional = _build_distribution(cfg.get("distribution", "row_norm"), sys_obj)
     x0 = _build_x0(cfg.get("x0", "zero"), sys_obj)
     z0 = x0 - sys_obj.x_true
-    seed = cfg["seed"]
     outputs = _validate_outputs(outputs, noise, resample, norm_proportional, warnings)
 
     eta = None
@@ -331,7 +345,6 @@ def _write_outputs(out_dir, curves, scalars, warnings, raw_config, k_max):
             fh.write(",".join([str(k)] + [_fmt(curves[c][k]) for c in names]) + "\n")
     result = {
         "version": __version__,
-        "kernel_backend": kernels.BACKEND,
         "generated_utc": datetime.now(timezone.utc).isoformat(),
         "config": raw_config,
         "scalars": scalars,
@@ -345,8 +358,8 @@ def _write_outputs(out_dir, curves, scalars, warnings, raw_config, k_max):
     return csv_path, json_path
 
 
-def cmd_run(cfg, raw_config, out_dir, threads=1, verbose=False):
-    curves, scalars, warnings = run_experiment(cfg, threads, verbose)
+def cmd_run(cfg, raw_config, out_dir, verbose=False):
+    curves, scalars, warnings = run_experiment(cfg, verbose=verbose)
     for w in warnings:
         print(f"warning: {w}", file=_sys.stderr)
     csv_path, json_path = _write_outputs(
@@ -370,15 +383,19 @@ def cmd_validate(out_dir, corrupt=False, verbose=False):
     return 0 if all(c["passed"] for c in checks) else 1
 
 
-def _resolve_threads(flag_value):
+def _check_threads(flag_value):
+    """Accept the deprecated --threads / KACZLAB_THREADS; warn unless it is 1."""
     if flag_value is None:
         env = os.environ.get("KACZLAB_THREADS")
-        flag_value = int(env) if env else 1
-    if flag_value == 0:
-        return os.cpu_count() or 1
+        try:
+            flag_value = int(env) if env else 1
+        except ValueError as exc:
+            raise ConfigError(f"KACZLAB_THREADS: must be an integer, got {env!r}") from exc
     if flag_value < 0:
         raise ConfigError("threads must be >= 0")
-    return flag_value
+    if flag_value != 1:
+        print("warning: --threads and KACZLAB_THREADS are deprecated and have no "
+              "effect; all Monte Carlo trials run in one batched kernel", file=_sys.stderr)
 
 
 def main(argv=None):
@@ -397,21 +414,21 @@ def main(argv=None):
     for p in (p_gen, p_run, p_val):
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for Monte Carlo trials, 0 = auto "
-                            "(default: KACZLAB_THREADS or 1)")
+                       help="deprecated, has no effect: Monte Carlo trials run "
+                            "batched (default: KACZLAB_THREADS or 1)")
         p.add_argument("--verbose", action="store_true")
     p_val.add_argument("--corrupt-lambda-tolerance", action="store_true",
                        help="self-test: corrupt a tolerance so the suite must fail")
 
     args = parser.parse_args(argv)
     try:
-        threads = _resolve_threads(args.threads)
+        _check_threads(args.threads)
         if args.command == "generate":
             cfg, _ = load_config(args.config)
             return cmd_generate(cfg, args.out, args.verbose)
         if args.command == "run":
             cfg, raw = load_config(args.config)
-            return cmd_run(cfg, raw, args.out, threads, args.verbose)
+            return cmd_run(cfg, raw, args.out, args.verbose)
         return cmd_validate(args.out, args.corrupt_lambda_tolerance, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)

@@ -1,11 +1,10 @@
 """Randomized Kaczmarz iteration and the Monte Carlo estimation harness."""
 
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from ._num import sq_norm
 from .problems import FixedNoise, make_measurements
 from .seeding import mix_seed
@@ -88,23 +87,70 @@ def rka_step(x, a_i, norm_i, y_i):
     return x + ((y_i - a_i @ x) / norm_i**2) * a_i
 
 
+def _batched_errors(a_unit, eta_unit, rows, z0):
+    """Squared-error trajectories of many Kaczmarz runs advanced together.
+
+    The runs step in error space z = x - x_true with unit rows
+    a~_i = a_i / ||a_i|| and scaled noise eta~_i = eta_i / ||a_i||, where
+    eta = y - A x_true; one step on row i is
+    z <- z + (eta~_i - a~_i^T z) a~_i.
+
+    Args:
+        a_unit: (m, n) rows of A scaled to unit norm.
+        eta_unit: (m,) scaled noise shared by every run, or (trials, m) with
+            one noise vector per run.
+        rows: (k_max, trials) int64 row index per iteration and run.
+        z0: (n,) start error x0 - x_true, common to all runs.
+
+    Returns:
+        errs: (k_max+1, trials), errs[k, t] = ||z^(k)||^2 of run t. Every
+        operation acts on each run's own row of the state, so column t is
+        bitwise the same whichever other runs share the batch.
+    """
+    k_max, trials = rows.shape
+    if eta_unit.ndim == 1:
+        eta_rows = eta_unit[rows]
+    else:
+        eta_rows = eta_unit[np.arange(trials), rows]
+    z = np.tile(z0, (trials, 1))
+    u = np.empty_like(z)
+    prod = np.empty_like(z)
+    c = np.empty(trials)
+    errs = np.empty((k_max + 1, trials))
+    errs[0] = sq_norm(z0)
+    for k in range(k_max):
+        np.take(a_unit, rows[k], axis=0, out=u)
+        np.multiply(u, z, out=prod)
+        np.subtract(eta_rows[k], prod.sum(axis=1), out=c)
+        u *= c[:, None]
+        z += u
+        np.multiply(z, z, out=prod)
+        prod.sum(axis=1, out=errs[k + 1])
+    return errs
+
+
+def _unit_rows(sys, y):
+    """(a~, eta~) of _batched_errors for measurements y of shape (m,) or (trials, m)."""
+    norms = sys.row_norms
+    eta = y - sys.a @ sys.x_true
+    return sys.a / norms[:, None], eta / norms
+
+
 def run_trial(sys, y, dist, x0, k_max, seed):
     """One Kaczmarz run; returns ||x^(k) - x_true||^2 for k = 0..k_max.
 
     Row choices come from the generator seeded by `seed` (one uniform per
-    iteration through sample_rows), so the trajectory is reproducible.
+    iteration through sample_rows), so the trajectory is reproducible. This
+    is the one-run call of the kernel monte_carlo_mse runs all trials in.
     """
     m, n = sys.a.shape
     y = np.ascontiguousarray(y, dtype=float)
     x0 = np.ascontiguousarray(x0, dtype=float)
     if y.shape != (m,) or x0.shape != (n,) or dist.m != m:
         raise ValueError("dimension mismatch between system, y, dist and x0")
-    rng = np.random.default_rng(seed)
-    rows = sample_rows(dist, rng.random(k_max))
-    inv_norms_sq = 1.0 / sys.row_norms**2
-    errs = kernels.run_trial_errors(sys.a, y, inv_norms_sq, rows, x0, sys.x_true)
-    errs[0] = sq_norm(x0 - sys.x_true)
-    return errs
+    rows = sample_rows(dist, np.random.default_rng(seed).random(k_max))
+    a_unit, eta_unit = _unit_rows(sys, y)
+    return _batched_errors(a_unit, eta_unit, rows[:, None], x0 - sys.x_true)[:, 0]
 
 
 def trial_row_seed(seed, trial):
@@ -124,44 +170,42 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed,
     """Sample mean/standard error of the squared-error trajectory over trials.
 
     Each trial draws rows from an independent stream hashed from
-    (seed, trial), so results do not depend on execution order. With
-    IidNoise, resample_noise=False realizes one eta shared by all trials
-    and True redraws it per trial; FixedNoise ignores the flag.
+    (seed, trial), so results depend only on (seed, trial), not on how many
+    trials run together. With IidNoise, resample_noise=False realizes one
+    eta shared by all trials and True redraws it per trial; FixedNoise
+    ignores the flag. All trials advance together in one batched kernel.
 
-    threads > 1 runs trials in a thread pool; the compiled kernel releases
-    the GIL so this scales, and the reduction is deterministic either way.
+    threads is deprecated and has no effect; a value other than 1 warns.
     """
+    if threads != 1:
+        warnings.warn("monte_carlo_mse: threads is deprecated and has no effect; "
+                      "all trials run in one batched kernel",
+                      DeprecationWarning, stacklevel=2)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m, n = sys.a.shape
     x0 = np.ascontiguousarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have length {n}")
+    if dist.m != m:
+        raise ValueError(f"dist has {dist.m} rows, the system {m}")
 
     if isinstance(noise, FixedNoise) or not resample_noise:
-        y_shared, _ = make_measurements(sys, noise, trial_noise_seed(seed))
+        y, _ = make_measurements(sys, noise, trial_noise_seed(seed))
     else:
-        y_shared = None
+        y = np.stack([make_measurements(sys, noise, trial_noise_seed(seed, t))[0]
+                      for t in range(trials)])
+    u = np.empty((trials, k_max))
+    for t in range(trials):
+        np.random.default_rng(trial_row_seed(seed, t)).random(out=u[t])
+    rows = sample_rows(dist, u.T)
+    del u
 
-    errs = np.empty((trials, k_max + 1))
-
-    def one(t):
-        if y_shared is not None:
-            y = y_shared
-        else:
-            y, _ = make_measurements(sys, noise, trial_noise_seed(seed, t))
-        errs[t] = run_trial(sys, y, dist, x0, k_max, trial_row_seed(seed, t))
-
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(trials)))
-    else:
-        for t in range(trials):
-            one(t)
-
-    mean = errs.mean(axis=0)
+    a_unit, eta_unit = _unit_rows(sys, y)
+    errs = _batched_errors(a_unit, eta_unit, rows, x0 - sys.x_true)
+    mean = errs.mean(axis=1)
     if trials > 1:
-        stderr = errs.std(axis=0, ddof=1) / np.sqrt(trials)
+        stderr = errs.std(axis=1, ddof=1) / np.sqrt(trials)
     else:
         stderr = np.zeros(k_max + 1)
     # common z0 across trials: index 0 is exact by construction

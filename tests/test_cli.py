@@ -214,6 +214,33 @@ class TestConfigErrors:
         header, _ = read_csv(tmp_path / "curves.csv")
         assert header == ["k", "exact", "bound_zf_general"]
 
+    @pytest.mark.parametrize("key, value", [("k_max", True), ("trials", True), ("seed", 1.7)])
+    def test_non_integer_rejected(self, tmp_path, eta8, capsys, key, value):
+        cfg = base_config(eta8)
+        cfg[key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert f"{key}: must be an integer" in capsys.readouterr().err
+
+    def test_string_matrix_size_rejected(self, tmp_path, eta8, capsys):
+        cfg = base_config(eta8)
+        cfg["matrix"]["m"] = "6"
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "matrix.m: must be an integer" in capsys.readouterr().err
+
+    def test_negative_sigma2_rejected(self, tmp_path, capsys):
+        cfg = {
+            "matrix": {"kind": "gaussian", "m": 8, "n": 4, "seed": 5},
+            "noise": {"kind": "iid", "sigma2": -1},
+            "k_max": 5,
+            "seed": 1,
+            "outputs": ["exact"],
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "noise.sigma2" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_passes(self, tmp_path, capsys):
@@ -238,3 +265,23 @@ class TestThreads:
     def test_flag_auto(self, tmp_path, eta8):
         cfg_path = write_config(tmp_path, base_config(eta8))
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path), "--threads", "0"]) == 0
+
+    def test_deprecated_and_without_effect(self, tmp_path, eta8, capsys):
+        cfg_path = write_config(tmp_path, base_config(eta8))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", cfg_path, "--out", str(out1)]) == 0
+        assert "deprecated" not in capsys.readouterr().err
+        assert main(["run", "--config", cfg_path, "--out", str(out2), "--threads", "3"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "deprecated" in err
+        assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
+
+    def test_negative_exits_2(self, tmp_path, eta8):
+        cfg_path = write_config(tmp_path, base_config(eta8))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path), "--threads", "-1"]) == 2
+
+    def test_non_integer_env_exits_2(self, tmp_path, eta8, monkeypatch, capsys):
+        monkeypatch.setenv("KACZLAB_THREADS", "two")
+        cfg_path = write_config(tmp_path, base_config(eta8))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "KACZLAB_THREADS" in capsys.readouterr().err

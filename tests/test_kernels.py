@@ -1,67 +1,77 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
+import pytest
 
-import kaczlab
-from kaczlab import FixedNoise, make_measurements
-from kaczlab.kernels import BACKEND, run_trial_errors, run_trial_errors_python
-from kaczlab.rka import sample_rows
+from kaczlab import FixedNoise, make_measurements, rka_step
+from kaczlab.rka import _batched_errors, _unit_rows, sample_rows
 
 from conftest import random_instance
 
+K_MAX = 2000
 
-def _trial_inputs(seed):
-    sys_, dist, eta, z0 = random_instance(12, 5, seed, noise_scale=0.2)
+
+def _trial_inputs(seed, m=12, n=5, trials=1):
+    """Unit rows, scaled noise, per-trial rows and z0 of a seeded instance."""
+    sys_, dist, eta, z0 = random_instance(m, n, seed, noise_scale=0.2)
     y, _ = make_measurements(sys_, FixedNoise(eta))
     rng = np.random.default_rng(seed)
-    rows = sample_rows(dist, rng.random(2000))
-    x0 = sys_.x_true + z0
-    inv = 1.0 / sys_.row_norms**2
-    return sys_.a, y, inv, rows, x0, sys_.x_true
+    rows = sample_rows(dist, rng.random((K_MAX, trials)))
+    a_unit, eta_unit = _unit_rows(sys_, y)
+    return sys_, y, a_unit, eta_unit, rows, z0
 
 
-def test_backend_reported():
-    assert BACKEND in ("compiled", "python")
-
-
-def test_backends_agree():
-    # the two kernels sum dot products in different orders; on a contractive
-    # iteration the trajectories stay together to ~1e-12 relative
-    for seed in range(3):
-        a, y, inv, rows, x0, xt = _trial_inputs(seed)
-        fast = run_trial_errors(a, y, inv, rows, x0, xt)
-        slow = run_trial_errors_python(a, y, inv, rows, x0, xt)
-        scale = max(fast.max(), 1.0)
-        assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12 * scale)
+def _reference_errors(sys_, y, rows, z0):
+    """||x^(k) - x_true||^2 of one run by a loop of rka_step."""
+    x = sys_.x_true + z0
+    errs = [float((x - sys_.x_true) @ (x - sys_.x_true))]
+    for i in rows:
+        x = rka_step(x, sys_.a[i], sys_.row_norms[i], y[i])
+        d = x - sys_.x_true
+        errs.append(float(d @ d))
+    return np.array(errs)
 
 
 def test_python_kernel_deterministic():
-    a, y, inv, rows, x0, xt = _trial_inputs(7)
-    e1 = run_trial_errors_python(a, y, inv, rows, x0, xt)
-    e2 = run_trial_errors_python(a, y, inv, rows, x0, xt)
+    _, _, a_unit, eta_unit, rows, z0 = _trial_inputs(7, trials=4)
+    e1 = _batched_errors(a_unit, eta_unit, rows, z0)
+    e2 = _batched_errors(a_unit, eta_unit, rows, z0)
     assert np.array_equal(e1, e2)
 
 
-def test_env_forces_python_backend():
-    # The child inherits this environment and imports the same kaczlab as this
-    # process, whether the package is installed or found through PYTHONPATH.
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(kaczlab.__file__)))
-    env = dict(os.environ, KACZLAB_PURE_PYTHON="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p
-    )
-    code = (
-        "import kaczlab, kaczlab.kernels as k; "
-        "assert k.BACKEND == 'python', k.BACKEND; "
-        "print(kaczlab.__file__)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert os.path.samefile(out.stdout.strip(), kaczlab.__file__)
+def test_matches_rka_step_shared_noise():
+    # the kernel steps in error space with unit rows, the reference in x
+    # space; on a contractive iteration the trajectories stay together to
+    # ~1e-12 relative
+    for seed in range(3):
+        sys_, y, a_unit, eta_unit, rows, z0 = _trial_inputs(seed, trials=3)
+        errs = _batched_errors(a_unit, eta_unit, rows, z0)
+        for t in range(rows.shape[1]):
+            ref = _reference_errors(sys_, y, rows[:, t], z0)
+            scale = max(ref.max(), 1.0)
+            assert np.allclose(errs[:, t], ref, rtol=1e-9, atol=1e-12 * scale)
+
+
+def test_matches_rka_step_noise_per_trial():
+    for seed in range(3):
+        sys_, y, a_unit, eta_unit, rows, z0 = _trial_inputs(seed, trials=3)
+        noise = np.random.default_rng(100 + seed).standard_normal((3, y.size)) * 0.2
+        ys = y + noise
+        _, eta_trials = _unit_rows(sys_, ys)
+        errs = _batched_errors(a_unit, eta_trials, rows, z0)
+        for t in range(rows.shape[1]):
+            ref = _reference_errors(sys_, ys[t], rows[:, t], z0)
+            scale = max(ref.max(), 1.0)
+            assert np.allclose(errs[:, t], ref, rtol=1e-9, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("m, n", [(12, 5), (60, 20), (150, 50)])
+def test_batch_column_equals_single_run(m, n):
+    sys_, y, a_unit, eta_unit, rows, z0 = _trial_inputs(11, m, n, trials=9)
+    rows = rows[:300]
+    ys = y + np.random.default_rng(5).standard_normal((9, m)) * 0.2
+    _, eta_trials = _unit_rows(sys_, ys)
+    for eta in (eta_unit, eta_trials):
+        batch = _batched_errors(a_unit, eta, rows, z0)
+        for t in range(rows.shape[1]):
+            one = eta if eta.ndim == 1 else eta[t:t + 1]
+            single = _batched_errors(a_unit, one, rows[:, t:t + 1], z0)
+            assert np.array_equal(batch[:, t], single[:, 0])

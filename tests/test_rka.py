@@ -242,3 +242,8 @@ class TestMonteCarlo:
         sys, dist, eta, _ = random_instance(6, 3, 20)
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_mse(sys, FixedNoise(eta), dist, np.zeros(3), 5, 0, seed=1)
+
+    def test_rejects_distribution_size_mismatch(self):
+        sys, _, eta, _ = random_instance(6, 3, 20)
+        with pytest.raises(ValueError, match="rows"):
+            monte_carlo_mse(sys, FixedNoise(eta), uniform_distribution(5), np.zeros(3), 5, 2, seed=1)
