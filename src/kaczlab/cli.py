@@ -14,7 +14,6 @@ import numpy as np
 from . import __version__
 from .bounds import condition_numbers, sv_bound_curve, zf_bound_curve, zf_general_bound_curve, zf_avg_bound_curve
 from .lifted import (
-    SolverError,
     build_model,
     exact_mse_curve,
     lambda_max_Q,
@@ -77,6 +76,14 @@ def _int_value(obj, key, where, minimum=None):
     return value
 
 
+def _float_value(obj, key, where):
+    """obj[key] as a finite float; bools and strings are config errors."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -103,16 +110,20 @@ def _build_matrix(desc):
         seed = _int_value(desc, "seed", "matrix.seed")
         if m < n:
             raise ConfigError("matrix: m must be >= n")
-        return gen_gaussian(m, n, desc.get("x_scale", 1.0), seed)
+        x_scale = _float_value(desc, "x_scale", "matrix.x_scale") if "x_scale" in desc else 1.0
+        return gen_gaussian(m, n, x_scale, seed)
     if kind == "tomography":
         _require_keys(desc, {"kind", "grid", "angles", "rays"}, {"grid", "angles", "rays"}, "matrix")
+        sizes = [
+            _int_value(desc, key, f"matrix.{key}", minimum=1) for key in ("grid", "angles", "rays")
+        ]
         try:
-            return gen_tomography(desc["grid"], desc["angles"], desc["rays"])
+            return gen_tomography(*sizes)
         except ValueError as exc:
             raise ConfigError(f"matrix: {exc}") from exc
     if kind == "identity":
         _require_keys(desc, {"kind", "n"}, {"n"}, "matrix")
-        return gen_identity(desc["n"])
+        return gen_identity(_int_value(desc, "n", "matrix.n", minimum=1))
     if kind == "file":
         _require_keys(desc, {"kind", "path"}, {"path"}, "matrix")
         return load_system(desc["path"])
@@ -137,7 +148,10 @@ def _build_noise(desc, m):
             noise = IidNoise(desc["sigma2"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"noise.sigma2: {exc}") from exc
-        return noise, bool(desc.get("resample", False))
+        resample = desc.get("resample", False)
+        if not isinstance(resample, bool):
+            raise ConfigError(f"noise.resample: must be a boolean, got {resample!r}")
+        return noise, resample
     raise ConfigError(f"noise: unknown kind {kind!r}")
 
 
@@ -172,7 +186,8 @@ def _build_x0(desc, sys):
             raise ConfigError(f"x0: vector has length {x0.size}, expected {n}")
         return x0
     if isinstance(desc, dict) and set(desc) == {"random_seed"}:
-        return rng_from(desc["random_seed"], 0x5D).standard_normal(n)
+        seed = _int_value(desc, "random_seed", "x0.random_seed")
+        return rng_from(seed, 0x5D).standard_normal(n)
     raise ConfigError(f"x0: expected zero | {{values}} | {{path}} | {{random_seed}}, got {desc!r}")
 
 
@@ -285,14 +300,7 @@ def run_experiment(cfg, threads=1, verbose=False):
     scalars["kappa"] = cn.kappa
     scalars["lambda_max_p"] = cn.lambda_max_p
     base_model = build_model(sys_obj, dist)
-    try:
-        # informational scalar only; a clustered top of the spectrum (large
-        # tomography systems) can stall power iteration, so budget it and
-        # record null rather than failing the run
-        scalars["lambda_max_q"] = lambda_max_Q(base_model, max_iter=5000)
-    except SolverError:
-        scalars["lambda_max_q"] = None
-        warnings.append("lambda_max_q: power iteration did not converge; omitted")
+    scalars["lambda_max_q"] = lambda_max_Q(base_model)
     if eta is not None:
         scalars["eta_sq_norm"] = float(eta @ eta)
 

@@ -23,9 +23,10 @@ from .problems import LinearSystem
 from .rka import RowDistribution
 
 DENSE_ORACLE_MAX_N = 12
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 100_000
 CG_REL_TOL = 1e-11
+LANCZOS_REL_TOL = 1e-10
+LANCZOS_CHECK_EVERY = 10
+LANCZOS_MAX_STEPS = 1000
 V2_REL_TOL = 1e-10
 
 
@@ -290,60 +291,66 @@ def limiting_mse(model):
     return float(np.trace(solve_v1(model)))
 
 
-def _power_lambda_max(apply_op, start, tol, max_iter, symmetrize=False):
-    x = start / np.linalg.norm(start)
-    for _ in range(max_iter):
-        w = apply_op(x)
-        if symmetrize:
-            w = 0.5 * (w + w.T)
-        lam = frob_dot(x, w)
-        resid = np.linalg.norm(w - lam * x)
-        if resid <= tol * max(abs(lam), 1e-300):
-            return lam
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        x = w / nw
-    return None
+def lambda_max_P(model):
+    """Largest eigenvalue of P, exactly, from the dense n x n matrix.
+
+    P is only n x n, so a symmetric eigensolver is both exact and cheap;
+    no start vector can miss the top eigenvector.
+    """
+    return float(np.linalg.eigvalsh(dense_p(model))[-1])
 
 
-def lambda_max_P(model, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
-    """Largest eigenvalue of P by power iteration (all-ones start).
+def lambda_max_Q(model):
+    """Largest eigenvalue of Q by Lanczos with full reorthogonalization.
 
-    A nearly degenerate top pair (tomography-style matrices) can stall the
-    iteration; P is only n x n, so the dense-eig fallback applies at any
-    practical n here.
+    Works on symmetric n x n matrices under the Frobenius inner product and
+    only calls apply_Q. The start is I / sqrt(n): Q = sum_i p_i P_i (x) P_i
+    is PSD and maps the PSD cone into itself, so its top eigenspace holds a
+    PSD matrix V, and <I, V> = tr V >= ||V||_F gives the start an overlap of
+    at least 1/sqrt(n) with it. Every LANCZOS_CHECK_EVERY steps the top Ritz
+    pair (theta, y) of the tridiagonal matrix is computed; the result is
+    returned once the Ritz residual |beta_k y_k| <= LANCZOS_REL_TOL * theta
+    certifies it (Golub & Van Loan, ch. 10), or when the Krylov space
+    reaches its full dimension n(n+1)/2. A SolverError is raised if neither
+    happens within LANCZOS_MAX_STEPS.
     """
     n = model.a_tilde.shape[1]
-    lam = _power_lambda_max(lambda v: apply_P(model, v), np.ones(n), tol, max_iter)
-    if lam is not None:
-        return lam
-    if n <= 4096:
-        return float(np.linalg.eigvalsh(dense_p(model))[-1])
-    raise SolverError(f"power iteration on P failed to converge in {max_iter} steps")
-
-
-def lambda_max_Q(model, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
-    """Largest eigenvalue of Q by power iteration with symmetric iterates."""
-    n = model.a_tilde.shape[1]
-    lam = _power_lambda_max(
-        lambda s: apply_Q(model, s), np.ones((n, n)), tol, max_iter, symmetrize=True
+    dim = n * (n + 1) // 2
+    steps = min(dim, LANCZOS_MAX_STEPS)
+    # grown by doubling: the whole basis would be steps x n^2 floats
+    basis = np.empty((min(steps, 16), n * n))
+    basis[0] = np.eye(n).ravel() / np.sqrt(n)
+    alphas, betas = [], []
+    resid = np.inf
+    for k in range(1, steps + 1):
+        q = basis[k - 1]
+        w = apply_Q(model, q.reshape(n, n))
+        w = (0.5 * (w + w.T)).ravel()
+        alphas.append(float(q @ w))
+        done = basis[:k]
+        for _ in range(2):   # classical Gram-Schmidt, twice is enough
+            w -= done.T @ (done @ w)
+        beta = float(np.linalg.norm(w))
+        # theta >= alphas[0], so a tiny beta already certifies the Ritz value
+        if k % LANCZOS_CHECK_EVERY == 0 or k == dim or beta <= LANCZOS_REL_TOL * alphas[0]:
+            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            thetas, ys = np.linalg.eigh(tri)
+            theta = float(thetas[-1])
+            resid = beta * abs(ys[-1, -1])
+            if resid <= LANCZOS_REL_TOL * theta or k == dim:
+                return theta
+        if k == steps:
+            break
+        if k == basis.shape[0]:
+            grown = np.empty((min(2 * k, steps), n * n))
+            grown[:k] = basis
+            basis = grown
+        basis[k] = w / beta
+        betas.append(beta)
+    raise SolverError(
+        f"Lanczos on Q did not certify lambda_max in {LANCZOS_MAX_STEPS} steps "
+        f"(Ritz residual {resid:.3e})"
     )
-    if lam is not None:
-        return lam
-    if n * n <= 4096:
-        return float(np.linalg.eigvalsh(_dense_q(model))[-1])
-    raise SolverError(f"power iteration on Q failed to converge in {max_iter} steps")
-
-
-def _dense_q(model):
-    m, n = model.a_tilde.shape
-    q = np.zeros((n * n, n * n))
-    eye = np.eye(n)
-    for i in range(m):
-        proj = eye - np.outer(model.a_tilde[i], model.a_tilde[i])
-        q += model.p[i] * np.kron(proj, proj)
-    return q
 
 
 def dense_lift_oracle(model):

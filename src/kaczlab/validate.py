@@ -146,6 +146,8 @@ def run_suite(corrupt_lambda_tolerance=False):
     checks.append(_check("lambda_q_le_lambda_p", max(lam_q - lam_p, 0.0), lam_tol))
     checks.append(_check("lambda_p_below_one", max(lam_p - (1.0 - 1e-12), 0.0), lam_tol))
     checks.append(_check("lambda_q_positive", max(1e-12 - lam_q, 0.0), lam_tol))
+    checks.append(_check("dense_lambda_p", abs(lam_p - np.linalg.eigvalsh(dense.P)[-1]), lam_tol))
+    checks.append(_check("dense_lambda_q", abs(lam_q - np.linalg.eigvalsh(dense.Q)[-1]), lam_tol))
     h_eigs = np.sort(np.linalg.eigvals(dense.H).real)
     pq_eigs = np.sort(
         np.concatenate([np.linalg.eigvalsh(dense.Q), np.linalg.eigvalsh(dense.P)])

@@ -241,6 +241,59 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert "noise.sigma2" in capsys.readouterr().err
 
+    def test_string_resample_rejected(self, tmp_path, capsys):
+        cfg = {
+            "matrix": {"kind": "gaussian", "m": 8, "n": 4, "seed": 5},
+            "noise": {"kind": "iid", "sigma2": 1e-3, "resample": "false"},
+            "k_max": 5,
+            "seed": 1,
+            "outputs": ["exact"],
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "noise.resample: must be a boolean" in capsys.readouterr().err
+
+    def test_string_x_scale_rejected(self, tmp_path, eta8, capsys):
+        cfg = base_config(eta8)
+        cfg["matrix"]["x_scale"] = "abc"
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "matrix.x_scale: must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["grid", "angles", "rays"])
+    @pytest.mark.parametrize("value", ["10", True])
+    def test_non_integer_tomography_size_rejected(self, tmp_path, capsys, key, value):
+        cfg = {
+            "matrix": {"kind": "tomography", "grid": 3, "angles": 6, "rays": 3},
+            "noise": {"kind": "iid", "sigma2": 1e-3},
+            "k_max": 5,
+            "seed": 1,
+            "outputs": ["exact_avg"],
+        }
+        cfg["matrix"][key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert f"matrix.{key}: must be an integer" in capsys.readouterr().err
+
+    def test_string_identity_size_rejected(self, tmp_path, capsys):
+        cfg = {
+            "matrix": {"kind": "identity", "n": "3"},
+            "noise": {"kind": "iid", "sigma2": 1e-3},
+            "k_max": 5,
+            "seed": 1,
+            "outputs": ["exact_avg"],
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "matrix.n: must be an integer" in capsys.readouterr().err
+
+    def test_string_x0_seed_rejected(self, tmp_path, eta8, capsys):
+        cfg = base_config(eta8)
+        cfg["x0"] = {"random_seed": "a"}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "x0.random_seed: must be an integer" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_passes(self, tmp_path, capsys):

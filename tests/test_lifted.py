@@ -3,6 +3,7 @@ import pytest
 
 from kaczlab import (
     FixedNoise,
+    NoiseAveragedModel,
     apply_D,
     apply_P,
     apply_Q,
@@ -13,6 +14,7 @@ from kaczlab import (
     exact_mse_curve,
     gen_gaussian,
     gen_identity,
+    gen_tomography,
     lambda_max_P,
     lambda_max_Q,
     limiting_mse,
@@ -27,6 +29,7 @@ from kaczlab import (
     uniform_distribution,
     vec_e,
     vec_f,
+    zf_avg_bound_curve,
 )
 from kaczlab.lifted import dense_p, weighted_gram
 from kaczlab.problems import LinearSystem
@@ -364,6 +367,42 @@ class TestSpectra:
             lam_p = lambda_max_P(model)
             assert 0.0 < lam_q <= lam_p + 1e-9
             assert lam_p < 1.0
+
+
+class TestTomographySpectra:
+    """The avg_mc benchmark system, whose top eigenvector of P is orthogonal
+    to the all-ones vector to 1.9e-15, and the README's n = 100 system."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        sys = gen_tomography(5, 10, 5)
+        return build_model(sys, row_norm_distribution(sys))
+
+    def test_lambda_p_exact(self, model):
+        assert abs(lambda_max_P(model) - np.linalg.eigvalsh(dense_p(model))[-1]) <= 1e-12
+
+    def test_lambda_q_matches_kronecker(self, model):
+        n = model.a_tilde.shape[1]
+        q = np.zeros((n * n, n * n))
+        for ai, pi in zip(model.a_tilde, model.p):
+            proj = np.eye(n) - np.outer(ai, ai)
+            q += pi * np.kron(proj, proj)
+        assert lambda_max_Q(model) == pytest.approx(np.linalg.eigvalsh(q)[-1], abs=1e-9)
+
+    def test_readme_system_certified(self):
+        sys = gen_tomography(10, 15, 10)
+        model = build_model(sys, row_norm_distribution(sys))
+        lam_q, lam_p = lambda_max_Q(model), lambda_max_P(model)
+        assert np.isfinite(lam_q)
+        assert 0.0 < lam_q <= lam_p < 1.0
+
+    def test_zf_avg_floor(self, model):
+        sigma2 = 2.25e-4
+        n = model.a_tilde.shape[1]
+        curve = zf_avg_bound_curve(NoiseAveragedModel(model, sigma2), np.zeros(n), 5)
+        lam = np.linalg.eigvalsh(dense_p(model))[-1]
+        floor = sigma2 * np.sum(model.p / model.row_norms**2) / (1.0 - lam)
+        assert curve == pytest.approx(np.full(6, floor), rel=1e-12)
 
 
 class TestDenseLiftOracle:
