@@ -84,6 +84,22 @@ def _float_value(obj, key, where):
     return float(value)
 
 
+def _floats_value(obj, key, where):
+    """obj[key] as a float vector; it must be a list of finite numbers."""
+    values = obj[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}: must be a list of numbers, got {values!r}")
+    return np.array([_float_value(values, i, f"{where}[{i}]") for i in range(len(values))])
+
+
+def _str_value(obj, key, where):
+    """obj[key] as a string; an integer would reach open() as a file descriptor."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: must be a string, got {value!r}")
+    return value
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -126,7 +142,7 @@ def _build_matrix(desc):
         return gen_identity(_int_value(desc, "n", "matrix.n", minimum=1))
     if kind == "file":
         _require_keys(desc, {"kind", "path"}, {"path"}, "matrix")
-        return load_system(desc["path"])
+        return load_system(_str_value(desc, "path", "matrix.path"))
     raise ConfigError(f"matrix: unknown kind {kind!r}")
 
 
@@ -138,15 +154,19 @@ def _build_noise(desc, m):
         _require_keys(desc, {"kind", "values", "path"}, set(), "noise")
         if ("values" in desc) == ("path" in desc):
             raise ConfigError('noise: fixed needs exactly one of "values" or "path"')
-        eta = np.asarray(desc["values"], dtype=float) if "values" in desc else load_vector(desc["path"])
+        if "values" in desc:
+            eta = _floats_value(desc, "values", "noise.values")
+        else:
+            eta = load_vector(_str_value(desc, "path", "noise.path"))
         if eta.shape != (m,):
             raise ConfigError(f"noise: fixed vector has length {eta.size}, expected {m}")
         return FixedNoise(eta), False
     if kind == "iid":
         _require_keys(desc, {"kind", "sigma2", "resample"}, {"sigma2"}, "noise")
+        sigma2 = _float_value(desc, "sigma2", "noise.sigma2")
         try:
-            noise = IidNoise(desc["sigma2"])
-        except (TypeError, ValueError) as exc:
+            noise = IidNoise(sigma2)
+        except ValueError as exc:
             raise ConfigError(f"noise.sigma2: {exc}") from exc
         resample = desc.get("resample", False)
         if not isinstance(resample, bool):
@@ -161,7 +181,7 @@ def _build_distribution(desc, sys):
     if desc == "uniform":
         return uniform_distribution(sys.a.shape[0]), False
     if isinstance(desc, dict) and set(desc) == {"weights"}:
-        w = np.asarray(desc["weights"], dtype=float)
+        w = _floats_value(desc, "weights", "distribution.weights")
         if w.size != sys.a.shape[0]:
             raise ConfigError(f"distribution: {w.size} weights for {sys.a.shape[0]} rows")
         try:
@@ -176,12 +196,12 @@ def _build_x0(desc, sys):
     if desc == "zero":
         return np.zeros(n)
     if isinstance(desc, dict) and set(desc) == {"values"}:
-        x0 = np.asarray(desc["values"], dtype=float)
+        x0 = _floats_value(desc, "values", "x0.values")
         if x0.shape != (n,):
             raise ConfigError(f"x0: vector has length {x0.size}, expected {n}")
         return x0
     if isinstance(desc, dict) and set(desc) == {"path"}:
-        x0 = load_vector(desc["path"])
+        x0 = load_vector(_str_value(desc, "path", "x0.path"))
         if x0.shape != (n,):
             raise ConfigError(f"x0: vector has length {x0.size}, expected {n}")
         return x0
@@ -266,11 +286,10 @@ def cmd_generate(cfg, out_dir, verbose=False):
     return 0
 
 
-def run_experiment(cfg, threads=1, verbose=False):
+def run_experiment(cfg, verbose=False):
     """Compute every requested curve; returns (curves, scalars, warnings).
 
     curves is an ordered {name: vector} dict, all of length k_max+1.
-    threads is deprecated and has no effect (see monte_carlo_mse).
     """
     warnings = []
     k_max, trials, seed, outputs = _parse_config(cfg)
@@ -309,7 +328,7 @@ def run_experiment(cfg, threads=1, verbose=False):
         if kind == "empirical":
             emp = monte_carlo_mse(
                 sys_obj, noise, dist, x0, k_max, trials, seed,
-                resample_noise=resample, threads=threads,
+                resample_noise=resample,
             )
             curves["empirical"] = emp.mse_mean
             curves["empirical_stderr"] = emp.mse_stderr
@@ -334,9 +353,10 @@ def run_experiment(cfg, threads=1, verbose=False):
             nmodel = NoiseAveragedModel(base_model, noise.sigma2)
             curves["bound_zf_avg"] = zf_avg_bound_curve(nmodel, z0, k_max)
         elif kind == "floor":
-            if eta is not None:
+            # exact / exact_avg already solved for the same floor
+            if eta is not None and "floor_exact" not in scalars:
                 scalars["floor_exact"] = limiting_mse(build_model(sys_obj, dist, eta))
-            if isinstance(noise, IidNoise):
+            if isinstance(noise, IidNoise) and "floor_avg" not in scalars:
                 scalars["floor_avg"] = avg_limiting_mse(
                     NoiseAveragedModel(base_model, noise.sigma2)
                 )
@@ -391,21 +411,6 @@ def cmd_validate(out_dir, corrupt=False, verbose=False):
     return 0 if all(c["passed"] for c in checks) else 1
 
 
-def _check_threads(flag_value):
-    """Accept the deprecated --threads / KACZLAB_THREADS; warn unless it is 1."""
-    if flag_value is None:
-        env = os.environ.get("KACZLAB_THREADS")
-        try:
-            flag_value = int(env) if env else 1
-        except ValueError as exc:
-            raise ConfigError(f"KACZLAB_THREADS: must be an integer, got {env!r}") from exc
-    if flag_value < 0:
-        raise ConfigError("threads must be >= 0")
-    if flag_value != 1:
-        print("warning: --threads and KACZLAB_THREADS are deprecated and have no "
-              "effect; all Monte Carlo trials run in one batched kernel", file=_sys.stderr)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="kaczlab",
@@ -421,16 +426,12 @@ def main(argv=None):
     p_val.add_argument("--config", required=False, help=argparse.SUPPRESS)
     for p in (p_gen, p_run, p_val):
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="deprecated, has no effect: Monte Carlo trials run "
-                            "batched (default: KACZLAB_THREADS or 1)")
         p.add_argument("--verbose", action="store_true")
     p_val.add_argument("--corrupt-lambda-tolerance", action="store_true",
                        help="self-test: corrupt a tolerance so the suite must fail")
 
     args = parser.parse_args(argv)
     try:
-        _check_threads(args.threads)
         if args.command == "generate":
             cfg, _ = load_config(args.config)
             return cmd_generate(cfg, args.out, args.verbose)

@@ -70,6 +70,7 @@ class DenseLift:
     e: np.ndarray   # (n^2,)
     f: np.ndarray   # (n,)
     H: np.ndarray   # (n^2+n, n^2+n) block [[Q, D], [0, P]]
+    G: np.ndarray   # (n^2, n^2), vec(g(M)) = G vec(M), g as in noise_avg.g_apply
 
 
 def build_model(sys: LinearSystem, dist: RowDistribution, eta=None):
@@ -224,64 +225,54 @@ def solve_v1(model):
     return _solve_i_minus_q(model, rhs)
 
 
+def _lifted_curve(model, z0, x0, y0, drive, floor, k_max):
+    """The one lifted recursion behind every exact MSE curve.
+
+    Steps X_k = Q X_{k-1} + drive(y_{k-1}) and y_k = P y_{k-1} from
+    (X_0, y_0) = (x0, y0), with P applied as the dense n x n matrix, so y
+    may be a vector or an n x n matrix. drive=None is the homogeneous map
+    X_k = Q X_{k-1} and y is never touched. Returns values[k] = floor +
+    trace(X_k) for k >= 1 and values[0] = ||z0||^2 exactly. Each curve is a
+    description (x0, y0, drive, floor) centred on its fixed point, whose
+    trace is the floor. Runs in O(k_max m n^2).
+    """
+    values = np.empty(k_max + 1)
+    values[0] = sq_norm(z0)
+    x, y = x0, y0
+    if drive is not None:
+        p_dense = dense_p(model)
+    for k in range(1, k_max + 1):
+        x = apply_Q(model, x)
+        if drive is not None:
+            x += drive(y)
+            y = p_dense @ y
+        # the true iterate is symmetric; resymmetrizing kills ulp-level BLAS
+        # drift and keeps apply_Q on its symmetric fast path
+        x = 0.5 * (x + x.T)
+        values[k] = floor + np.trace(x)
+    return MseCurve(values, floor)
+
+
 def exact_mse_curve(model, z0, k_max):
     """The exact MSE trajectory for a fixed noise vector.
 
-    Iterates S_k = Q S_{k-1} + D m_{k-1} + e and m_k = P m_{k-1} + f from
-    S_0 = z0 z0^T, m_0 = z0; values[k] = trace(S_k). Runs in O(k_max m n^2).
+    The block map (S, m) -> (Q S + D m + e, P m + f) from (z0 z0^T, z0) has
+    the fixed point (v1, v2), so around it the recursion is homogeneous:
+    X_0 = z0 z0^T - v1, y_0 = z0 - v2, drive D, floor trace(v1). Noise-free,
+    the fixed point is zero and X_0 = z0 z0^T with no drive.
+    values[k] = trace(S_k).
     """
     z0 = np.asarray(z0, dtype=float)
-    values = np.empty(k_max + 1)
-    values[0] = sq_norm(z0)
-    s = np.outer(z0, z0)
-    mv = z0.copy()
-    noisy = model.has_noise
-    if noisy:
-        e_mat = vec_e(model)
-        f = vec_f(model)
-    for k in range(1, k_max + 1):
-        if noisy:
-            s = apply_Q(model, s) + apply_D(model, mv) + e_mat
-            mv = apply_P(model, mv) + f
-        else:
-            s = apply_Q(model, s)
-            mv = apply_P(model, mv)
-        # the true iterate is symmetric; resymmetrizing kills ulp-level BLAS
-        # drift and keeps apply_Q on its symmetric fast path
-        s = 0.5 * (s + s.T)
-        values[k] = np.trace(s)
-    return MseCurve(values, limiting_mse(model))
+    if not model.has_noise:
+        return _lifted_curve(model, z0, np.outer(z0, z0), None, None, 0.0, k_max)
+    v1 = solve_v1(model)
+    return _lifted_curve(model, z0, np.outer(z0, z0) - v1, z0 - solve_v2(model),
+                         lambda y: apply_D(model, y), float(np.trace(v1)), k_max)
 
 
 def exact_mse_at(model, z0, k):
-    """MSE at a single iteration via the closed form around (v1, v2).
-
-    Applies the homogeneous block map (S, m) -> (Q S + D m, P m) k times to
-    (z0 z0^T - v1, z0 - v2) and adds the fixed point back; algebraically
-    equal to exact_mse_curve(...).values[k].
-    """
-    z0 = np.asarray(z0, dtype=float)
-    if k == 0:
-        return sq_norm(z0)
-    noisy = model.has_noise
-    if noisy:
-        v1 = solve_v1(model)
-        v2 = solve_v2(model)
-        s = np.outer(z0, z0) - v1
-        mv = z0 - v2
-    else:
-        s = np.outer(z0, z0)
-        mv = z0.copy()
-    for _ in range(k):
-        if noisy:
-            s = apply_Q(model, s) + apply_D(model, mv)
-        else:
-            s = apply_Q(model, s)
-        s = 0.5 * (s + s.T)
-        mv = apply_P(model, mv)
-    if noisy:
-        s = s + v1
-    return float(np.trace(s))
+    """MSE at a single iteration: exact_mse_curve(model, z0, k).values[k]."""
+    return float(exact_mse_curve(model, z0, k).values[k])
 
 
 def limiting_mse(model):
@@ -354,7 +345,10 @@ def lambda_max_Q(model):
 
 
 def dense_lift_oracle(model):
-    """Assemble P, Q, D, e, f and H = [[Q, D], [0, P]] explicitly.
+    """Assemble P, Q, D, e, f, H = [[Q, D], [0, P]] and g's matrix G explicitly.
+
+    G = sum_i (p_i^2/||a_i||^2) D_i (I (x) a~_i^T), with D_i the noise-free
+    part of D's i-th term, does not need a noise vector.
 
     Kronecker products make this O(n^4) in space, so it is guarded to
     n <= 12 and meant only for cross-checking the implicit operators.
@@ -368,19 +362,22 @@ def dense_lift_oracle(model):
     d_mat = np.zeros((n * n, n))
     e_v = np.zeros(n * n)
     f_v = np.zeros(n)
+    g_mat = np.zeros((n * n, n * n))
     for i in range(m):
         at = model.a_tilde[i]
         proj = eye - np.outer(at, at)
         p_mat += model.p[i] * proj
         q_mat += model.p[i] * np.kron(proj, proj)
+        col = at.reshape(-1, 1)
+        d_i = np.kron(col, proj) + np.kron(proj, col)
+        g_mat += (model.p[i] ** 2 / model.row_norms[i] ** 2) * (d_i @ np.kron(eye, at))
         if model.has_noise:
             etai = model.eta_tilde[i]
-            col = at.reshape(-1, 1)
-            d_mat += model.p[i] * etai * (np.kron(col, proj) + np.kron(proj, col))
+            d_mat += model.p[i] * etai * d_i
             e_v += model.p[i] * etai**2 * np.kron(at, at)
             f_v += model.p[i] * etai * at
     h = np.zeros((n * n + n, n * n + n))
     h[: n * n, : n * n] = q_mat
     h[: n * n, n * n :] = d_mat
     h[n * n :, n * n :] = p_mat
-    return DenseLift(p_mat, q_mat, d_mat, e_v, f_v, h)
+    return DenseLift(p_mat, q_mat, d_mat, e_v, f_v, h, g_mat)

@@ -8,15 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import sq_norm
-from .lifted import (
-    LiftedModel,
-    MseCurve,
-    _solve_i_minus_q,
-    apply_Q,
-    dense_p,
-    weighted_gram,
-)
+from .lifted import LiftedModel, _lifted_curve, _solve_i_minus_q, weighted_gram
 
 
 @dataclass(frozen=True)
@@ -66,33 +58,22 @@ def expected_v1(model):
 def avg_mse_curve(model, z0, k_max):
     """The noise-averaged MSE trajectory.
 
-    values[k] = trace(Q^k (z0 z0^T - E v1)) - sigma2 * trace(U_k) + trace(E v1)
-    where U_k accumulates sum_{l<k} Q^l g(P^{k-1-l} (I-P)^{-1}) through the
-    joint recurrence U <- Q U + g(M), M <- P M, M_0 = (I-P)^{-1}, U_0 = 0.
-    Total cost O(k_max m n^2).
+    The same lifted recursion as exact_mse_curve, with the noise average as
+    its drive: X_k = Q X_{k-1} - sigma2 g(M_{k-1}), M_k = P M_{k-1},
+    X_0 = z0 z0^T - E v1, M_0 = (I-P)^{-1}, and values[k] = trace(E v1) +
+    trace(X_k). With sigma2 = 0 there is no drive, and the curve is the
+    noise-free exact curve bit for bit. Total cost O(k_max m n^2).
     """
     base, s2 = model.base, model.sigma2
     z0 = np.asarray(z0, dtype=float)
-    values = np.empty(k_max + 1)
-    values[0] = sq_norm(z0)
     ev1 = expected_v1(model)
+    x0 = np.outer(z0, z0) - ev1
     floor = float(np.trace(ev1))
-    s = np.outer(z0, z0) - ev1
-    if s2 > 0.0:
-        u = np.zeros_like(s)
-        m_pow = np.linalg.inv(weighted_gram(base))
-        p_dense = dense_p(base)
-    for k in range(1, k_max + 1):
-        s = apply_Q(base, s)
-        s = 0.5 * (s + s.T)   # resymmetrize; see exact_mse_curve
-        if s2 > 0.0:
-            u = apply_Q(base, u) + g_apply(base, m_pow)
-            u = 0.5 * (u + u.T)
-            m_pow = p_dense @ m_pow
-            values[k] = np.trace(s) - s2 * np.trace(u) + floor
-        else:
-            values[k] = np.trace(s)
-    return MseCurve(values, floor)
+    if s2 == 0.0:
+        return _lifted_curve(base, z0, x0, None, None, floor, k_max)
+    m0 = np.linalg.inv(weighted_gram(base))
+    return _lifted_curve(base, z0, x0, m0, lambda mmat: -s2 * g_apply(base, mmat),
+                         floor, k_max)
 
 
 def avg_limiting_mse(model):

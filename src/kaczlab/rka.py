@@ -1,6 +1,5 @@
 """Randomized Kaczmarz iteration and the Monte Carlo estimation harness."""
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,7 +165,7 @@ def trial_noise_seed(seed, trial=None):
 
 
 def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed,
-                    resample_noise=False, threads=1):
+                    resample_noise=False):
     """Sample mean/standard error of the squared-error trajectory over trials.
 
     Each trial draws rows from an independent stream hashed from
@@ -174,13 +173,7 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed,
     trials run together. With IidNoise, resample_noise=False realizes one
     eta shared by all trials and True redraws it per trial; FixedNoise
     ignores the flag. All trials advance together in one batched kernel.
-
-    threads is deprecated and has no effect; a value other than 1 warns.
     """
-    if threads != 1:
-        warnings.warn("monte_carlo_mse: threads is deprecated and has no effect; "
-                      "all trials run in one batched kernel",
-                      DeprecationWarning, stacklevel=2)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m, n = sys.a.shape

@@ -125,13 +125,7 @@ def run_suite(corrupt_lambda_tolerance=False):
         )
     )
     mrand = rng.standard_normal((n, n))
-    kw = model.p**2 / model.row_norms**2
-    dense_g = np.zeros((n, n))
-    for i in range(model.p.size):
-        at = model.a_tilde[i]
-        proj = np.eye(n) - np.outer(at, at)
-        di = np.kron(at.reshape(-1, 1), proj) + np.kron(proj, at.reshape(-1, 1))
-        dense_g += kw[i] * (di @ (mrand @ at)).reshape(n, n)
+    dense_g = (dense.G @ mrand.ravel()).reshape(n, n)
     checks.append(_check("dense_g", _rel_dev(g_apply(model, mrand), dense_g), 1e-12))
     v2_dense = np.linalg.solve(np.eye(n) - dense.P, dense.f)
     checks.append(_check("dense_v2", _rel_dev(solve_v2(model), v2_dense), 1e-10))

@@ -89,15 +89,7 @@ def test_criterion_2_dense_lift_equivalence():
         worst = max(worst, dev(apply_Q(model, s), (dense.Q @ s.ravel()).reshape(n, n)))
         worst = max(worst, dev(apply_D(model, v), (dense.D @ v).reshape(n, n)))
         mmat = rng.standard_normal((n, n))
-        g_dense = np.zeros((n, n))
-        for i in range(m):
-            at = model.a_tilde[i]
-            proj = np.eye(n) - np.outer(at, at)
-            col = at.reshape(-1, 1)
-            di = np.kron(col, proj) + np.kron(proj, col)
-            g_dense += (model.p[i] ** 2 / model.row_norms[i] ** 2) * (
-                di @ (mmat @ at)
-            ).reshape(n, n)
+        g_dense = (dense.G @ mmat.ravel()).reshape(n, n)
         worst = max(worst, dev(g_apply(model, mmat), g_dense))
         v2_dense = np.linalg.solve(np.eye(n) - dense.P, dense.f)
         worst = max(worst, dev(solve_v2(model), v2_dense))

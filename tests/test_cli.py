@@ -86,8 +86,15 @@ class TestRun:
         cfg_path = write_config(tmp_path, base_config(eta8))
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", cfg_path, "--out", str(out1)]) == 0
-        assert main(["run", "--config", cfg_path, "--out", str(out2), "--threads", "4"]) == 0
+        assert main(["run", "--config", cfg_path, "--out", str(out2)]) == 0
         assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
+
+    def test_threads_flag_is_usage_error(self, tmp_path, eta8, capsys):
+        cfg_path = write_config(tmp_path, base_config(eta8))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg_path, "--out", str(tmp_path), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_trivial_single_point(self, tmp_path, eta8):
         cfg = base_config(eta8)
@@ -241,6 +248,43 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert "noise.sigma2" in capsys.readouterr().err
 
+    def test_string_sigma2_rejected(self, tmp_path, capsys):
+        cfg = {
+            "matrix": {"kind": "gaussian", "m": 8, "n": 4, "seed": 5},
+            "noise": {"kind": "iid", "sigma2": "1e-3"},
+            "k_max": 5,
+            "seed": 1,
+            "outputs": ["exact"],
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "noise.sigma2: must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, desc, key", [
+        ("matrix", {"kind": "file", "path": 5}, "matrix.path"),
+        ("noise", {"kind": "fixed", "path": 5}, "noise.path"),
+        ("x0", {"path": 5}, "x0.path"),
+    ])
+    def test_non_string_path_rejected(self, tmp_path, eta8, capsys, section, desc, key):
+        # an integer path would reach open() and read that file descriptor
+        cfg = base_config(eta8)
+        cfg[section] = desc
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert f"{key}: must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, desc, key", [
+        ("distribution", {"weights": [1, 2, "a", 4, 5, 6, 7, 8]}, "distribution.weights[2]"),
+        ("noise", {"kind": "fixed", "values": [0.1] * 7 + ["a"]}, "noise.values[7]"),
+        ("x0", {"values": [0.0, "a", 0.0, 0.0]}, "x0.values[1]"),
+    ])
+    def test_non_numeric_list_entry_rejected(self, tmp_path, eta8, capsys, section, desc, key):
+        cfg = base_config(eta8)
+        cfg[section] = desc
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert f"{key}: must be a finite number" in capsys.readouterr().err
+
     def test_string_resample_rejected(self, tmp_path, capsys):
         cfg = {
             "matrix": {"kind": "gaussian", "m": 8, "n": 4, "seed": 5},
@@ -307,34 +351,3 @@ class TestValidate:
         code = main(["validate", "--out", str(tmp_path), "--corrupt-lambda-tolerance"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
-
-
-class TestThreads:
-    def test_env_var(self, tmp_path, eta8, monkeypatch):
-        monkeypatch.setenv("KACZLAB_THREADS", "2")
-        cfg_path = write_config(tmp_path, base_config(eta8))
-        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
-
-    def test_flag_auto(self, tmp_path, eta8):
-        cfg_path = write_config(tmp_path, base_config(eta8))
-        assert main(["run", "--config", cfg_path, "--out", str(tmp_path), "--threads", "0"]) == 0
-
-    def test_deprecated_and_without_effect(self, tmp_path, eta8, capsys):
-        cfg_path = write_config(tmp_path, base_config(eta8))
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", cfg_path, "--out", str(out1)]) == 0
-        assert "deprecated" not in capsys.readouterr().err
-        assert main(["run", "--config", cfg_path, "--out", str(out2), "--threads", "3"]) == 0
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "deprecated" in err
-        assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
-
-    def test_negative_exits_2(self, tmp_path, eta8):
-        cfg_path = write_config(tmp_path, base_config(eta8))
-        assert main(["run", "--config", cfg_path, "--out", str(tmp_path), "--threads", "-1"]) == 2
-
-    def test_non_integer_env_exits_2(self, tmp_path, eta8, monkeypatch, capsys):
-        monkeypatch.setenv("KACZLAB_THREADS", "two")
-        cfg_path = write_config(tmp_path, base_config(eta8))
-        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
-        assert "KACZLAB_THREADS" in capsys.readouterr().err

@@ -300,6 +300,23 @@ class TestExactCurves:
         enum = enumerated_mse_curve(sys, eta, dist, z0, 3)
         assert exact_mse_at(model, z0, 3) == pytest.approx(enum[3], rel=1e-10)
 
+    @pytest.mark.parametrize("m,n,seed", [(4, 2, 50), (6, 3, 51), (8, 4, 52), (5, 4, 53)])
+    def test_dense_lift_stepping(self, m, n, seed):
+        # the inhomogeneous form S <- Q S + D m + e, m <- P m + f on the
+        # assembled Kronecker matrices, from (z0 (x) z0, z0)
+        model, z0 = random_model(m, n, seed)
+        dense = dense_lift_oracle(model)
+        k_max = 60
+        s, mv = np.kron(z0, z0), z0.copy()
+        want = [z0 @ z0]
+        for _ in range(k_max):
+            s, mv = dense.Q @ s + dense.D @ mv + dense.e, dense.P @ mv + dense.f
+            want.append(np.trace(mat_of(s, n)))
+        curve = exact_mse_curve(model, z0, k_max)
+        assert np.allclose(curve.values, want, rtol=1e-10, atol=0)
+        for k in (0, 1, k_max):
+            assert exact_mse_at(model, z0, k) == curve.values[k]
+
     def test_floor_long_horizon(self):
         sys, dist, eta, z0 = random_instance(20, 5, 32, noise_scale=0.5)
         model = build_model(sys, dist, eta)

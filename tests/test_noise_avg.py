@@ -6,6 +6,7 @@ from kaczlab import (
     avg_limiting_mse,
     avg_mse_curve,
     build_model,
+    dense_lift_oracle,
     exact_mse_at,
     expected_v1,
     g_apply,
@@ -52,14 +53,7 @@ class TestGApply:
         base = model.base
         n = 3
         mmat = rng_from(seed, 1).standard_normal((n, n))
-        want = np.zeros((n, n))
-        for i in range(base.p.size):
-            at = base.a_tilde[i]
-            proj = np.eye(n) - np.outer(at, at)
-            col = at.reshape(-1, 1)
-            di = np.kron(col, proj) + np.kron(proj, col)
-            ki = base.p[i] ** 2 / base.row_norms[i] ** 2
-            want += ki * (di @ (mmat @ at)).reshape(n, n)
+        want = (dense_lift_oracle(base).G @ mmat.ravel()).reshape(n, n)
         assert np.allclose(g_apply(base, mmat), want, rtol=1e-12, atol=1e-15)
 
     def test_symmetric_output(self):
@@ -117,6 +111,36 @@ class TestAvgCurve:
         exact = exact_mse_curve(build_model(sys, dist), z0, 40)
         assert np.array_equal(avg.values, exact.values)
         assert avg.floor == 0.0
+
+    @pytest.mark.parametrize("m,n,seed", [(4, 2, 60), (6, 3, 61), (8, 4, 62), (5, 4, 63)])
+    def test_dense_lift_stepping(self, m, n, seed):
+        # Q^k (z0 z0^T - E v1) - sigma2 sum_{l<k} Q^l G vec(P^(k-1-l) (I-P)^-1)
+        # + tr(E v1) on the assembled Kronecker matrices, E v1 by a dense solve
+        sigma2 = 0.05
+        model, _, _, z0 = navg_model(m, n, seed, sigma2)
+        base = model.base
+        dense = dense_lift_oracle(base)
+        eye = np.eye(n)
+        gram_rhs = sum(
+            base.p[i] / base.row_norms[i] ** 2 * np.kron(base.a_tilde[i], base.a_tilde[i])
+            for i in range(m)
+        )
+        m_pow = np.linalg.inv(eye - dense.P)
+        ev1 = sigma2 * np.linalg.solve(
+            np.eye(n * n) - dense.Q, gram_rhs + dense.G @ m_pow.ravel()
+        )
+        floor = np.trace(ev1.reshape(n, n))
+        k_max = 60
+        s, u = np.kron(z0, z0) - ev1, np.zeros(n * n)
+        want = [z0 @ z0]
+        for _ in range(k_max):
+            s = dense.Q @ s
+            u = dense.Q @ u + dense.G @ m_pow.ravel()
+            m_pow = dense.P @ m_pow
+            want.append(np.trace(s.reshape(n, n)) - sigma2 * np.trace(u.reshape(n, n)) + floor)
+        curve = avg_mse_curve(model, z0, k_max)
+        assert np.allclose(curve.values, want, rtol=1e-10, atol=0)
+        assert curve.floor == pytest.approx(floor, rel=1e-10)
 
     def test_scalar_collapse(self):
         sys = gen_gaussian(4, 1, 1.0, 11)

@@ -218,15 +218,6 @@ class TestMonteCarlo:
         assert curve.mse_mean[0] == float(np.dot(d, d))
         assert curve.mse_stderr[0] == 0.0
 
-    def test_threads_deterministic(self):
-        sys, dist, eta, z0 = random_instance(9, 4, 18)
-        x0 = sys.x_true + z0
-        kwargs = dict(k_max=60, trials=16, seed=5, resample_noise=True)
-        a = monte_carlo_mse(sys, IidNoise(0.01), dist, x0, threads=1, **kwargs)
-        b = monte_carlo_mse(sys, IidNoise(0.01), dist, x0, threads=4, **kwargs)
-        assert np.array_equal(a.mse_mean, b.mse_mean)
-        assert np.array_equal(a.mse_stderr, b.mse_stderr)
-
     def test_resample_false_shares_noise(self):
         sys, dist, _, z0 = random_instance(6, 3, 19)
         x0 = sys.x_true + z0
