@@ -21,7 +21,6 @@ from .lifted import (
     MseCurve,
     SolverError,
     apply_D,
-    apply_P,
     apply_Q,
     build_model,
     dense_lift_oracle,

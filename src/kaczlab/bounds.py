@@ -17,34 +17,37 @@ class ConditionNumbers:
     lambda_max_p: float
 
 
+def _kappa_sigma_min(sys):
+    """(kappa, sigma_min); LinearSystem guarantees lambda_min(A^T A) > 0."""
+    sigma_min = float(np.sqrt(np.linalg.eigvalsh(sys.a.T @ sys.a)[0]))
+    return float(np.linalg.norm(sys.a)) / sigma_min, sigma_min
+
+
 def condition_numbers(sys, dist):
     """Spectral quantities driving the classical decay-rate bounds."""
-    evals = np.linalg.eigvalsh(sys.a.T @ sys.a)
-    sigma_min = float(np.sqrt(max(evals[0], 0.0)))
-    if sigma_min == 0.0:
-        raise ValueError("matrix is rank deficient; condition numbers undefined")
-    fro = float(np.linalg.norm(sys.a))
-    lam_p = lambda_max_P(build_model(sys, dist))
-    return ConditionNumbers(fro / sigma_min, sigma_min, lam_p)
+    kappa, sigma_min = _kappa_sigma_min(sys)
+    return ConditionNumbers(kappa, sigma_min, lambda_max_P(build_model(sys, dist)))
+
+
+def _geometric_curve(z0, rate, k_max, floor=0.0):
+    """||z0||^2 rate^k + floor for k = 0..k_max, the shape of every bound here."""
+    return sq_norm(np.asarray(z0, dtype=float)) * rate ** np.arange(k_max + 1) + floor
 
 
 def sv_bound_curve(sys, dist, z0, k_max):
     """Geometric bound (1 - kappa^-2)^k ||z0||^2 for consistent systems.
 
-    Stated for row-norm-proportional selection probabilities.
+    Stated for row-norm-proportional selection probabilities; dist is unused.
     """
-    cn = condition_numbers(sys, dist)
-    rate = 1.0 - cn.kappa**-2
-    return sq_norm(np.asarray(z0, dtype=float)) * rate ** np.arange(k_max + 1)
+    kappa, _ = _kappa_sigma_min(sys)
+    return _geometric_curve(z0, 1.0 - kappa**-2, k_max)
 
 
 def zf_bound_curve(sys, dist, z0, eta, k_max):
     """The noisy refinement: geometric term plus ||eta||^2 / sigma_min^2."""
-    eta = np.asarray(eta, dtype=float)
-    cn = condition_numbers(sys, dist)
-    rate = 1.0 - cn.kappa**-2
-    geo = sq_norm(np.asarray(z0, dtype=float)) * rate ** np.arange(k_max + 1)
-    return geo + sq_norm(eta) / cn.sigma_min**2
+    kappa, sigma_min = _kappa_sigma_min(sys)
+    floor = sq_norm(np.asarray(eta, dtype=float)) / sigma_min**2
+    return _geometric_curve(z0, 1.0 - kappa**-2, k_max, floor)
 
 
 def zf_general_bound_curve(model, z0, k_max):
@@ -54,10 +57,8 @@ def zf_general_bound_curve(model, z0, k_max):
     sum_i p_i eta~_i^2.
     """
     lam = lambda_max_P(model)
-    geo = sq_norm(np.asarray(z0, dtype=float)) * lam ** np.arange(k_max + 1)
-    if not model.has_noise:
-        return geo
-    return geo + float(np.trace(vec_e(model))) / (1.0 - lam)
+    floor = float(np.trace(vec_e(model))) / (1.0 - lam) if model.has_noise else 0.0
+    return _geometric_curve(z0, lam, k_max, floor)
 
 
 def zf_avg_bound_curve(model, z0, k_max):
@@ -68,6 +69,5 @@ def zf_avg_bound_curve(model, z0, k_max):
     """
     base = model.base
     lam = lambda_max_P(base)
-    geo = sq_norm(np.asarray(z0, dtype=float)) * lam ** np.arange(k_max + 1)
     floor = model.sigma2 * float(np.sum(base.p / base.row_norms**2)) / (1.0 - lam)
-    return geo + floor
+    return _geometric_curve(z0, lam, k_max, floor)

@@ -100,6 +100,14 @@ def _str_value(obj, key, where):
     return value
 
 
+def _load_file(loader, desc, where):
+    """loader(desc["path"]); a file that cannot be read or parsed is a config error."""
+    try:
+        return loader(_str_value(desc, "path", where))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -142,7 +150,7 @@ def _build_matrix(desc):
         return gen_identity(_int_value(desc, "n", "matrix.n", minimum=1))
     if kind == "file":
         _require_keys(desc, {"kind", "path"}, {"path"}, "matrix")
-        return load_system(_str_value(desc, "path", "matrix.path"))
+        return _load_file(load_system, desc, "matrix.path")
     raise ConfigError(f"matrix: unknown kind {kind!r}")
 
 
@@ -157,7 +165,7 @@ def _build_noise(desc, m):
         if "values" in desc:
             eta = _floats_value(desc, "values", "noise.values")
         else:
-            eta = load_vector(_str_value(desc, "path", "noise.path"))
+            eta = _load_file(load_vector, desc, "noise.path")
         if eta.shape != (m,):
             raise ConfigError(f"noise: fixed vector has length {eta.size}, expected {m}")
         return FixedNoise(eta), False
@@ -201,7 +209,7 @@ def _build_x0(desc, sys):
             raise ConfigError(f"x0: vector has length {x0.size}, expected {n}")
         return x0
     if isinstance(desc, dict) and set(desc) == {"path"}:
-        x0 = load_vector(_str_value(desc, "path", "x0.path"))
+        x0 = _load_file(load_vector, desc, "x0.path")
         if x0.shape != (n,):
             raise ConfigError(f"x0: vector has length {x0.size}, expected {n}")
         return x0
@@ -397,8 +405,8 @@ def cmd_run(cfg, raw_config, out_dir, verbose=False):
     return 0
 
 
-def cmd_validate(out_dir, corrupt=False, verbose=False):
-    checks = run_suite(corrupt_lambda_tolerance=corrupt)
+def cmd_validate(out_dir):
+    checks = run_suite()
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {c['name']}: deviation {c['deviation']:.3e} "
@@ -423,12 +431,9 @@ def main(argv=None):
     p_val = sub.add_parser("validate", help="run the small-instance oracle suite")
     for p in (p_gen, p_run):
         p.add_argument("--config", required=True, help="experiment config (JSON)")
-    p_val.add_argument("--config", required=False, help=argparse.SUPPRESS)
     for p in (p_gen, p_run, p_val):
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--verbose", action="store_true")
-    p_val.add_argument("--corrupt-lambda-tolerance", action="store_true",
-                       help="self-test: corrupt a tolerance so the suite must fail")
 
     args = parser.parse_args(argv)
     try:
@@ -438,7 +443,7 @@ def main(argv=None):
         if args.command == "run":
             cfg, raw = load_config(args.config)
             return cmd_run(cfg, raw, args.out, args.verbose)
-        return cmd_validate(args.out, args.corrupt_lambda_tolerance, args.verbose)
+        return cmd_validate(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

@@ -4,7 +4,7 @@ The squared error is tracked through the pair (S_k, m_k) where
 S_k = E z^(k) z^(k)T and m_k = E z^(k): both evolve linearly under the
 probability-weighted projector moments
 
-    P = sum_i p_i P_i                    (n x n, implicit)
+    P = sum_i p_i P_i                    (n x n, dense: dense_p)
     Q.vec(S) = vec(sum_i p_i P_i S P_i)  (n^2 x n^2, implicit)
     D.v = vec(sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i))
     e = vec(sum_i p_i eta~_i^2 a~_i a~_i^T),   f = sum_i p_i eta~_i a~_i
@@ -88,12 +88,6 @@ def build_model(sys: LinearSystem, dist: RowDistribution, eta=None):
         eta_tilde = eta / sys.row_norms
         eta_tilde.setflags(write=False)
     return LiftedModel(a_tilde, dist.p, sys.row_norms, eta_tilde)
-
-
-def apply_P(model, v):
-    """P v = sum_i p_i (v - a~_i (a~_i^T v)), in O(mn)."""
-    at = model.a_tilde
-    return v - at.T @ (model.p * (at @ v))
 
 
 def apply_Q(model, s):

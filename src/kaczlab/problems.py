@@ -234,9 +234,12 @@ def _parse_floats(tokens, lineno, expected):
             f"line {lineno}: expected {expected} values, found {len(tokens)}"
         )
     try:
-        return [float(t) for t in tokens]
+        values = [float(t) for t in tokens]
     except ValueError as exc:
         raise MatrixFileError(f"line {lineno}: non-numeric token ({exc})") from exc
+    if not np.all(np.isfinite(values)):
+        raise MatrixFileError(f"line {lineno}: non-finite value in {' '.join(tokens)!r}")
+    return values
 
 
 def load_system(path):

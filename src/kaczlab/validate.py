@@ -1,18 +1,20 @@
-"""Small-instance oracle suite backing the `validate` CLI command.
+"""Oracle checks shared by the `validate` CLI command and the acceptance suite.
 
 Ground truth comes from two places that share nothing with the implicit
 operator implementations: probability-weighted enumeration of every row
-sequence, and explicitly assembled dense Kronecker operators.
+sequence, and explicitly assembled dense Kronecker operators. Each check
+function returns {check name: deviation}; TOLERANCES holds the limit of
+every name that run_suite reports.
 """
 
 import numpy as np
 
 from .lifted import (
     apply_D,
-    apply_P,
     apply_Q,
     build_model,
     dense_lift_oracle,
+    dense_p,
     exact_mse_at,
     exact_mse_curve,
     lambda_max_P,
@@ -27,6 +29,16 @@ from .rka import make_distribution, row_norm_distribution
 from .seeding import rng_from
 
 ENUM_LIMIT = 100_000
+
+TOLERANCES = {
+    "enum_vs_curve": 1e-10, "enum_vs_closed_form": 1e-10,
+    "dense_P": 1e-13, "dense_Q": 1e-12, "dense_D": 1e-12, "dense_g": 1e-12,
+    "dense_v2": 1e-10, "dense_v1": 1e-9,
+    "lambda_q_le_lambda_p": 1e-9, "lambda_p_below_one": 1e-9, "lambda_q_positive": 1e-9,
+    "dense_lambda_p": 1e-9, "dense_lambda_q": 1e-9, "h_spectrum_union": 1e-8,
+    "trace_Q_identity": 1e-12, "trace_D_zero": 1e-12,
+    "scalar_floor": 1e-12, "scalar_curve_constant": 1e-12, "scalar_lambdas_zero": 1e-12,
+}
 
 
 def enumerated_mse_curve(sys, eta, dist, z0, k_max):
@@ -63,13 +75,69 @@ def _rel_dev(got, want):
     return float(np.max(np.abs(np.asarray(got) - want))) / scale
 
 
-def _check(name, deviation, tolerance):
+def enumeration_checks(sys, dist, eta, z0, k_max):
+    """exact_mse_curve and exact_mse_at against exhaustive enumeration, k <= k_max."""
+    model = build_model(sys, dist, eta)
+    enum = enumerated_mse_curve(sys, eta, dist, z0, k_max)
+    at_k = [exact_mse_at(model, z0, k) for k in range(k_max + 1)]
     return {
-        "name": name,
-        "passed": bool(deviation <= tolerance),
-        "deviation": float(deviation),
-        "tolerance": float(tolerance),
+        "enum_vs_curve": _rel_dev(exact_mse_curve(model, z0, k_max).values, enum),
+        "enum_vs_closed_form": _rel_dev(at_k, enum),
     }
+
+
+def dense_lift_checks(model, v, s, mmat):
+    """P, Q, D, g, v2 and v1 against the dense lift, on a vector v and n x n s, mmat."""
+    n = model.a_tilde.shape[1]
+    dense = dense_lift_oracle(model)
+    v2 = np.linalg.solve(np.eye(n) - dense.P, dense.f)
+    v1 = np.linalg.solve(np.eye(n * n) - dense.Q, dense.e + dense.D @ v2).reshape(n, n)
+    return {
+        "dense_P": _rel_dev(dense_p(model) @ v, dense.P @ v),
+        "dense_Q": _rel_dev(apply_Q(model, s), (dense.Q @ s.ravel()).reshape(n, n)),
+        "dense_D": _rel_dev(apply_D(model, v), (dense.D @ v).reshape(n, n)),
+        "dense_g": _rel_dev(g_apply(model, mmat), (dense.G @ mmat.ravel()).reshape(n, n)),
+        "dense_v2": _rel_dev(solve_v2(model), v2),
+        "dense_v1": _rel_dev(solve_v1(model), v1),
+    }
+
+
+def spectral_checks(model, s, v):
+    """0 < lambda_max(Q) <= lambda_max(P) < 1 (as violations), both against dense
+    eigvalsh, spec H = spec Q + spec P, and, for symmetric s, the identities
+    tr(Q s) = tr(P s) and tr(D v) = 0.
+    """
+    dense = dense_lift_oracle(model)
+    lam_p = lambda_max_P(model)
+    lam_q = lambda_max_Q(model)
+    h_eigs = np.sort(np.linalg.eigvals(dense.H).real)
+    pq_eigs = np.sort(
+        np.concatenate([np.linalg.eigvalsh(dense.Q), np.linalg.eigvalsh(dense.P)])
+    )
+    tq = abs(np.trace(apply_Q(model, s)) - np.trace(dense.P @ s))
+    td = abs(np.trace(apply_D(model, v)))
+    return {
+        "lambda_q_le_lambda_p": max(lam_q - lam_p, 0.0),
+        "lambda_p_below_one": max(lam_p - (1.0 - 1e-12), 0.0),
+        "lambda_q_positive": max(1e-12 - lam_q, 0.0),
+        "dense_lambda_p": abs(lam_p - np.linalg.eigvalsh(dense.P)[-1]),
+        "dense_lambda_q": abs(lam_q - np.linalg.eigvalsh(dense.Q)[-1]),
+        "h_spectrum_union": float(np.max(np.abs(h_eigs - pq_eigs))),
+        "trace_Q_identity": tq / max(abs(np.trace(s)), 1.0),
+        "trace_D_zero": td / max(float(np.linalg.norm(v)), 1e-300),
+    }
+
+
+def _checks(deviations, suffix=""):
+    return [
+        {
+            "name": name + suffix,
+            "passed": bool(dev <= TOLERANCES[name]),
+            "deviation": float(dev),
+            "tolerance": float(TOLERANCES[name]),
+        }
+        for name, dev in deviations.items()
+    ]
 
 
 def _random_instance(m, n, seed):
@@ -81,97 +149,31 @@ def _random_instance(m, n, seed):
     return sys, dist, eta, z0
 
 
-def run_suite(corrupt_lambda_tolerance=False):
-    """Run every oracle check; returns a list of {name, passed, deviation, tolerance}.
-
-    corrupt_lambda_tolerance deliberately breaks the spectral-ordering
-    tolerance so the harness's failure path can be exercised end to end.
-    """
+def run_suite():
+    """Run every oracle check; returns a list of {name, passed, deviation, tolerance}."""
     checks = []
-    lam_tol = -1.0 if corrupt_lambda_tolerance else 1e-9
-
-    # exhaustive-sequence oracle vs both exact-MSE forms
     for m, n, seed in [(3, 2, 11), (4, 3, 12)]:
         sys, dist, eta, z0 = _random_instance(m, n, seed)
-        k_max = 4
-        model = build_model(sys, dist, eta)
-        enum = enumerated_mse_curve(sys, eta, dist, z0, k_max)
-        curve = exact_mse_curve(model, z0, k_max).values
-        checks.append(_check(f"enum_vs_curve_{m}x{n}", _rel_dev(curve, enum), 1e-10))
-        at_k = np.array([exact_mse_at(model, z0, k) for k in range(k_max + 1)])
-        checks.append(_check(f"enum_vs_closed_form_{m}x{n}", _rel_dev(at_k, enum), 1e-10))
+        checks += _checks(enumeration_checks(sys, dist, eta, z0, 4), f"_{m}x{n}")
 
-    # dense Kronecker oracle vs the implicit operators and solvers
-    sys, dist, eta, z0 = _random_instance(4, 3, 13)
+    sys, dist, eta, _ = _random_instance(4, 3, 13)
     model = build_model(sys, dist, eta)
-    n = 3
-    dense = dense_lift_oracle(model)
     rng = rng_from(13, 0xD)
-    v = rng.standard_normal(n)
-    smat = rng.standard_normal((n, n))
-    checks.append(_check("dense_P", _rel_dev(apply_P(model, v), dense.P @ v), 1e-13))
-    checks.append(
-        _check(
-            "dense_Q",
-            _rel_dev(apply_Q(model, smat), (dense.Q @ smat.ravel()).reshape(n, n)),
-            1e-12,
-        )
-    )
-    checks.append(
-        _check(
-            "dense_D",
-            _rel_dev(apply_D(model, v), (dense.D @ v).reshape(n, n)),
-            1e-12,
-        )
-    )
-    mrand = rng.standard_normal((n, n))
-    dense_g = (dense.G @ mrand.ravel()).reshape(n, n)
-    checks.append(_check("dense_g", _rel_dev(g_apply(model, mrand), dense_g), 1e-12))
-    v2_dense = np.linalg.solve(np.eye(n) - dense.P, dense.f)
-    checks.append(_check("dense_v2", _rel_dev(solve_v2(model), v2_dense), 1e-10))
-    v1_dense = np.linalg.solve(
-        np.eye(n * n) - dense.Q, dense.e + dense.D @ v2_dense
-    ).reshape(n, n)
-    checks.append(_check("dense_v1", _rel_dev(solve_v1(model), v1_dense), 1e-9))
-
-    # spectral assertions
-    lam_p = lambda_max_P(model)
-    lam_q = lambda_max_Q(model)
-    checks.append(_check("lambda_q_le_lambda_p", max(lam_q - lam_p, 0.0), lam_tol))
-    checks.append(_check("lambda_p_below_one", max(lam_p - (1.0 - 1e-12), 0.0), lam_tol))
-    checks.append(_check("lambda_q_positive", max(1e-12 - lam_q, 0.0), lam_tol))
-    checks.append(_check("dense_lambda_p", abs(lam_p - np.linalg.eigvalsh(dense.P)[-1]), lam_tol))
-    checks.append(_check("dense_lambda_q", abs(lam_q - np.linalg.eigvalsh(dense.Q)[-1]), lam_tol))
-    h_eigs = np.sort(np.linalg.eigvals(dense.H).real)
-    pq_eigs = np.sort(
-        np.concatenate([np.linalg.eigvalsh(dense.Q), np.linalg.eigvalsh(dense.P)])
-    )
-    checks.append(_check("h_spectrum_union", float(np.max(np.abs(h_eigs - pq_eigs))), 1e-8))
-
-    # trace identities: vec(I)^T Q = vec(P)^T and D^T vec(I) = 0
-    sym = smat + smat.T
-    tq = abs(np.trace(apply_Q(model, sym)) - np.trace(dense.P @ sym))
-    checks.append(_check("trace_Q_identity", tq / max(abs(np.trace(sym)), 1.0), 1e-12))
-    td = abs(np.trace(apply_D(model, v))) / max(float(np.linalg.norm(v)), 1e-300)
-    checks.append(_check("trace_D_zero", td, 1e-12))
+    v = rng.standard_normal(3)
+    smat = rng.standard_normal((3, 3))
+    mrand = rng.standard_normal((3, 3))
+    checks += _checks(dense_lift_checks(model, v, smat, mrand))
+    checks += _checks(spectral_checks(model, smat + smat.T, v))
 
     # scalar collapse: n = 1 means every projector is zero
     sys1 = gen_gaussian(3, 1, 1.0, 14)
-    rng1 = rng_from(14, 0xC)
-    eta1 = rng1.standard_normal(3)
+    eta1 = rng_from(14, 0xC).standard_normal(3)
     model1 = build_model(sys1, row_norm_distribution(sys1), eta1)
     expected_floor = float(np.sum(model1.p * model1.eta_tilde**2))
-    checks.append(
-        _check(
-            "scalar_floor",
-            abs(limiting_mse(model1) - expected_floor) / expected_floor,
-            1e-12,
-        )
-    )
     curve1 = exact_mse_curve(model1, np.array([2.0]), 3).values
-    checks.append(
-        _check("scalar_curve_constant", _rel_dev(curve1[1:], expected_floor), 1e-12)
-    )
-    checks.append(_check("scalar_lambdas_zero", abs(lambda_max_P(model1)) + abs(lambda_max_Q(model1)), 1e-12))
-
+    checks += _checks({
+        "scalar_floor": abs(limiting_mse(model1) - expected_floor) / expected_floor,
+        "scalar_curve_constant": _rel_dev(curve1[1:], expected_floor),
+        "scalar_lambdas_zero": abs(lambda_max_P(model1)) + abs(lambda_max_Q(model1)),
+    })
     return checks

@@ -12,17 +12,10 @@ from kaczlab import (
     FixedNoise,
     IidNoise,
     NoiseAveragedModel,
-    apply_D,
-    apply_P,
-    apply_Q,
     avg_limiting_mse,
     avg_mse_curve,
     build_model,
-    dense_lift_oracle,
-    enumerated_mse_curve,
-    exact_mse_at,
     exact_mse_curve,
-    g_apply,
     gen_gaussian,
     gen_identity,
     gen_tomography,
@@ -30,14 +23,13 @@ from kaczlab import (
     lambda_max_Q,
     monte_carlo_mse,
     row_norm_distribution,
-    solve_v1,
-    solve_v2,
     sv_bound_curve,
     zf_avg_bound_curve,
     zf_bound_curve,
     zf_general_bound_curve,
 )
 from kaczlab.seeding import rng_from
+from kaczlab.validate import dense_lift_checks, enumeration_checks, spectral_checks
 
 from conftest import random_instance
 
@@ -56,13 +48,7 @@ def test_criterion_1_exhaustive_oracle():
         m, n = sizes[seed % len(sizes)]
         k_max = 3 + seed % 3      # 3..5
         sys, dist, eta, z0 = random_instance(m, n, seed + 1000)
-        model = build_model(sys, dist, eta)
-        enum = enumerated_mse_curve(sys, eta, dist, z0, k_max)
-        scale = enum.max()
-        curve = exact_mse_curve(model, z0, k_max).values
-        worst = max(worst, np.max(np.abs(curve - enum)) / scale)
-        for k in range(k_max + 1):
-            worst = max(worst, abs(exact_mse_at(model, z0, k) - enum[k]) / scale)
+        worst = max(worst, *enumeration_checks(sys, dist, eta, z0, k_max).values())
         cases += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 10.0 and cases >= 20
@@ -73,30 +59,14 @@ def test_criterion_1_exhaustive_oracle():
 def test_criterion_2_dense_lift_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
-
-    def dev(got, want):
-        scale = max(np.max(np.abs(want)), 1e-300)
-        return np.max(np.abs(got - want)) / scale
-
     for seed, (m, n) in enumerate([(6, 3), (8, 4), (9, 5), (10, 6), (7, 4), (12, 6)]):
         sys, dist, eta, _ = random_instance(m, n, seed + 2000)
         model = build_model(sys, dist, eta)
-        dense = dense_lift_oracle(model)
         rng = rng_from(seed, 0xACC2)
         v = rng.standard_normal(n)
         s = rng.standard_normal((n, n))
-        worst = max(worst, dev(apply_P(model, v), dense.P @ v))
-        worst = max(worst, dev(apply_Q(model, s), (dense.Q @ s.ravel()).reshape(n, n)))
-        worst = max(worst, dev(apply_D(model, v), (dense.D @ v).reshape(n, n)))
         mmat = rng.standard_normal((n, n))
-        g_dense = (dense.G @ mmat.ravel()).reshape(n, n)
-        worst = max(worst, dev(g_apply(model, mmat), g_dense))
-        v2_dense = np.linalg.solve(np.eye(n) - dense.P, dense.f)
-        worst = max(worst, dev(solve_v2(model), v2_dense))
-        v1_dense = np.linalg.solve(
-            np.eye(n * n) - dense.Q, dense.e + dense.D @ v2_dense
-        ).reshape(n, n)
-        worst = max(worst, dev(solve_v1(model), v1_dense))
+        worst = max(worst, *dense_lift_checks(model, v, s, mmat).values())
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
     report(2, "dense-lift equivalence", ok,
@@ -209,25 +179,12 @@ def test_criterion_7_spectral_suite():
         model = build_model(sys, dist, eta)
         lam_q, lam_p = lambda_max_Q(model), lambda_max_P(model)
         assert 0.0 < lam_q and lam_p < 1.0
-        worst_order = max(worst_order, lam_q - lam_p)
-        dense = dense_lift_oracle(model)
-        h_eigs = np.sort(np.linalg.eigvals(dense.H).real)
-        pq = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(dense.Q), np.linalg.eigvalsh(dense.P)]))
-        worst_union = max(worst_union, float(np.max(np.abs(h_eigs - pq))))
         rng = rng_from(seed, 0xACC7)
         b = rng.standard_normal((n, n))
-        s = b + b.T
-        lhs = np.trace(apply_Q(model, s))
-        rhs = 0.0
-        for i in range(m):
-            proj = np.eye(n) - np.outer(model.a_tilde[i], model.a_tilde[i])
-            rhs += model.p[i] * np.trace(proj @ s @ proj)
-        worst_trace = max(worst_trace, abs(lhs - rhs) / max(abs(rhs), 1.0))
-        v = rng.standard_normal(n)
-        worst_trace = max(
-            worst_trace, abs(np.trace(apply_D(model, v))) / np.linalg.norm(v)
-        )
+        dev = spectral_checks(model, b + b.T, rng.standard_normal(n))
+        worst_order = max(worst_order, dev["lambda_q_le_lambda_p"])
+        worst_union = max(worst_union, dev["h_spectrum_union"])
+        worst_trace = max(worst_trace, dev["trace_Q_identity"], dev["trace_D_zero"])
     ok = worst_order <= 1e-9 and worst_union <= 1e-8 and worst_trace <= 1e-12
     report(7, "spectral suite", ok,
            f"worst ordering slack {worst_order:.2e}, H-union dev {worst_union:.2e}, "

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from kaczlab import load_system, save_vector
+from kaczlab import load_system, save_vector, validate
 from kaczlab.cli import main
 
 
@@ -273,6 +273,27 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert f"{key}: must be a string" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, desc, key, nan_file", [
+        ("matrix", {"kind": "file"}, "matrix.path",
+         "8 4\n" + "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n" * 2 + "x_true\n0\nnan\n0\n0\n"),
+        ("noise", {"kind": "fixed"}, "noise.path", "8\n" + "0.1\n" * 7 + "nan\n"),
+        ("x0", {}, "x0.path", "4\n0\nnan\n0\n0\n"),
+    ], ids=["matrix", "noise", "x0"])
+    @pytest.mark.parametrize("failure, message", [
+        ("missing", "No such file"), ("unparsable", "non-numeric"), ("nan", "non-finite")])
+    def test_unloadable_path_rejected(
+        self, tmp_path, eta8, capsys, section, desc, key, nan_file, failure, message
+    ):
+        path = tmp_path / "input.txt"
+        if failure != "missing":
+            path.write_text(nan_file.replace("nan", "abc") if failure == "unparsable" else nan_file)
+        cfg = base_config(eta8)
+        cfg[section] = dict(desc, path=str(path))
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: " in err and message in err
+
     @pytest.mark.parametrize("section, desc, key", [
         ("distribution", {"weights": [1, 2, "a", 4, 5, 6, 7, 8]}, "distribution.weights[2]"),
         ("noise", {"kind": "fixed", "values": [0.1] * 7 + ["a"]}, "noise.values[7]"),
@@ -347,7 +368,27 @@ class TestValidate:
         report = json.loads((tmp_path / "validation.json").read_text())
         assert all(c["passed"] for c in report)
 
-    def test_corrupted_tolerance_fails(self, tmp_path, capsys):
-        code = main(["validate", "--out", str(tmp_path), "--corrupt-lambda-tolerance"])
+    def test_corrupted_tolerance_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(validate.TOLERANCES, "lambda_q_le_lambda_p", -1.0)
+        code = main(["validate", "--out", str(tmp_path)])
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert "FAIL lambda_q_le_lambda_p" in capsys.readouterr().out
+
+    def test_check_list_pinned(self):
+        names = [
+            "enum_vs_curve_3x2", "enum_vs_closed_form_3x2", "enum_vs_curve_4x3",
+            "enum_vs_closed_form_4x3", "dense_P", "dense_Q", "dense_D", "dense_g", "dense_v2",
+            "dense_v1", "lambda_q_le_lambda_p", "lambda_p_below_one", "lambda_q_positive",
+            "dense_lambda_p", "dense_lambda_q", "h_spectrum_union", "trace_Q_identity",
+            "trace_D_zero", "scalar_floor", "scalar_curve_constant", "scalar_lambdas_zero",
+        ]
+        tolerances = ([1e-10] * 4 + [1e-13, 1e-12, 1e-12, 1e-12, 1e-10, 1e-9] + [1e-9] * 5
+                      + [1e-8] + [1e-12] * 5)
+        checks = [(c["name"], c["tolerance"]) for c in validate.run_suite()]
+        assert checks == list(zip(names, tolerances))
+
+    @pytest.mark.parametrize("flag", [["--corrupt-lambda-tolerance"], ["--config", "x.json"]])
+    def test_removed_flags_are_usage_errors(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--out", str(tmp_path)] + flag)
+        assert exc.value.code == 2

@@ -5,7 +5,6 @@ from kaczlab import (
     FixedNoise,
     NoiseAveragedModel,
     apply_D,
-    apply_P,
     apply_Q,
     build_model,
     dense_lift_oracle,
@@ -74,20 +73,20 @@ class TestApplyP:
     def test_n1_annihilates(self):
         sys = gen_gaussian(3, 1, 1.0, 5)
         model = build_model(sys, row_norm_distribution(sys))
-        # the implicit sum computes v - (sum p_i) v, so zero holds to eps*|v|
-        assert abs(apply_P(model, np.array([2.5]))[0]) <= 1e-15 * 2.5
+        # the dense P is 1 - sum p_i, so zero holds to eps*|v|
+        assert abs((dense_p(model) @ np.array([2.5]))[0]) <= 1e-15 * 2.5
 
     def test_identity_scales(self):
         model = build_model(gen_identity(3), uniform_distribution(3))
         v = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(apply_P(model, v), (2 / 3) * v, rtol=1e-15)
+        assert np.allclose(dense_p(model) @ v, (2 / 3) * v, rtol=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dense_oracle(self, seed):
         model, _ = random_model(4, 3, seed)
         dense = dense_lift_oracle(model)
         v = np.random.default_rng(seed).standard_normal(3)
-        assert np.allclose(apply_P(model, v), dense.P @ v, rtol=0, atol=1e-13)
+        assert np.allclose(dense_p(model) @ v, dense.P @ v, rtol=0, atol=1e-13)
 
 
 class TestApplyQ:
