@@ -431,9 +431,9 @@ def main(argv=None):
     p_val = sub.add_parser("validate", help="run the small-instance oracle suite")
     for p in (p_gen, p_run):
         p.add_argument("--config", required=True, help="experiment config (JSON)")
+        p.add_argument("--verbose", action="store_true")
     for p in (p_gen, p_run, p_val):
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--verbose", action="store_true")
 
     args = parser.parse_args(argv)
     try:

@@ -11,6 +11,11 @@ probability-weighted projector moments
 
 with P_i = I - a~_i a~_i^T. Everything n^2-dimensional is represented as an
 n x n matrix; vec/mat are implicit reshapes and never materialized.
+
+Q is self-adjoint, so each MSE curve is read from the adjoint iterates
+W_j = Q^j I: the error trace <I, Q^k X_0> is <W_k, X_0>, and the drive of
+the m-recursion enters through the eigenbasis of P as one scalar geometric
+sum per eigenvector (_lifted_curve).
 """
 
 from dataclasses import dataclass
@@ -28,6 +33,8 @@ LANCZOS_REL_TOL = 1e-10
 LANCZOS_CHECK_EVERY = 10
 LANCZOS_MAX_STEPS = 1000
 V2_REL_TOL = 1e-10
+# adjoint iterates stepped and read out together by _lifted_curve
+CURVE_BLOCK = 16
 
 
 class SolverError(RuntimeError):
@@ -93,30 +100,50 @@ def build_model(sys: LinearSystem, dist: RowDistribution, eta=None):
 def apply_Q(model, s):
     """mat(Q vec(S)) = sum_i p_i P_i S P_i, in O(mn^2) via rank-one updates.
 
-    Symmetry of S is preserved; P_i is never formed.
+    With T(X) = sum_i p_i a~_i (a~_i^T X - q_i a~_i^T / 2) and
+    q_i = a~_i^T S a~_i, Q S = S - (T(S) + T(S^T)^T). For symmetric S that is
+    S - (T + T^T), two products with A~ and symmetric to the last bit.
+    P_i is never formed.
     """
     at, p = model.a_tilde, model.p
-    u = at @ s                                  # rows a~_i^T S
-    quad = np.einsum("ij,ij->i", u, at)         # a~_i^T S a~_i
-    left = at.T @ (p[:, None] * u)              # sum p_i a~_i (a~_i^T S)
-    if s.shape[0] == s.shape[1] and np.array_equal(s, s.T):
-        right = left.T
-    else:
-        b = at @ s.T
-        right = (p[:, None] * b).T @ at         # sum p_i (S a~_i) a~_i^T
-    corr = at.T @ ((p * quad)[:, None] * at)
-    return s - left - right + corr
+
+    def half(x):
+        ax = at @ x                             # rows a~_i^T X
+        q = np.einsum("ij,ij->i", ax, at)       # a~_i^T S a~_i
+        return at.T @ (p[:, None] * (ax - (0.5 * q)[:, None] * at))
+
+    t = half(s)
+    if np.array_equal(s, s.T):
+        return s - (t + t.T)
+    return s - (t + half(s.T).T)
 
 
 def apply_D(model, v):
     """mat(D v) = sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i); symmetric."""
     if not model.has_noise:
         raise ValueError("model has no noise vector; D is undefined")
+    n = v.shape[0]
+    return d_readout(model, v[:, None]).reshape(n, n)
+
+
+def _sym_readout(at, u, b, w):
+    """Rows vec(H_i + H_i^T), H_i = u_i b_i^T - sum_r w_ri a~_r a~_r^T.
+
+    u and b are (n, k) (b may have one column for all i), w is (m, k);
+    returns the (k, n^2) readout matrix of the k symmetric matrices.
+    """
+    half = u.T[:, :, None] * b.T[:, None, :] - at.T @ (w.T[:, :, None] * at)
+    return (half + half.transpose(0, 2, 1)).reshape(len(half), -1)
+
+
+def d_readout(model, u):
+    """Rows vec(D u_i) for the columns u_i of u, so <W, D u_i> = row i . vec(W).
+
+    In _sym_readout's terms b_i = A~^T (p eta~) and w_ri = p_r eta~_r (a~_r . u_i).
+    """
     at = model.a_tilde
     c = model.p * model.eta_tilde
-    w = at @ v
-    half = np.outer(v, at.T @ c) - at.T @ ((c * w)[:, None] * at)
-    return half + half.T
+    return _sym_readout(at, u, (at.T @ c)[:, None], c[:, None] * (at @ u))
 
 
 def vec_e(model):
@@ -187,8 +214,7 @@ def _solve_i_minus_q(model, rhs, rel_tol=CG_REL_TOL):
     d = r.copy()
     rs = frob_dot(r, r)
     for _ in range(max_iter):
-        ad = d - apply_Q(model, d)
-        ad = 0.5 * (ad + ad.T)   # keep the Krylov basis in the symmetric subspace
+        ad = d - apply_Q(model, d)   # exactly symmetric, as d is
         alpha = rs / frob_dot(d, ad)
         x += alpha * d
         r -= alpha * ad
@@ -219,32 +245,49 @@ def solve_v1(model):
     return _solve_i_minus_q(model, rhs)
 
 
-def _lifted_curve(model, z0, x0, y0, drive, floor, k_max):
+def _lifted_curve(model, z0, x0, modes, floor, k_max):
     """The one lifted recursion behind every exact MSE curve.
 
-    Steps X_k = Q X_{k-1} + drive(y_{k-1}) and y_k = P y_{k-1} from
-    (X_0, y_0) = (x0, y0), with P applied as the dense n x n matrix, so y
-    may be a vector or an n x n matrix. drive=None is the homogeneous map
-    X_k = Q X_{k-1} and y is never touched. Returns values[k] = floor +
-    trace(X_k) for k >= 1 and values[0] = ||z0||^2 exactly. Each curve is a
-    description (x0, y0, drive, floor) centred on its fixed point, whose
-    trace is the floor. Runs in O(k_max m n^2).
+    Each curve is values[k] = floor + trace(X_k) for X_k = Q X_{k-1} +
+    F_{k-1} from X_0 = x0, centred on its fixed point (whose trace is the
+    floor), with a drive F_l = sum_i c_i lam_i^l R_i that decays along the
+    eigenvalues lam_i of P. Q is self-adjoint, so with W_j = Q^j I
+
+        values[k] = floor + <W_k, x0> + sum_i c_i s_i[k],
+        s_i[k] = lam_i s_i[k-1] + <W_{k-1}, R_i>,   s_i[0] = 0.
+
+    A curve is the description (x0, modes, floor): modes = (lam, c, readout)
+    with rows vec(R_i) in readout, or None for an undriven curve. W is
+    stepped by apply_Q in whole blocks of CURVE_BLOCK iterates; each block is
+    read out by one product with [vec x0; readout] and one Toeplitz sum of
+    the s_i, so values[k] does not depend on k_max. values[0] = ||z0||^2
+    exactly. Runs in O(k_max m n^2).
     """
-    values = np.empty(k_max + 1)
+    n = x0.shape[0]
+    if modes is None:
+        modes = (np.empty(0), np.empty(0), np.empty((0, n * n)))
+    lam, c, readout = modes
+    rows = np.vstack([x0.reshape(1, n * n), readout])
+    blk = CURVE_BLOCK
+    # sums[t] = s[start + t] = lam^t s[start] + sum_{tau < t} lam^(t-1-tau) rho[tau]
+    # for t = 0..blk, with rho[tau] = <W_{start+tau}, R_i>
+    pw = lam ** np.arange(blk + 1)[:, None]
+    lag = np.arange(blk + 1)[:, None] - np.arange(blk)
+    toeplitz = np.where((lag > 0)[:, :, None], pw[np.maximum(lag - 1, 0)], 0.0)
+    n_blocks = k_max // blk + 1
+    values = np.empty(n_blocks * blk)
+    stack = np.empty((blk, n, n))
+    s = np.zeros(lam.size)
+    for start in range(0, n_blocks * blk, blk):
+        for t in range(blk):
+            # stack[-1] is the previous block's last iterate
+            stack[t] = apply_Q(model, stack[t - 1]) if start + t else np.eye(n)
+        r = stack.reshape(blk, n * n) @ rows.T
+        sums = pw * s + np.einsum("tui,ui->ti", toeplitz, r[:, 1:])
+        values[start:start + blk] = floor + r[:, 0] + sums[:blk] @ c
+        s = sums[blk]
     values[0] = sq_norm(z0)
-    x, y = x0, y0
-    if drive is not None:
-        p_dense = dense_p(model)
-    for k in range(1, k_max + 1):
-        x = apply_Q(model, x)
-        if drive is not None:
-            x += drive(y)
-            y = p_dense @ y
-        # the true iterate is symmetric; resymmetrizing kills ulp-level BLAS
-        # drift and keeps apply_Q on its symmetric fast path
-        x = 0.5 * (x + x.T)
-        values[k] = floor + np.trace(x)
-    return MseCurve(values, floor)
+    return MseCurve(values[: k_max + 1], floor)
 
 
 def exact_mse_curve(model, z0, k_max):
@@ -252,16 +295,19 @@ def exact_mse_curve(model, z0, k_max):
 
     The block map (S, m) -> (Q S + D m + e, P m + f) from (z0 z0^T, z0) has
     the fixed point (v1, v2), so around it the recursion is homogeneous:
-    X_0 = z0 z0^T - v1, y_0 = z0 - v2, drive D, floor trace(v1). Noise-free,
-    the fixed point is zero and X_0 = z0 z0^T with no drive.
-    values[k] = trace(S_k).
+    X_0 = z0 z0^T - v1 driven by D P^l (z0 - v2), whose modes are
+    lam, u = eigh(P), c = u^T (z0 - v2) and R_i = D u_i, with floor
+    trace(v1). Noise-free, the fixed point is zero and X_0 = z0 z0^T with no
+    drive. values[k] = trace(S_k).
     """
     z0 = np.asarray(z0, dtype=float)
     if not model.has_noise:
-        return _lifted_curve(model, z0, np.outer(z0, z0), None, None, 0.0, k_max)
+        return _lifted_curve(model, z0, np.outer(z0, z0), None, 0.0, k_max)
     v1 = solve_v1(model)
-    return _lifted_curve(model, z0, np.outer(z0, z0) - v1, z0 - solve_v2(model),
-                         lambda y: apply_D(model, y), float(np.trace(v1)), k_max)
+    lam, u = np.linalg.eigh(dense_p(model))
+    modes = (lam, u.T @ (z0 - solve_v2(model)), d_readout(model, u))
+    return _lifted_curve(model, z0, np.outer(z0, z0) - v1, modes,
+                         float(np.trace(v1)), k_max)
 
 
 def exact_mse_at(model, z0, k):

@@ -1,14 +1,23 @@
 """MSE averaged over zero-mean i.i.d. measurement noise with variance sigma2.
 
 Only second-order noise statistics enter: every noise term below is exactly
-proportional to sigma2.
+proportional to sigma2. The averaged curve is the same adjoint recursion as
+the fixed-noise one, its drive read through g(u_i u_i^T) for the
+eigenvectors u_i of P.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lifted import LiftedModel, _lifted_curve, _solve_i_minus_q, weighted_gram
+from .lifted import (
+    LiftedModel,
+    _lifted_curve,
+    _solve_i_minus_q,
+    _sym_readout,
+    dense_p,
+    weighted_gram,
+)
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,19 @@ def g_apply(base, mmat):
     return half + half.T
 
 
+def g_readout(base, u):
+    """Rows vec(g(u_i u_i^T)) for the columns u_i of u.
+
+    g_apply's terms on every rank-one u_i u_i^T at once: with
+    k_r = p_r^2/||a_r||^2, b_i = sum_r k_r (a~_r . u_i) a~_r and
+    w_ri = k_r (a~_r . u_i)^2.
+    """
+    at = base.a_tilde
+    k = (base.p**2 / base.row_norms**2)[:, None]
+    au = at @ u
+    return _sym_readout(at, u, at.T @ (k * au), k * au**2)
+
+
 def expected_v1(model):
     """E_eta v1 = sigma2 (I-Q)^{-1} [sum_i p_i a~_i a~_i^T / ||a_i||^2 + g((I-P)^{-1})]."""
     base = model.base
@@ -59,10 +81,11 @@ def avg_mse_curve(model, z0, k_max):
     """The noise-averaged MSE trajectory.
 
     The same lifted recursion as exact_mse_curve, with the noise average as
-    its drive: X_k = Q X_{k-1} - sigma2 g(M_{k-1}), M_k = P M_{k-1},
-    X_0 = z0 z0^T - E v1, M_0 = (I-P)^{-1}, and values[k] = trace(E v1) +
-    trace(X_k). With sigma2 = 0 there is no drive, and the curve is the
-    noise-free exact curve bit for bit. Total cost O(k_max m n^2).
+    its drive: X_k = Q X_{k-1} - sigma2 g(P^(k-1) (I-P)^-1) from
+    X_0 = z0 z0^T - E v1, and values[k] = trace(E v1) + trace(X_k). In the
+    eigenbasis lam, u = eigh(P) the drive's modes are c_i = -sigma2/(1-lam_i)
+    and R_i = g(u_i u_i^T). With sigma2 = 0 there is no drive, and the curve
+    is the noise-free exact curve bit for bit. Total cost O(k_max m n^2).
     """
     base, s2 = model.base, model.sigma2
     z0 = np.asarray(z0, dtype=float)
@@ -70,9 +93,9 @@ def avg_mse_curve(model, z0, k_max):
     x0 = np.outer(z0, z0) - ev1
     floor = float(np.trace(ev1))
     if s2 == 0.0:
-        return _lifted_curve(base, z0, x0, None, None, floor, k_max)
-    m0 = np.linalg.inv(weighted_gram(base))
-    return _lifted_curve(base, z0, x0, m0, lambda mmat: -s2 * g_apply(base, mmat),
+        return _lifted_curve(base, z0, x0, None, floor, k_max)
+    lam, u = np.linalg.eigh(dense_p(base))
+    return _lifted_curve(base, z0, x0, (lam, -s2 / (1.0 - lam), g_readout(base, u)),
                          floor, k_max)
 
 

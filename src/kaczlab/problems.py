@@ -37,6 +37,10 @@ class LinearSystem:
             raise ValueError(f"m must be >= n, got {m} x {n}")
         if x.shape != (n,):
             raise ValueError(f"x_true must have length {n}, got {x.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("every entry of the matrix must be finite")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("every entry of x_true must be finite")
         norms = np.linalg.norm(a, axis=1)
         if not np.all(norms > 0.0):
             raise ValueError("every row must have strictly positive norm")

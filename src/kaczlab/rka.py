@@ -113,18 +113,15 @@ def _batched_errors(a_unit, eta_unit, rows, z0):
         eta_rows = eta_unit[np.arange(trials), rows]
     z = np.tile(z0, (trials, 1))
     u = np.empty_like(z)
-    prod = np.empty_like(z)
     c = np.empty(trials)
     errs = np.empty((k_max + 1, trials))
     errs[0] = sq_norm(z0)
     for k in range(k_max):
         np.take(a_unit, rows[k], axis=0, out=u)
-        np.multiply(u, z, out=prod)
-        np.subtract(eta_rows[k], prod.sum(axis=1), out=c)
+        np.subtract(eta_rows[k], np.einsum("ij,ij->i", u, z), out=c)
         u *= c[:, None]
         z += u
-        np.multiply(z, z, out=prod)
-        prod.sum(axis=1, out=errs[k + 1])
+        np.einsum("ij,ij->i", z, z, out=errs[k + 1])
     return errs
 
 

@@ -387,7 +387,9 @@ class TestValidate:
         checks = [(c["name"], c["tolerance"]) for c in validate.run_suite()]
         assert checks == list(zip(names, tolerances))
 
-    @pytest.mark.parametrize("flag", [["--corrupt-lambda-tolerance"], ["--config", "x.json"]])
+    @pytest.mark.parametrize(
+        "flag", [["--corrupt-lambda-tolerance"], ["--config", "x.json"], ["--verbose"]]
+    )
     def test_removed_flags_are_usage_errors(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--out", str(tmp_path)] + flag)

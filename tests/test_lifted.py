@@ -30,7 +30,7 @@ from kaczlab import (
     vec_f,
     zf_avg_bound_curve,
 )
-from kaczlab.lifted import dense_p, weighted_gram
+from kaczlab.lifted import d_readout, dense_p, weighted_gram
 from kaczlab.problems import LinearSystem
 
 from conftest import random_instance, random_model
@@ -118,7 +118,7 @@ class TestApplyQ:
         b = rng.standard_normal((4, 4))
         s = b @ b.T  # symmetric PSD
         out = apply_Q(model, s)
-        assert np.allclose(out, out.T, rtol=0, atol=1e-14)
+        assert np.array_equal(out, out.T)
         assert np.linalg.eigvalsh(out)[0] >= -1e-12
 
     def test_trace_identity(self):
@@ -158,6 +158,18 @@ class TestApplyD:
         got = apply_D(model, v)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
         assert np.allclose(got, got.T, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_readout_is_dense_adjoint(self, seed):
+        # <W, D u_i> = u_i^T D^T vec(W) for the eigenvectors u_i of P
+        model, _ = random_model(5, 3, seed)
+        dense = dense_lift_oracle(model)
+        _, u = np.linalg.eigh(dense_p(model))
+        b = np.random.default_rng(seed + 70).standard_normal((3, 3))
+        w = (b + b.T).ravel()
+        want = u.T @ (dense.D.T @ w)
+        got = d_readout(model, u) @ w
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_trace_annihilated(self):
         # D^T vec(I) = 0: trace(mat(D v)) == 0 for every v

@@ -14,7 +14,8 @@ from kaczlab import (
     row_norm_distribution,
     solve_v1,
 )
-from kaczlab.lifted import exact_mse_curve
+from kaczlab.lifted import CURVE_BLOCK, dense_p, exact_mse_curve
+from kaczlab.noise_avg import g_readout
 from kaczlab.seeding import rng_from
 
 from conftest import random_instance
@@ -55,6 +56,19 @@ class TestGApply:
         mmat = rng_from(seed, 1).standard_normal((n, n))
         want = (dense_lift_oracle(base).G @ mmat.ravel()).reshape(n, n)
         assert np.allclose(g_apply(base, mmat), want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_readout_is_dense_adjoint(self, seed):
+        # <W, g(u_i u_i^T)> = vec(W)^T G vec(u_i u_i^T) for the eigenvectors of P
+        model, _, _, _ = navg_model(5, 3, seed, 0.1)
+        base = model.base
+        g_mat = dense_lift_oracle(base).G
+        _, u = np.linalg.eigh(dense_p(base))
+        b = rng_from(seed, 5).standard_normal((3, 3))
+        w = (b + b.T).ravel()
+        want = np.array([w @ g_mat @ np.outer(ui, ui).ravel() for ui in u.T])
+        got = g_readout(base, u) @ w
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_symmetric_output(self):
         model, _, _, _ = navg_model(8, 4, 4, 0.1)
@@ -141,6 +155,14 @@ class TestAvgCurve:
         curve = avg_mse_curve(model, z0, k_max)
         assert np.allclose(curve.values, want, rtol=1e-10, atol=0)
         assert curve.floor == pytest.approx(floor, rel=1e-10)
+
+    def test_prefix_of_longer_curve(self):
+        # whole blocks are always stepped, so a value never depends on k_max
+        model, _, _, z0 = navg_model(7, 3, 19, 0.02)
+        b = CURVE_BLOCK
+        full = avg_mse_curve(model, z0, 4 * b).values
+        for k in (1, b - 1, b, b + 1, 3 * b + 5):
+            assert np.array_equal(avg_mse_curve(model, z0, k).values, full[: k + 1])
 
     def test_scalar_collapse(self):
         sys = gen_gaussian(4, 1, 1.0, 11)

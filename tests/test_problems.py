@@ -187,6 +187,15 @@ class TestLinearSystemInvariants:
         with pytest.raises(ValueError, match="positive"):
             LinearSystem(a, np.zeros(2))
 
+    def test_rejects_non_finite_matrix(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]])
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            LinearSystem(a, np.zeros(2))
+
+    def test_rejects_non_finite_x_true(self):
+        with pytest.raises(ValueError, match="x_true must be finite"):
+            LinearSystem(np.eye(2), np.array([np.nan, 1.0]))
+
     def test_immutable(self):
         sys = gen_gaussian(4, 2, 1.0, 3)
         with pytest.raises(ValueError):
