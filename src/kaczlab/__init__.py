@@ -8,8 +8,6 @@ upper bounds, and a reproducible Monte Carlo harness to verify them all.
 __version__ = "0.1.0"
 
 from .bounds import (
-    ConditionNumbers,
-    condition_numbers,
     sv_bound_curve,
     zf_avg_bound_curve,
     zf_bound_curve,

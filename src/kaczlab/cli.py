@@ -12,10 +12,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .bounds import condition_numbers, sv_bound_curve, zf_bound_curve, zf_general_bound_curve, zf_avg_bound_curve
+from .bounds import sv_bound_curve, zf_bound_curve, zf_general_bound_curve, zf_avg_bound_curve
 from .lifted import (
     build_model,
     exact_mse_curve,
+    lambda_max_P,
     lambda_max_Q,
     limiting_mse,
 )
@@ -320,14 +321,18 @@ def run_experiment(cfg, verbose=False):
         if verbose:
             print(msg, file=_sys.stderr)
 
+    # P and Q ignore eta: one realized-noise model, one noise-free base for iid
+    model = build_model(sys_obj, dist, eta)
+    nmodel = None
+    if isinstance(noise, IidNoise):
+        base = model if eta is None else build_model(sys_obj, dist)
+        nmodel = NoiseAveragedModel(base, noise.sigma2)
+
     curves = {}
-    scalars = {"m": m, "n": n}
-    cn = condition_numbers(sys_obj, dist)
-    scalars["sigma_min"] = cn.sigma_min
-    scalars["kappa"] = cn.kappa
-    scalars["lambda_max_p"] = cn.lambda_max_p
-    base_model = build_model(sys_obj, dist)
-    scalars["lambda_max_q"] = lambda_max_Q(base_model)
+    scalars = {
+        "m": m, "n": n, "sigma_min": sys_obj.sigma_min, "kappa": sys_obj.kappa,
+        "lambda_max_p": lambda_max_P(model), "lambda_max_q": lambda_max_Q(model),
+    }
     if eta is not None:
         scalars["eta_sq_norm"] = float(eta @ eta)
 
@@ -341,33 +346,27 @@ def run_experiment(cfg, verbose=False):
             curves["empirical"] = emp.mse_mean
             curves["empirical_stderr"] = emp.mse_stderr
         elif kind == "exact":
-            model = build_model(sys_obj, dist, eta)
             curve = exact_mse_curve(model, z0, k_max)
             curves["exact"] = curve.values
             scalars["floor_exact"] = curve.floor
         elif kind == "exact_avg":
-            nmodel = NoiseAveragedModel(base_model, noise.sigma2)
             curve = avg_mse_curve(nmodel, z0, k_max)
             curves["exact_avg"] = curve.values
             scalars["floor_avg"] = curve.floor
         elif kind == "bound_sv":
-            curves["bound_sv"] = sv_bound_curve(sys_obj, dist, z0, k_max)
+            curves["bound_sv"] = sv_bound_curve(sys_obj, z0, k_max)
         elif kind == "bound_zf":
-            curves["bound_zf"] = zf_bound_curve(sys_obj, dist, z0, eta, k_max)
+            curves["bound_zf"] = zf_bound_curve(sys_obj, z0, eta, k_max)
         elif kind == "bound_zf_general":
-            model = build_model(sys_obj, dist, eta)
             curves["bound_zf_general"] = zf_general_bound_curve(model, z0, k_max)
         elif kind == "bound_zf_avg":
-            nmodel = NoiseAveragedModel(base_model, noise.sigma2)
             curves["bound_zf_avg"] = zf_avg_bound_curve(nmodel, z0, k_max)
         elif kind == "floor":
             # exact / exact_avg already solved for the same floor
             if eta is not None and "floor_exact" not in scalars:
-                scalars["floor_exact"] = limiting_mse(build_model(sys_obj, dist, eta))
-            if isinstance(noise, IidNoise) and "floor_avg" not in scalars:
-                scalars["floor_avg"] = avg_limiting_mse(
-                    NoiseAveragedModel(base_model, noise.sigma2)
-                )
+                scalars["floor_exact"] = limiting_mse(model)
+            if nmodel is not None and "floor_avg" not in scalars:
+                scalars["floor_avg"] = avg_limiting_mse(nmodel)
     return curves, scalars, warnings
 
 

@@ -18,7 +18,7 @@ the m-recursion enters through the eigenbasis of P as one scalar geometric
 sum per eigenvector (_lifted_curve).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -43,12 +43,21 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LiftedModel:
-    """Normalized rows, normalized noise, and selection probabilities."""
+    """Normalized rows, normalized noise, selection probabilities, and eigh(P)."""
 
     a_tilde: np.ndarray           # (m, n), unit rows
     p: np.ndarray                 # (m,)
     row_norms: np.ndarray         # (m,)
     eta_tilde: Optional[np.ndarray] = None   # (m,) or None for noise-free
+    p_eigvals: np.ndarray = field(init=False)   # (n,) ascending, P's one eigh
+    p_eigvecs: np.ndarray = field(init=False)   # (n, n) as columns
+
+    def __post_init__(self):
+        lam, u = np.linalg.eigh(dense_p(self))
+        for arr in (lam, u):
+            arr.setflags(write=False)
+        object.__setattr__(self, "p_eigvals", lam)
+        object.__setattr__(self, "p_eigvecs", u)
 
     @property
     def shape(self):
@@ -174,24 +183,34 @@ def dense_p(model):
     return np.eye(n) - weighted_gram(model)
 
 
+def i_minus_p_eigvals(model):
+    """1 - lam for P's eigenvalues lam: I - P's, paired with model.p_eigvecs.
+
+    Every (I - P)^-1 and 1 / (1 - lambda_max(P)) is read through this guard.
+    It raises SolverError when 1 - lambda_max(P) <= n eps, where I - P is
+    singular to working precision and its inverse is rounding noise.
+    """
+    lam = model.p_eigvals
+    gap = 1.0 - lam
+    if gap[-1] <= lam.size * np.finfo(float).eps:
+        raise SolverError(
+            f"(I - P) is singular to working precision: lambda_max(P) = {float(lam[-1])!r}"
+        )
+    return gap
+
+
 def solve_v2(model):
-    """v2 = (I - P)^{-1} f by dense factorization of the n x n system."""
+    """v2 = (I - P)^{-1} f in P's eigenbasis, with its residual verified."""
     if not model.has_noise:
         raise ValueError("model has no noise vector; v2 is undefined")
-    g = weighted_gram(model)
+    gap, u = i_minus_p_eigvals(model), model.p_eigvecs
     f = vec_f(model)
-    try:
-        v2 = np.linalg.solve(g, f)
-    except np.linalg.LinAlgError as exc:
-        lam = 1.0 - float(np.linalg.eigvalsh(g)[0])
-        raise SolverError(
-            f"(I - P) is singular: lambda_max(P) = {lam!r} (rank deficiency)"
-        ) from exc
-    resid = np.linalg.norm(g @ v2 - f)
+    v2 = u @ ((u.T @ f) / gap)
+    resid = np.linalg.norm(weighted_gram(model) @ v2 - f)
     if resid > V2_REL_TOL * np.linalg.norm(f):
-        lam = 1.0 - float(np.linalg.eigvalsh(g)[0])
         raise SolverError(
-            f"(I - P) solve residual {resid:.3e} too large; lambda_max(P) = {lam!r}"
+            f"(I - P) solve residual {resid:.3e} too large; "
+            f"lambda_max(P) = {float(1.0 - gap[-1])!r}"
         )
     return v2
 
@@ -239,10 +258,15 @@ def _solve_i_minus_q(model, rhs, rel_tol=CG_REL_TOL):
     )
 
 
+def _fixed_point(model):
+    """(mat(v1), v2), the fixed point of the block recursion; v2 solved once."""
+    v2 = solve_v2(model)
+    return _solve_i_minus_q(model, vec_e(model) + apply_D(model, v2)), v2
+
+
 def solve_v1(model):
     """mat(v1) = (I - Q)^{-1} [e + D v2], the second-moment fixed point."""
-    rhs = vec_e(model) + apply_D(model, solve_v2(model))
-    return _solve_i_minus_q(model, rhs)
+    return _fixed_point(model)[0]
 
 
 def _lifted_curve(model, z0, x0, modes, floor, k_max):
@@ -295,17 +319,17 @@ def exact_mse_curve(model, z0, k_max):
 
     The block map (S, m) -> (Q S + D m + e, P m + f) from (z0 z0^T, z0) has
     the fixed point (v1, v2), so around it the recursion is homogeneous:
-    X_0 = z0 z0^T - v1 driven by D P^l (z0 - v2), whose modes are
-    lam, u = eigh(P), c = u^T (z0 - v2) and R_i = D u_i, with floor
+    X_0 = z0 z0^T - v1 driven by D P^l (z0 - v2), whose modes are the
+    model's lam, u = eigh(P), c = u^T (z0 - v2) and R_i = D u_i, with floor
     trace(v1). Noise-free, the fixed point is zero and X_0 = z0 z0^T with no
     drive. values[k] = trace(S_k).
     """
     z0 = np.asarray(z0, dtype=float)
     if not model.has_noise:
         return _lifted_curve(model, z0, np.outer(z0, z0), None, 0.0, k_max)
-    v1 = solve_v1(model)
-    lam, u = np.linalg.eigh(dense_p(model))
-    modes = (lam, u.T @ (z0 - solve_v2(model)), d_readout(model, u))
+    v1, v2 = _fixed_point(model)
+    u = model.p_eigvecs
+    modes = (model.p_eigvals, u.T @ (z0 - v2), d_readout(model, u))
     return _lifted_curve(model, z0, np.outer(z0, z0) - v1, modes,
                          float(np.trace(v1)), k_max)
 
@@ -323,12 +347,8 @@ def limiting_mse(model):
 
 
 def lambda_max_P(model):
-    """Largest eigenvalue of P, exactly, from the dense n x n matrix.
-
-    P is only n x n, so a symmetric eigensolver is both exact and cheap;
-    no start vector can miss the top eigenvector.
-    """
-    return float(np.linalg.eigvalsh(dense_p(model))[-1])
+    """Largest eigenvalue of P, exact: read from the model's dense eigh(P)."""
+    return float(model.p_eigvals[-1])
 
 
 def lambda_max_Q(model):

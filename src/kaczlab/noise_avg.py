@@ -15,8 +15,7 @@ from .lifted import (
     _lifted_curve,
     _solve_i_minus_q,
     _sym_readout,
-    dense_p,
-    weighted_gram,
+    i_minus_p_eigvals,
 )
 
 
@@ -72,8 +71,8 @@ def expected_v1(model):
     at = base.a_tilde
     weights = base.p / base.row_norms**2
     rhs = at.T @ (weights[:, None] * at)
-    ginv = np.linalg.inv(weighted_gram(base))    # (I - P)^{-1}
-    rhs = rhs + g_apply(base, ginv)
+    gap, u = i_minus_p_eigvals(base), base.p_eigvecs
+    rhs = rhs + g_apply(base, (u / gap) @ u.T)    # (I - P)^{-1}
     return model.sigma2 * _solve_i_minus_q(base, rhs)
 
 
@@ -94,9 +93,8 @@ def avg_mse_curve(model, z0, k_max):
     floor = float(np.trace(ev1))
     if s2 == 0.0:
         return _lifted_curve(base, z0, x0, None, floor, k_max)
-    lam, u = np.linalg.eigh(dense_p(base))
-    return _lifted_curve(base, z0, x0, (lam, -s2 / (1.0 - lam), g_readout(base, u)),
-                         floor, k_max)
+    modes = (base.p_eigvals, -s2 / i_minus_p_eigvals(base), g_readout(base, base.p_eigvecs))
+    return _lifted_curve(base, z0, x0, modes, floor, k_max)
 
 
 def avg_limiting_mse(model):

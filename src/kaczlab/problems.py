@@ -23,11 +23,15 @@ class LinearSystem:
         a: dense (m, n) matrix, m >= n.
         x_true: length-n signal the measurements are generated from.
         row_norms: Euclidean norm of each row, all strictly positive.
+        sigma_min: smallest singular value of a.
+        kappa: ||a||_F / sigma_min, the rate constant of the classical bounds.
     """
 
     a: np.ndarray
     x_true: np.ndarray
     row_norms: np.ndarray = field(init=False)
+    sigma_min: float = field(init=False)
+    kappa: float = field(init=False)
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.a, dtype=float)
@@ -45,10 +49,10 @@ class LinearSystem:
         if not np.all(norms > 0.0):
             raise ValueError("every row must have strictly positive norm")
         evals = np.linalg.eigvalsh(a.T @ a)
+        sigma_min = float(np.sqrt(max(evals[0], 0.0)))
         if evals[0] <= RANK_RTOL * evals[-1]:
-            sig_min = np.sqrt(max(evals[0], 0.0))
             raise ValueError(
-                f"matrix is rank deficient: sigma_min={sig_min:.3e} "
+                f"matrix is rank deficient: sigma_min={sigma_min:.3e} "
                 f"(lambda ratio {evals[0] / evals[-1]:.3e} <= {RANK_RTOL})"
             )
         for arr in (a, x, norms):
@@ -56,6 +60,8 @@ class LinearSystem:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "x_true", x)
         object.__setattr__(self, "row_norms", norms)
+        object.__setattr__(self, "sigma_min", sigma_min)
+        object.__setattr__(self, "kappa", float(np.linalg.norm(a)) / sigma_min)
 
     @property
     def shape(self):

@@ -15,6 +15,7 @@ from kaczlab import (
     avg_limiting_mse,
     avg_mse_curve,
     build_model,
+    dense_lift_oracle,
     exact_mse_curve,
     gen_gaussian,
     gen_identity,
@@ -92,7 +93,7 @@ def test_criterion_3_fixed_noise_experiment():
         lim = 4 * emp.mse_stderr[k]
         ok &= diff <= lim
         rows.append(f"k={k}:{diff:.1e}<={lim:.1e}")
-    zf = zf_bound_curve(sys, dist, z0, eta, 2000)
+    zf = zf_bound_curve(sys, z0, eta, 2000)
     zf_gen = zf_general_bound_curve(model, z0, 2000)
     slack = 1e-12 * exact.values[0]
     dom = bool(np.all(zf >= exact.values - slack) and np.all(zf_gen >= exact.values - slack))
@@ -134,9 +135,27 @@ def test_criterion_4_noise_averaged_experiment():
            f"{ratio:.1f} (hard assertion: ratio >= 1); {elapsed:.1f}s")
 
 
+def dense_floors(model, sigma2):
+    """trace(v1) and trace(E v1) by dense solves on the assembled Kronecker lift."""
+    m, n = model.a_tilde.shape
+    dense = dense_lift_oracle(model)
+    i_minus_p, i_minus_q = np.eye(n) - dense.P, np.eye(n * n) - dense.Q
+    v2 = np.linalg.solve(i_minus_p, dense.f)
+    v1 = np.linalg.solve(i_minus_q, dense.e + dense.D @ v2)
+    gram_rhs = sum(
+        model.p[i] / model.row_norms[i] ** 2 * np.kron(model.a_tilde[i], model.a_tilde[i])
+        for i in range(m)
+    )
+    ev1 = sigma2 * np.linalg.solve(
+        i_minus_q, gram_rhs + dense.G @ np.linalg.inv(i_minus_p).ravel()
+    )
+    return np.trace(v1.reshape(n, n)), np.trace(ev1.reshape(n, n))
+
+
 def test_criterion_5_limiting_consistency():
-    worst_exact = worst_avg = 0.0
+    worst_exact = worst_avg = worst_dense = 0.0
     k_big = 100_000
+    sigma2 = 1e-3
     for i in range(10):
         m = 6 + 2 * i            # 6..24
         n = 2 + i % 7            # 2..8
@@ -144,13 +163,16 @@ def test_criterion_5_limiting_consistency():
         model = build_model(sys, dist, eta)
         curve = exact_mse_curve(model, z0, k_big)
         worst_exact = max(worst_exact, abs(curve.values[-1] - curve.floor) / curve.floor)
-        nmodel = NoiseAveragedModel(build_model(sys, dist), 1e-3)
+        nmodel = NoiseAveragedModel(build_model(sys, dist), sigma2)
         acurve = avg_mse_curve(nmodel, z0, k_big)
         worst_avg = max(worst_avg, abs(acurve.values[-1] - acurve.floor) / acurve.floor)
-    ok = worst_exact <= 1e-8 and worst_avg <= 1e-8
+        floor, afloor = dense_floors(model, sigma2)
+        worst_dense = max(worst_dense, abs(curve.floor - floor) / floor,
+                          abs(acurve.floor - afloor) / afloor)
+    ok = worst_exact <= 1e-8 and worst_avg <= 1e-8 and worst_dense <= 1e-8
     report(5, "limiting-MSE consistency", ok,
            f"worst |values[1e5]-floor|/floor: exact {worst_exact:.2e}, "
-           f"noise-averaged {worst_avg:.2e}")
+           f"noise-averaged {worst_avg:.2e}; worst floor vs dense lift {worst_dense:.2e}")
 
 
 def test_criterion_6_identity_tightness():
@@ -162,7 +184,7 @@ def test_criterion_6_identity_tightness():
     model = build_model(sys, dist, np.zeros(n))
     exact = exact_mse_curve(model, z0, k_max).values
     closed = float(z0 @ z0) * (1 - 1 / n) ** np.arange(k_max + 1)
-    bound = sv_bound_curve(sys, dist, z0, k_max)
+    bound = sv_bound_curve(sys, z0, k_max)
     dev_closed = np.max(np.abs(exact - closed) / closed)
     dev_bound = np.max(np.abs(exact - bound) / closed)
     ok = dev_closed <= 1e-12 and dev_bound <= 1e-12

@@ -9,10 +9,10 @@ from kaczlab import (
     avg_limiting_mse,
     avg_mse_curve,
     build_model,
-    condition_numbers,
     exact_mse_curve,
     gen_identity,
     gen_tomography,
+    lambda_max_P,
     limiting_mse,
     load_system,
     row_norm_distribution,
@@ -30,37 +30,34 @@ from conftest import random_instance
 class TestConditionNumbers:
     def test_identity(self):
         sys = gen_identity(4)
-        cn = condition_numbers(sys, uniform_distribution(4))
-        assert cn.sigma_min == pytest.approx(1.0, rel=1e-12)
-        assert cn.kappa == pytest.approx(2.0, rel=1e-12)
-        assert cn.lambda_max_p == pytest.approx(0.75, rel=1e-10)
+        assert sys.sigma_min == pytest.approx(1.0, rel=1e-12)
+        assert sys.kappa == pytest.approx(2.0, rel=1e-12)
+        model = build_model(sys, uniform_distribution(4))
+        assert lambda_max_P(model) == pytest.approx(0.75, rel=1e-10)
 
     def test_diagonal(self):
         sys = LinearSystem(np.diag([1.0, 2.0]), np.zeros(2))
-        cn = condition_numbers(sys, row_norm_distribution(sys))
-        assert cn.sigma_min == pytest.approx(1.0, rel=1e-12)
-        assert cn.kappa == pytest.approx(np.sqrt(5.0), rel=1e-12)
+        assert sys.sigma_min == pytest.approx(1.0, rel=1e-12)
+        assert sys.kappa == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
     def test_fixture_manifest(self, fixture_dir):
         sys = load_system(os.path.join(fixture_dir, "gaussian_150x50.txt"))
         with open(os.path.join(fixture_dir, "gaussian_150x50.manifest.json")) as fh:
             manifest = json.load(fh)
-        cn = condition_numbers(sys, row_norm_distribution(sys))
-        assert cn.sigma_min == pytest.approx(manifest["sigma_min"], abs=1e-9)
+        assert sys.sigma_min == pytest.approx(manifest["sigma_min"], abs=1e-9)
 
     def test_kappa_lower_bound(self):
         for seed in range(5):
             sys, dist, _, _ = random_instance(10 + seed, 3 + seed, seed)
-            cn = condition_numbers(sys, dist)
             n = sys.a.shape[1]
-            assert cn.kappa >= np.sqrt(n) * (1 - 1e-12)
-            assert 0.0 < cn.lambda_max_p < 1.0
+            assert sys.kappa >= np.sqrt(n) * (1 - 1e-12)
+            assert 0.0 < lambda_max_P(build_model(sys, dist)) < 1.0
 
 
 class TestSvBound:
     def test_k0(self):
-        sys, dist, _, z0 = random_instance(6, 3, 1)
-        curve = sv_bound_curve(sys, dist, z0, 10)
+        sys, _, _, z0 = random_instance(6, 3, 1)
+        curve = sv_bound_curve(sys, z0, 10)
         assert curve[0] == float(np.dot(z0, z0))
 
     def test_identity_tight(self):
@@ -69,7 +66,7 @@ class TestSvBound:
         dist = row_norm_distribution(sys)
         z0 = np.array([1.0, -2.0, 0.5, 3.0])
         k_max = 40
-        bound = sv_bound_curve(sys, dist, z0, k_max)
+        bound = sv_bound_curve(sys, z0, k_max)
         want = float(z0 @ z0) * (1 - 1 / n) ** np.arange(k_max + 1)
         assert np.allclose(bound, want, rtol=1e-12)
         model = build_model(sys, dist, np.zeros(n))
@@ -80,7 +77,7 @@ class TestSvBound:
         for seed in range(4):
             sys, _, _, z0 = random_instance(10, 4, seed + 10)
             dist = row_norm_distribution(sys)  # bound stated for this p
-            bound = sv_bound_curve(sys, dist, z0, 80)
+            bound = sv_bound_curve(sys, z0, 80)
             exact = exact_mse_curve(build_model(sys, dist), z0, 80)
             assert np.all(bound >= exact.values - 1e-12 * exact.values[0])
 
@@ -88,24 +85,21 @@ class TestSvBound:
 class TestZfBound:
     def test_reduces_to_sv_without_noise(self):
         sys, _, _, z0 = random_instance(8, 3, 20)
-        dist = row_norm_distribution(sys)
-        zf = zf_bound_curve(sys, dist, z0, np.zeros(8), 30)
-        sv = sv_bound_curve(sys, dist, z0, 30)
+        zf = zf_bound_curve(sys, z0, np.zeros(8), 30)
+        sv = sv_bound_curve(sys, z0, 30)
         assert np.array_equal(zf, sv)
 
     def test_floor(self):
         sys, _, eta, z0 = random_instance(8, 3, 21)
-        dist = row_norm_distribution(sys)
-        cn = condition_numbers(sys, dist)
-        zf = zf_bound_curve(sys, dist, z0, eta, 5000)
-        want_floor = float(eta @ eta) / cn.sigma_min**2
+        zf = zf_bound_curve(sys, z0, eta, 5000)
+        want_floor = float(eta @ eta) / sys.sigma_min**2
         assert zf[-1] == pytest.approx(want_floor, rel=1e-9)
 
     def test_dominates_exact(self):
         for seed in range(4):
             sys, _, eta, z0 = random_instance(12, 4, seed + 30)
             dist = row_norm_distribution(sys)
-            zf = zf_bound_curve(sys, dist, z0, eta, 100)
+            zf = zf_bound_curve(sys, z0, eta, 100)
             exact = exact_mse_curve(build_model(sys, dist, eta), z0, 100)
             assert np.all(zf >= exact.values - 1e-12 * exact.values[0])
 
@@ -114,8 +108,6 @@ class TestZfGeneralBound:
     def test_noiseless_geometric(self):
         sys, dist, _, z0 = random_instance(8, 3, 40)
         model = build_model(sys, dist)
-        from kaczlab import lambda_max_P
-
         lam = lambda_max_P(model)
         curve = zf_general_bound_curve(model, z0, 20)
         want = float(z0 @ z0) * lam ** np.arange(21)

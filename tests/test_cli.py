@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from kaczlab import load_system, save_vector, validate
-from kaczlab.cli import main
+from kaczlab import bounds, cli, lifted, load_system, noise_avg, save_vector, validate
+from kaczlab.cli import main, run_experiment
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -159,6 +159,71 @@ class TestRun:
         }
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+
+
+def shared_iid_config(**changes):
+    """A gaussian system with one shared iid draw, asking for every output."""
+    cfg = {
+        "matrix": {"kind": "gaussian", "m": 10, "n": 3, "seed": 2},
+        "noise": {"kind": "iid", "sigma2": 1e-3, "resample": False},
+        "x0": {"random_seed": 3},
+        "k_max": 10,
+        "trials": 3,
+        "seed": 4,
+        "outputs": list(cli.CURVE_KINDS),
+    }
+    cfg.update(changes)
+    return cfg
+
+
+class TestComputeOnce:
+    def test_each_matrix_factored_once(self, monkeypatch):
+        calls = {"build_model": 0, "solve_v2": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (cli, lifted, noise_avg, bounds):
+            for name in ("build_model", "solve_v2"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        curves, scalars, _ = run_experiment(shared_iid_config())
+        assert set(curves) >= set(cli.CURVE_KINDS) - {"floor"}
+        assert "floor_exact" in scalars and "floor_avg" in scalars
+        assert calls["build_model"] <= 2
+        assert calls["solve_v2"] <= 1
+        assert calls["eigvalsh"] == 1   # LinearSystem's rank gate
+
+
+class TestSingularIMinusP:
+    # one weight of 1e300 leaves p = (1, ~0, ~0, ~0), so lambda_max(P) rounds to 1
+    def config(self, outputs):
+        return shared_iid_config(
+            matrix={"kind": "gaussian", "m": 4, "n": 2, "seed": 2},
+            noise={"kind": "iid", "sigma2": 1e-2, "resample": False},
+            distribution={"weights": [1e300, 1, 1, 1]},
+            outputs=outputs,
+        )
+
+    @pytest.mark.parametrize(
+        "kind", ["exact", "exact_avg", "floor", "bound_zf_general", "bound_zf_avg"]
+    )
+    def test_outputs_needing_the_inverse_exit_1(self, tmp_path, capsys, kind):
+        cfg_path = write_config(tmp_path, self.config([kind]))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "(I - P) is singular" in err and "lambda_max(P) = 1.0" in err
+        assert not (tmp_path / "curves.csv").exists()
+
+    def test_empirical_alone_runs(self, tmp_path):
+        cfg_path = write_config(tmp_path, self.config(["empirical"]))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["scalars"]["lambda_max_p"] == 1.0
 
 
 class TestConfigErrors:
