@@ -35,6 +35,11 @@ LANCZOS_MAX_STEPS = 1000
 V2_REL_TOL = 1e-10
 # adjoint iterates stepped and read out together by _lifted_curve
 CURVE_BLOCK = 16
+# _lifted_curve stops stepping W once all of W's remaining share of a curve
+# is at most this fraction of its floor, an eighth of the floor's ulp or less
+CURVE_STOP_REL = 2.0**-56
+# blocks of the geometric tail past that stop filled per chunk
+CURVE_TAIL_BLOCKS = 256
 
 
 class SolverError(RuntimeError):
@@ -49,10 +54,14 @@ class LiftedModel:
     p: np.ndarray                 # (m,)
     row_norms: np.ndarray         # (m,)
     eta_tilde: Optional[np.ndarray] = None   # (m,) or None for noise-free
+    p_rows: np.ndarray = field(init=False)      # (m, n), rows p_i a~_i
     p_eigvals: np.ndarray = field(init=False)   # (n,) ascending, P's one eigh
     p_eigvecs: np.ndarray = field(init=False)   # (n, n) as columns
 
     def __post_init__(self):
+        p_rows = self.p[:, None] * self.a_tilde
+        p_rows.setflags(write=False)
+        object.__setattr__(self, "p_rows", p_rows)
         lam, u = np.linalg.eigh(dense_p(self))
         for arr in (lam, u):
             arr.setflags(write=False)
@@ -111,15 +120,16 @@ def apply_Q(model, s):
 
     With T(X) = sum_i p_i a~_i (a~_i^T X - q_i a~_i^T / 2) and
     q_i = a~_i^T S a~_i, Q S = S - (T(S) + T(S^T)^T). For symmetric S that is
-    S - (T + T^T), two products with A~ and symmetric to the last bit.
-    P_i is never formed.
+    S - (T + T^T): one product with A~, one with the rows p_i a~_i, and
+    symmetric to the last bit. P_i is never formed.
     """
-    at, p = model.a_tilde, model.p
+    at, pat = model.a_tilde, model.p_rows
 
     def half(x):
         ax = at @ x                             # rows a~_i^T X
         q = np.einsum("ij,ij->i", ax, at)       # a~_i^T S a~_i
-        return at.T @ (p[:, None] * (ax - (0.5 * q)[:, None] * at))
+        ax -= (0.5 * q)[:, None] * at
+        return pat.T @ ax
 
     t = half(s)
     if np.array_equal(s, s.T):
@@ -173,8 +183,7 @@ def vec_f(model):
 
 def weighted_gram(model):
     """G = sum_i p_i a~_i a~_i^T.  Note G = I - P exactly."""
-    at = model.a_tilde
-    return at.T @ (model.p[:, None] * at)
+    return model.a_tilde.T @ model.p_rows
 
 
 def dense_p(model):
@@ -284,25 +293,37 @@ def _lifted_curve(model, z0, x0, modes, floor, k_max):
     with rows vec(R_i) in readout, or None for an undriven curve. W is
     stepped by apply_Q in whole blocks of CURVE_BLOCK iterates; each block is
     read out by one product with [vec x0; readout] and one Toeplitz sum of
-    the s_i, so values[k] does not depend on k_max. values[0] = ||z0||^2
-    exactly. Runs in O(k_max m n^2).
+    the s_i. values[0] = ||z0||^2 exactly.
+
+    Stepping stops after the first block whose last iterate W_j has
+    owed ||W_j|| <= CURVE_STOP_REL floor, owed = ||x0|| + sum_i |c_i| ||R_i||
+    / (1 - |lam_i|), or W_j = 0. ||Q||_2 <= 1, Q being a convex combination
+    of the orthogonal projectors P_i (x) P_i, so no later W moves a value by
+    more than that (Cauchy-Schwarz), and every later value is the geometric
+    tail floor + sum_i c_i lam_i^(k - k0) s_i[k0]. A curve with a zero floor
+    stops only at W = 0, so it keeps its whole decay. The stop does not
+    depend on k_max, and neither does any value. Runs in
+    O(k_stop m n^2 + k_max n), k_stop <= k_max the steps before the stop.
     """
     n = x0.shape[0]
     if modes is None:
         modes = (np.empty(0), np.empty(0), np.empty((0, n * n)))
     lam, c, readout = modes
     rows = np.vstack([x0.reshape(1, n * n), readout])
+    owed = np.linalg.norm(x0) + np.abs(c) @ (
+        np.linalg.norm(readout, axis=1) / (1.0 - np.abs(lam)))
     blk = CURVE_BLOCK
     # sums[t] = s[start + t] = lam^t s[start] + sum_{tau < t} lam^(t-1-tau) rho[tau]
     # for t = 0..blk, with rho[tau] = <W_{start+tau}, R_i>
     pw = lam ** np.arange(blk + 1)[:, None]
     lag = np.arange(blk + 1)[:, None] - np.arange(blk)
     toeplitz = np.where((lag > 0)[:, :, None], pw[np.maximum(lag - 1, 0)], 0.0)
-    n_blocks = k_max // blk + 1
-    values = np.empty(n_blocks * blk)
+    end = (k_max // blk + 1) * blk
+    values = np.empty(end)
     stack = np.empty((blk, n, n))
     s = np.zeros(lam.size)
-    for start in range(0, n_blocks * blk, blk):
+    start = 0
+    while start < end:
         for t in range(blk):
             # stack[-1] is the previous block's last iterate
             stack[t] = apply_Q(model, stack[t - 1]) if start + t else np.eye(n)
@@ -310,6 +331,19 @@ def _lifted_curve(model, z0, x0, modes, floor, k_max):
         sums = pw * s + np.einsum("tui,ui->ti", toeplitz, r[:, 1:])
         values[start:start + blk] = floor + r[:, 0] + sums[:blk] @ c
         s = sums[blk]
+        start += blk
+        w_norm = np.linalg.norm(stack[-1])
+        if w_norm == 0.0 or (floor > 0.0 and owed * w_norm <= CURVE_STOP_REL * floor):
+            break
+    while start < end:
+        # s at each block's start, multiplied up block by block as above
+        nb = min(CURVE_TAIL_BLOCKS, (end - start) // blk)
+        heads = np.cumprod(
+            np.vstack([s, np.broadcast_to(pw[blk], (nb - 1, lam.size))]), axis=0)
+        tail = (pw[:blk] * heads[:, None, :]).reshape(nb * blk, lam.size)
+        values[start:start + nb * blk] = floor + tail @ c
+        s = heads[-1] * pw[blk]
+        start += nb * blk
     values[0] = sq_norm(z0)
     return MseCurve(values[: k_max + 1], floor)
 

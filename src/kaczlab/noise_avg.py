@@ -84,7 +84,7 @@ def avg_mse_curve(model, z0, k_max):
     X_0 = z0 z0^T - E v1, and values[k] = trace(E v1) + trace(X_k). In the
     eigenbasis lam, u = eigh(P) the drive's modes are c_i = -sigma2/(1-lam_i)
     and R_i = g(u_i u_i^T). With sigma2 = 0 there is no drive, and the curve
-    is the noise-free exact curve bit for bit. Total cost O(k_max m n^2).
+    is the noise-free exact curve bit for bit. Cost as for _lifted_curve.
     """
     base, s2 = model.base, model.sigma2
     z0 = np.asarray(z0, dtype=float)

@@ -152,7 +152,7 @@ def _trace_ray(grid, p0, direction):
     if hi <= lo:
         return np.zeros(grid * grid)
     ts = np.concatenate(ts)
-    ts = np.unique(np.clip(ts[(ts >= lo - 1e-12) & (ts <= hi + 1e-12)], lo, hi))
+    ts = np.sort(np.clip(ts[(ts >= lo - 1e-12) & (ts <= hi + 1e-12)], lo, hi))
     row = np.zeros(grid * grid)
     for t0, t1 in zip(ts[:-1], ts[1:]):
         if t1 - t0 <= 1e-12:

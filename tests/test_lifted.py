@@ -6,6 +6,7 @@ from kaczlab import (
     NoiseAveragedModel,
     apply_D,
     apply_Q,
+    avg_mse_curve,
     build_model,
     dense_lift_oracle,
     enumerated_mse_curve,
@@ -32,8 +33,9 @@ from kaczlab import (
 )
 from kaczlab.lifted import d_readout, dense_p, weighted_gram
 from kaczlab.problems import LinearSystem
+from kaczlab.seeding import rng_from
 
-from conftest import random_instance, random_model
+from conftest import dense_avg_curve, dense_exact_curve, random_instance, random_model
 
 
 def mat_of(vec, n):
@@ -313,16 +315,9 @@ class TestExactCurves:
 
     @pytest.mark.parametrize("m,n,seed", [(4, 2, 50), (6, 3, 51), (8, 4, 52), (5, 4, 53)])
     def test_dense_lift_stepping(self, m, n, seed):
-        # the inhomogeneous form S <- Q S + D m + e, m <- P m + f on the
-        # assembled Kronecker matrices, from (z0 (x) z0, z0)
         model, z0 = random_model(m, n, seed)
-        dense = dense_lift_oracle(model)
         k_max = 60
-        s, mv = np.kron(z0, z0), z0.copy()
-        want = [z0 @ z0]
-        for _ in range(k_max):
-            s, mv = dense.Q @ s + dense.D @ mv + dense.e, dense.P @ mv + dense.f
-            want.append(np.trace(mat_of(s, n)))
+        want = dense_exact_curve(model, z0, k_max)
         curve = exact_mse_curve(model, z0, k_max)
         assert np.allclose(curve.values, want, rtol=1e-10, atol=0)
         for k in (0, 1, k_max):
@@ -362,6 +357,54 @@ class TestExactCurves:
         sys, dist, _, _ = random_instance(5, 3, 35)
         assert limiting_mse(build_model(sys, dist, np.zeros(5))) == 0.0
         assert limiting_mse(build_model(sys, dist)) == 0.0
+
+
+class TestCurveStop:
+    """Curves that stop stepping W = Q^j I early, on the horizon_small system
+    (gaussian 24 x 8, seed 3, sigma2 = 1e-3): there W's share of either curve
+    falls below the stop after about 600 of its 3000 steps."""
+
+    K_MAX = 3000
+
+    @pytest.fixture(scope="class")
+    def horizon(self):
+        sys = gen_gaussian(24, 8, 1.0, 3)
+        rng = rng_from(3, 0x570F)
+        eta = np.sqrt(1e-3) * rng.standard_normal(24)
+        return sys, row_norm_distribution(sys), eta, rng.standard_normal(8)
+
+    def test_exact_matches_dense_lift(self, horizon):
+        sys, dist, eta, z0 = horizon
+        model = build_model(sys, dist, eta)
+        want = dense_exact_curve(model, z0, self.K_MAX)
+        assert np.allclose(exact_mse_curve(model, z0, self.K_MAX).values, want,
+                           rtol=1e-10, atol=0)
+
+    def test_avg_matches_dense_lift(self, horizon):
+        sys, dist, _, z0 = horizon
+        model = NoiseAveragedModel(build_model(sys, dist), 1e-3)
+        want, _ = dense_avg_curve(model, z0, self.K_MAX)
+        assert np.allclose(avg_mse_curve(model, z0, self.K_MAX).values, want,
+                           rtol=1e-10, atol=0)
+
+    def test_apply_q_calls(self, horizon, apply_q_calls):
+        # each count includes the floor's CG solve
+        sys, dist, eta, z0 = horizon
+        exact_mse_curve(build_model(sys, dist, eta), z0, self.K_MAX)
+        assert len(apply_q_calls) < 1000
+        apply_q_calls.clear()
+        avg_mse_curve(NoiseAveragedModel(build_model(sys, dist), 1e-3), z0, self.K_MAX)
+        assert len(apply_q_calls) < 1000
+
+    def test_zero_floor_not_truncated(self):
+        # the noise-free identity curve ||z0||^2 (1 - 1/n)^k has floor 0, so
+        # W is stepped to k_max, where the curve has fallen to about 1e-150
+        n, k_max = 4, 1200
+        z0 = rng_from(4, 0x570F).standard_normal(n)
+        curve = exact_mse_curve(build_model(gen_identity(n), uniform_distribution(n)), z0, k_max)
+        closed = float(z0 @ z0) * (1 - 1 / n) ** np.arange(k_max + 1)
+        assert closed[-1] < 1e-148
+        assert np.allclose(curve.values, closed, rtol=1e-12, atol=0)
 
 
 class TestSpectra:

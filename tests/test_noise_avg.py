@@ -18,7 +18,7 @@ from kaczlab.lifted import CURVE_BLOCK, dense_p, exact_mse_curve
 from kaczlab.noise_avg import g_readout
 from kaczlab.seeding import rng_from
 
-from conftest import random_instance
+from conftest import dense_avg_curve, random_instance
 
 
 def navg_model(m, n, seed, sigma2):
@@ -128,41 +128,28 @@ class TestAvgCurve:
 
     @pytest.mark.parametrize("m,n,seed", [(4, 2, 60), (6, 3, 61), (8, 4, 62), (5, 4, 63)])
     def test_dense_lift_stepping(self, m, n, seed):
-        # Q^k (z0 z0^T - E v1) - sigma2 sum_{l<k} Q^l G vec(P^(k-1-l) (I-P)^-1)
-        # + tr(E v1) on the assembled Kronecker matrices, E v1 by a dense solve
-        sigma2 = 0.05
-        model, _, _, z0 = navg_model(m, n, seed, sigma2)
-        base = model.base
-        dense = dense_lift_oracle(base)
-        eye = np.eye(n)
-        gram_rhs = sum(
-            base.p[i] / base.row_norms[i] ** 2 * np.kron(base.a_tilde[i], base.a_tilde[i])
-            for i in range(m)
-        )
-        m_pow = np.linalg.inv(eye - dense.P)
-        ev1 = sigma2 * np.linalg.solve(
-            np.eye(n * n) - dense.Q, gram_rhs + dense.G @ m_pow.ravel()
-        )
-        floor = np.trace(ev1.reshape(n, n))
+        model, _, _, z0 = navg_model(m, n, seed, 0.05)
         k_max = 60
-        s, u = np.kron(z0, z0) - ev1, np.zeros(n * n)
-        want = [z0 @ z0]
-        for _ in range(k_max):
-            s = dense.Q @ s
-            u = dense.Q @ u + dense.G @ m_pow.ravel()
-            m_pow = dense.P @ m_pow
-            want.append(np.trace(s.reshape(n, n)) - sigma2 * np.trace(u.reshape(n, n)) + floor)
+        want, floor = dense_avg_curve(model, z0, k_max)
         curve = avg_mse_curve(model, z0, k_max)
         assert np.allclose(curve.values, want, rtol=1e-10, atol=0)
         assert curve.floor == pytest.approx(floor, rel=1e-10)
 
-    def test_prefix_of_longer_curve(self):
-        # whole blocks are always stepped, so a value never depends on k_max
+    def test_prefix_of_longer_curve(self, apply_q_calls):
+        # whole blocks are always stepped, and stepping stops after the same
+        # block whatever k_max is, so a value never depends on k_max. Here W
+        # stops after the 13th block (k = 12b .. 13b-1), the last stepped one:
+        # every k_max from that block on makes as many apply_Q calls as the
+        # longest curve, and every earlier one fewer.
         model, _, _, z0 = navg_model(7, 3, 19, 0.02)
         b = CURVE_BLOCK
-        full = avg_mse_curve(model, z0, 4 * b).values
-        for k in (1, b - 1, b, b + 1, 3 * b + 5):
+        full = avg_mse_curve(model, z0, 20 * b).values
+        full_calls = len(apply_q_calls)
+        for k in (1, b - 1, b, b + 1, 3 * b + 5, 12 * b - 1, 12 * b + 5,
+                  13 * b - 1, 13 * b, 13 * b + 1, 15 * b + 3):
+            apply_q_calls.clear()
             assert np.array_equal(avg_mse_curve(model, z0, k).values, full[: k + 1])
+            assert (len(apply_q_calls) == full_calls) == (k >= 12 * b)
 
     def test_scalar_collapse(self):
         sys = gen_gaussian(4, 1, 1.0, 11)
