@@ -29,7 +29,8 @@ def zf_general_bound_curve(model, z0, k_max):
     """The p-general bound lambda_max(P)^k ||z0||^2 + tr(e) / (1 - lambda_max(P)).
 
     Valid for arbitrary positive selection probabilities; tr(e) is
-    sum_i p_i eta~_i^2.
+    sum_i p_i eta~_i^2. A noise-free model's floor is 0, and its gap
+    1 - lambda_max(P) is not read.
     """
     floor = 0.0
     if model.has_noise:

@@ -244,7 +244,9 @@ def _validate_outputs(outputs, noise, resample, norm_proportional, warnings):
 
     Returns the effective list: with a non-norm-proportional distribution
     the Strohmer-Vershynin / Zouzias-Freris forms are inapplicable, so they
-    are replaced by the p-general bound with a warning.
+    are replaced by the p-general bound with a warning. floor goes last, so
+    that it reuses the floors exact and exact_avg solve for; it writes no
+    curve, so no column moves.
     """
     fixed = isinstance(noise, FixedNoise)
     eta_known = fixed or not resample
@@ -266,6 +268,7 @@ def _validate_outputs(outputs, noise, resample, norm_proportional, warnings):
             kind = "bound_zf_general"
         if kind not in effective:
             effective.append(kind)
+    effective.sort(key=lambda kind: kind == "floor")   # stable: floor last
     return effective
 
 
@@ -321,12 +324,9 @@ def run_experiment(cfg, verbose=False):
         if verbose:
             print(msg, file=_sys.stderr)
 
-    # P and Q ignore eta: one realized-noise model, one noise-free base for iid
+    # the noise average reads only P, Q and g, which ignore eta: one model serves both
     model = build_model(sys_obj, dist, eta)
-    nmodel = None
-    if isinstance(noise, IidNoise):
-        base = model if eta is None else build_model(sys_obj, dist)
-        nmodel = NoiseAveragedModel(base, noise.sigma2)
+    nmodel = NoiseAveragedModel(model, noise.sigma2) if isinstance(noise, IidNoise) else None
 
     curves = {}
     scalars = {
@@ -362,7 +362,7 @@ def run_experiment(cfg, verbose=False):
         elif kind == "bound_zf_avg":
             curves["bound_zf_avg"] = zf_avg_bound_curve(nmodel, z0, k_max)
         elif kind == "floor":
-            # exact / exact_avg already solved for the same floor
+            # exact / exact_avg, computed before floor, already solved for it
             if eta is not None and "floor_exact" not in scalars:
                 scalars["floor_exact"] = limiting_mse(model)
             if nmodel is not None and "floor_avg" not in scalars:

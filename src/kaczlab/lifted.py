@@ -19,7 +19,6 @@ sum per eigenvector (_lifted_curve).
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -48,12 +47,16 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LiftedModel:
-    """Normalized rows, normalized noise, selection probabilities, and eigh(P)."""
+    """Normalized rows, normalized noise, selection probabilities, and eigh(P).
+
+    The noise enters only through D, e and f; a noise-free model is one with
+    eta_tilde = 0, for which all three vanish.
+    """
 
     a_tilde: np.ndarray           # (m, n), unit rows
     p: np.ndarray                 # (m,)
     row_norms: np.ndarray         # (m,)
-    eta_tilde: Optional[np.ndarray] = None   # (m,) or None for noise-free
+    eta_tilde: np.ndarray         # (m,), zero for noise-free
     p_rows: np.ndarray = field(init=False)      # (m, n), rows p_i a~_i
     p_eigvals: np.ndarray = field(init=False)   # (n,) ascending, P's one eigh
     p_eigvecs: np.ndarray = field(init=False)   # (n, n) as columns
@@ -74,7 +77,7 @@ class LiftedModel:
 
     @property
     def has_noise(self):
-        return self.eta_tilde is not None
+        return bool(self.eta_tilde.any())
 
 
 @dataclass(frozen=True)
@@ -99,19 +102,17 @@ class DenseLift:
 
 
 def build_model(sys: LinearSystem, dist: RowDistribution, eta=None):
-    """Normalize rows and noise by the row norms; eta=None means noise-free."""
+    """Normalize rows and noise by the row norms; eta=None means eta = 0, noise-free."""
     m, _ = sys.a.shape
     if dist.m != m:
         raise ValueError(f"distribution has {dist.m} entries for {m} rows")
     a_tilde = sys.a / sys.row_norms[:, None]
-    a_tilde.setflags(write=False)
-    eta_tilde = None
-    if eta is not None:
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != (m,):
-            raise ValueError(f"eta must have length {m}, got {eta.shape}")
-        eta_tilde = eta / sys.row_norms
-        eta_tilde.setflags(write=False)
+    eta = np.zeros(m) if eta is None else np.asarray(eta, dtype=float)
+    if eta.shape != (m,):
+        raise ValueError(f"eta must have length {m}, got {eta.shape}")
+    eta_tilde = eta / sys.row_norms
+    for arr in (a_tilde, eta_tilde):
+        arr.setflags(write=False)
     return LiftedModel(a_tilde, dist.p, sys.row_norms, eta_tilde)
 
 
@@ -139,8 +140,6 @@ def apply_Q(model, s):
 
 def apply_D(model, v):
     """mat(D v) = sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i); symmetric."""
-    if not model.has_noise:
-        raise ValueError("model has no noise vector; D is undefined")
     n = v.shape[0]
     return d_readout(model, v[:, None]).reshape(n, n)
 
@@ -167,8 +166,6 @@ def d_readout(model, u):
 
 def vec_e(model):
     """mat(e) = sum_i p_i eta~_i^2 a~_i a~_i^T (symmetric PSD)."""
-    if not model.has_noise:
-        raise ValueError("model has no noise vector; e is undefined")
     at = model.a_tilde
     w = model.p * model.eta_tilde**2
     return at.T @ (w[:, None] * at)
@@ -176,8 +173,6 @@ def vec_e(model):
 
 def vec_f(model):
     """f = sum_i p_i eta~_i a~_i."""
-    if not model.has_noise:
-        raise ValueError("model has no noise vector; f is undefined")
     return model.a_tilde.T @ (model.p * model.eta_tilde)
 
 
@@ -210,8 +205,6 @@ def i_minus_p_eigvals(model):
 
 def solve_v2(model):
     """v2 = (I - P)^{-1} f in P's eigenbasis, with its residual verified."""
-    if not model.has_noise:
-        raise ValueError("model has no noise vector; v2 is undefined")
     gap, u = i_minus_p_eigvals(model), model.p_eigvecs
     f = vec_f(model)
     v2 = u @ ((u.T @ f) / gap)
@@ -224,7 +217,7 @@ def solve_v2(model):
     return v2
 
 
-def _solve_i_minus_q(model, rhs, rel_tol=CG_REL_TOL):
+def _solve_i_minus_q(model, rhs):
     """Conjugate gradients on (I - Q) x = rhs in the n x n matrix space.
 
     I - Q is symmetric positive definite with spectrum in
@@ -247,10 +240,10 @@ def _solve_i_minus_q(model, rhs, rel_tol=CG_REL_TOL):
         x += alpha * d
         r -= alpha * ad
         rs_new = frob_dot(r, r)
-        if np.sqrt(rs_new) <= rel_tol * b_norm:
+        if np.sqrt(rs_new) <= CG_REL_TOL * b_norm:
             true_r = rhs - (x - apply_Q(model, x))
             tn = np.linalg.norm(true_r)
-            if tn <= rel_tol * b_norm:
+            if tn <= CG_REL_TOL * b_norm:
                 return 0.5 * (x + x.T)
             # recursive residual drifted; restart from the true one
             r = 0.5 * (true_r + true_r.T)
@@ -262,7 +255,7 @@ def _solve_i_minus_q(model, rhs, rel_tol=CG_REL_TOL):
         rs = rs_new
     resid = np.linalg.norm(rhs - (x - apply_Q(model, x))) / b_norm
     raise SolverError(
-        f"(I - Q) CG did not reach {rel_tol} in {max_iter} iterations "
+        f"(I - Q) CG did not reach {CG_REL_TOL} in {max_iter} iterations "
         f"(relative residual {resid:.3e})"
     )
 
@@ -355,8 +348,10 @@ def exact_mse_curve(model, z0, k_max):
     the fixed point (v1, v2), so around it the recursion is homogeneous:
     X_0 = z0 z0^T - v1 driven by D P^l (z0 - v2), whose modes are the
     model's lam, u = eigh(P), c = u^T (z0 - v2) and R_i = D u_i, with floor
-    trace(v1). Noise-free, the fixed point is zero and X_0 = z0 z0^T with no
-    drive. values[k] = trace(S_k).
+    trace(v1). For a noise-free model (eta~ = 0) D, e and f vanish, so the
+    fixed point is zero and the curve is the undriven one from X_0 = z0 z0^T,
+    whatever P's spectrum: no (I - P) or (I - Q) solve is made. values[k] =
+    trace(S_k).
     """
     z0 = np.asarray(z0, dtype=float)
     if not model.has_noise:
@@ -442,7 +437,7 @@ def dense_lift_oracle(model):
     """Assemble P, Q, D, e, f, H = [[Q, D], [0, P]] and g's matrix G explicitly.
 
     G = sum_i (p_i^2/||a_i||^2) D_i (I (x) a~_i^T), with D_i the noise-free
-    part of D's i-th term, does not need a noise vector.
+    part of D's i-th term, does not depend on eta~.
 
     Kronecker products make this O(n^4) in space, so it is guarded to
     n <= 12 and meant only for cross-checking the implicit operators.
@@ -465,11 +460,10 @@ def dense_lift_oracle(model):
         col = at.reshape(-1, 1)
         d_i = np.kron(col, proj) + np.kron(proj, col)
         g_mat += (model.p[i] ** 2 / model.row_norms[i] ** 2) * (d_i @ np.kron(eye, at))
-        if model.has_noise:
-            etai = model.eta_tilde[i]
-            d_mat += model.p[i] * etai * d_i
-            e_v += model.p[i] * etai**2 * np.kron(at, at)
-            f_v += model.p[i] * etai * at
+        etai = model.eta_tilde[i]
+        d_mat += model.p[i] * etai * d_i
+        e_v += model.p[i] * etai**2 * np.kron(at, at)
+        f_v += model.p[i] * etai * at
     h = np.zeros((n * n + n, n * n + n))
     h[: n * n, : n * n] = q_mat
     h[: n * n, n * n :] = d_mat

@@ -17,22 +17,23 @@ from .lifted import (
     _sym_readout,
     i_minus_p_eigvals,
 )
+from .problems import IidNoise
 
 
 @dataclass(frozen=True)
 class NoiseAveragedModel:
-    """A noise-free lifted model plus the per-entry noise variance."""
+    """A lifted model plus the per-entry noise variance.
+
+    Only the base's P, Q and g are read, none of which depends on eta~, so
+    any LiftedModel of the system serves, noisy or not: its eta~ is ignored
+    and the noise enters through sigma2 alone.
+    """
 
     base: LiftedModel
     sigma2: float
 
     def __post_init__(self):
-        if self.base.has_noise:
-            raise ValueError("base model must be noise-free; noise enters via sigma2")
-        s = float(self.sigma2)
-        if not np.isfinite(s) or s < 0.0:
-            raise ValueError(f"sigma2 must be finite and >= 0, got {s}")
-        object.__setattr__(self, "sigma2", s)
+        object.__setattr__(self, "sigma2", IidNoise(self.sigma2).sigma2)
 
 
 def g_apply(base, mmat):

@@ -166,3 +166,23 @@ class TestZfAvgBound:
         bound = zf_avg_bound_curve(model, z0, 10)
         floor = avg_limiting_mse(model)
         assert bound[-1] / floor >= 1.0
+
+
+class TestRowNormBoundsAgree:
+    """With p_i ~ ||a_i||^2, P = I - A^T A / ||A||_F^2: lambda_max(P) = 1 - kappa^-2
+    and tr(e) / (1 - lambda_max(P)) = ||eta||^2 / sigma_min^2, so the classical
+    bounds, built from eigvalsh(A^T A), are the p-general one, built from eigh(P)."""
+
+    @pytest.mark.parametrize("m,n,seed", [(60, 20, 0), (150, 50, 1), (24, 8, 3)])
+    def test_classical_equal_general(self, m, n, seed):
+        from kaczlab import gen_gaussian
+
+        sys = gen_gaussian(m, n, 1.0, seed)
+        dist = row_norm_distribution(sys)
+        rng = np.random.default_rng(seed + 70)
+        eta, z0 = 0.1 * rng.standard_normal(m), rng.standard_normal(n)
+        k_max = 500
+        general = zf_general_bound_curve(build_model(sys, dist, eta), z0, k_max)
+        assert np.allclose(zf_bound_curve(sys, z0, eta, k_max), general, rtol=1e-12, atol=0)
+        noise_free = zf_general_bound_curve(build_model(sys, dist), z0, k_max)
+        assert np.allclose(sv_bound_curve(sys, z0, k_max), noise_free, rtol=1e-12, atol=0)

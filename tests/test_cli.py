@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ class TestRun:
 
     def test_config_echo_byte_for_byte(self, tmp_path, eta8):
         cfg_path = write_config(tmp_path, base_config(eta8))
-        raw = open(cfg_path).read()
+        raw = Path(cfg_path).read_text()
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
         result = json.loads((tmp_path / "result.json").read_text())
         assert result["config"] == raw
@@ -194,9 +195,30 @@ class TestComputeOnce:
         curves, scalars, _ = run_experiment(shared_iid_config())
         assert set(curves) >= set(cli.CURVE_KINDS) - {"floor"}
         assert "floor_exact" in scalars and "floor_avg" in scalars
-        assert calls["build_model"] <= 2
+        assert calls["build_model"] == 1
         assert calls["solve_v2"] <= 1
         assert calls["eigvalsh"] == 1   # LinearSystem's rank gate
+
+    def test_floor_reuses_curve_solves(self, monkeypatch):
+        # floor asks for the fixed points exact and exact_avg solve for anyway;
+        # in either order a run solves (I - Q) once for v1 and once for E v1
+        real = lifted._solve_i_minus_q
+        results = []
+        for outputs in (["floor", "exact", "exact_avg"], ["exact", "exact_avg", "floor"]):
+            calls = []
+
+            def counted(model, rhs):
+                calls.append(None)
+                return real(model, rhs)
+
+            for mod in (lifted, noise_avg):
+                monkeypatch.setattr(mod, "_solve_i_minus_q", counted)
+            cfg = shared_iid_config(matrix={"kind": "gaussian", "m": 24, "n": 8, "seed": 3},
+                                    outputs=outputs)
+            _, scalars, _ = run_experiment(cfg)
+            assert len(calls) == 2, outputs
+            results.append(scalars)
+        assert results[0] == results[1]
 
 
 class TestSingularIMinusP:

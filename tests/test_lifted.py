@@ -4,6 +4,7 @@ import pytest
 from kaczlab import (
     FixedNoise,
     NoiseAveragedModel,
+    SolverError,
     apply_D,
     apply_Q,
     avg_mse_curve,
@@ -30,6 +31,7 @@ from kaczlab import (
     vec_e,
     vec_f,
     zf_avg_bound_curve,
+    zf_general_bound_curve,
 )
 from kaczlab.lifted import d_readout, dense_p, weighted_gram
 from kaczlab.problems import LinearSystem
@@ -146,10 +148,12 @@ class TestApplyD:
         assert np.all(apply_D(model, np.zeros(3)) == 0.0)
 
     def test_requires_noise(self):
+        # D no longer requires a noise vector: eta=None is the eta=0 model, whose D is 0
         sys, dist, _, _ = random_instance(4, 3, 13)
-        model = build_model(sys, dist)
-        with pytest.raises(ValueError, match="noise"):
-            apply_D(model, np.zeros(3))
+        v = np.random.default_rng(13).standard_normal(3)
+        got = apply_D(build_model(sys, dist), v)
+        assert np.array_equal(got, apply_D(build_model(sys, dist, np.zeros(4)), v))
+        assert np.all(got == 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dense_kron_oracle(self, seed):
@@ -189,12 +193,13 @@ class TestMoments:
         assert np.all(vec_f(model) == 0.0)
 
     def test_requires_noise(self):
+        # e and f no longer require a noise vector: eta=None is the eta=0 model, whose e and f are 0
         sys, dist, _, _ = random_instance(4, 3, 15)
-        model = build_model(sys, dist)
-        with pytest.raises(ValueError, match="noise"):
-            vec_e(model)
-        with pytest.raises(ValueError, match="noise"):
-            vec_f(model)
+        none_model, zero_model = build_model(sys, dist), build_model(sys, dist, np.zeros(4))
+        for fn in (vec_e, vec_f):
+            got = fn(none_model)
+            assert np.array_equal(got, fn(zero_model)), fn.__name__
+            assert np.all(got == 0.0), fn.__name__
 
     def test_scalar_formulas(self):
         sys = gen_gaussian(3, 1, 1.0, 16)
@@ -216,6 +221,64 @@ class TestMoments:
     def test_e_psd(self):
         model, _ = random_model(8, 4, 19)
         assert np.linalg.eigvalsh(vec_e(model))[0] >= -1e-14
+
+
+def noise_free_pairs():
+    """(model built with eta=None, model built with eta=0, z0) on a regular
+    instance and on one whose weights leave I - P singular to working precision."""
+    sys, dist, _, z0 = random_instance(6, 3, 21)
+    singular_sys = gen_gaussian(4, 2, 1.0, 2)
+    singular = make_distribution(np.array([1e300, 1.0, 1.0, 1.0]))
+    z0_singular = rng_from(2, 1).standard_normal(2)
+    return [
+        (build_model(s, d), build_model(s, d, np.zeros(s.a.shape[0])), z)
+        for s, d, z in ((sys, dist, z0), (singular_sys, singular, z0_singular))
+    ]
+
+
+def outcome(fn, *args):
+    """fn(*args) as a list of float arrays, or the type of the SolverError it raised."""
+    try:
+        got = fn(*args)
+    except SolverError as exc:
+        return type(exc)
+    parts = (got.values, got.floor) if hasattr(got, "floor") else (got,)
+    return [np.asarray(part, dtype=float) for part in parts]
+
+
+def same_outcome(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestNoiseFree:
+    """eta=None and eta=0 build the same model, with the same results bit for bit."""
+
+    def test_eta_tilde_is_read_only_zeros(self):
+        for none_model, zero_model, _ in noise_free_pairs():
+            for model in (none_model, zero_model):
+                assert not model.has_noise
+                assert np.array_equal(model.eta_tilde, np.zeros(model.shape[0]))
+                assert not model.eta_tilde.flags.writeable
+
+    def test_operators_match_zero_noise(self):
+        for none_model, zero_model, z0 in noise_free_pairs():
+            v = np.arange(1.0, z0.size + 1)
+            for fn, args in ((apply_D, (v,)), (vec_e, ()), (vec_f, ()),
+                             (solve_v2, ()), (solve_v1, ())):
+                got = outcome(fn, none_model, *args)
+                assert same_outcome(got, outcome(fn, zero_model, *args)), fn.__name__
+                if fn in (apply_D, vec_e, vec_f):
+                    assert np.all(got[0] == 0.0)
+
+    def test_curves_match_zero_noise(self):
+        for none_model, zero_model, z0 in noise_free_pairs():
+            for fn, args in ((limiting_mse, ()), (exact_mse_curve, (z0, 300)),
+                             (zf_general_bound_curve, (z0, 300))):
+                got = outcome(fn, none_model, *args)
+                assert got is not SolverError, fn.__name__
+                assert same_outcome(got, outcome(fn, zero_model, *args)), fn.__name__
 
 
 class TestFixedPoints:

@@ -13,6 +13,7 @@ from kaczlab import (
     gen_gaussian,
     row_norm_distribution,
     solve_v1,
+    zf_avg_bound_curve,
 )
 from kaczlab.lifted import CURVE_BLOCK, dense_p, exact_mse_curve
 from kaczlab.noise_avg import g_readout
@@ -27,10 +28,17 @@ def navg_model(m, n, seed, sigma2):
 
 
 class TestModel:
-    def test_rejects_noisy_base(self):
-        sys, dist, eta, _ = random_instance(4, 3, 1)
-        with pytest.raises(ValueError, match="noise-free"):
-            NoiseAveragedModel(build_model(sys, dist, eta), 0.1)
+    def test_noisy_base_ignored(self):
+        # the base's eta~ enters none of the averaged quantities
+        sys, dist, eta, z0 = random_instance(6, 3, 1)
+        noisy = NoiseAveragedModel(build_model(sys, dist, eta), 0.1)
+        clean = NoiseAveragedModel(build_model(sys, dist), 0.1)
+        assert np.array_equal(expected_v1(noisy), expected_v1(clean))
+        assert avg_limiting_mse(noisy) == avg_limiting_mse(clean)
+        got, want = avg_mse_curve(noisy, z0, 200), avg_mse_curve(clean, z0, 200)
+        assert np.array_equal(got.values, want.values) and got.floor == want.floor
+        assert np.array_equal(zf_avg_bound_curve(noisy, z0, 200),
+                              zf_avg_bound_curve(clean, z0, 200))
 
     def test_rejects_negative_sigma2(self):
         sys, dist, _, _ = random_instance(4, 3, 1)
