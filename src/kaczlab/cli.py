@@ -52,6 +52,9 @@ CURVE_KINDS = (
     "bound_zf_avg",
     "floor",
 )
+# curves.csv rows formatted and written per chunk; a small chunk keeps the
+# formatted text out of the run's peak memory
+CSV_CHUNK_ROWS = 512
 
 
 class ConfigError(ValueError):
@@ -272,10 +275,6 @@ def _validate_outputs(outputs, noise, resample, norm_proportional, warnings):
     return effective
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
 def cmd_generate(cfg, out_dir, verbose=False):
     sys_obj = _build_matrix(cfg.get("matrix"))
     os.makedirs(out_dir, exist_ok=True)
@@ -371,13 +370,20 @@ def run_experiment(cfg, verbose=False):
 
 
 def _write_outputs(out_dir, curves, scalars, warnings, raw_config, k_max):
+    names = list(curves)
+    for name in names:
+        if len(curves[name]) != k_max + 1:
+            raise ValueError(f"curve {name} has {len(curves[name])} values, "
+                             f"not k_max + 1 = {k_max + 1}")
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "curves.csv")
-    names = list(curves)
+    row = "%d" + ",%.17g" * len(names) + "\n"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["k"] + names) + "\n")
-        for k in range(k_max + 1):
-            fh.write(",".join([str(k)] + [_fmt(curves[c][k]) for c in names]) + "\n")
+        for start in range(0, k_max + 1, CSV_CHUNK_ROWS):
+            stop = min(start + CSV_CHUNK_ROWS, k_max + 1)
+            cols = [np.asarray(curves[c][start:stop], dtype=float).tolist() for c in names]
+            fh.write("".join([row % vals for vals in zip(range(start, stop), *cols)]))
     result = {
         "version": __version__,
         "generated_utc": datetime.now(timezone.utc).isoformat(),
@@ -388,8 +394,7 @@ def _write_outputs(out_dir, curves, scalars, warnings, raw_config, k_max):
     }
     json_path = os.path.join(out_dir, "result.json")
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(result, indent=2) + "\n")
     return csv_path, json_path
 
 

@@ -116,26 +116,27 @@ def build_model(sys: LinearSystem, dist: RowDistribution, eta=None):
     return LiftedModel(a_tilde, dist.p, sys.row_norms, eta_tilde)
 
 
+def _q_half(at, pat, x):
+    """T(X) = sum_i p_i a~_i (a~_i^T X - q_i a~_i^T / 2), q_i = a~_i^T X a~_i."""
+    ax = at @ x   # rows a~_i^T X
+    ax -= (0.5 * np.vecdot(ax, at))[:, None] * at
+    return pat.T @ ax
+
+
 def apply_Q(model, s):
     """mat(Q vec(S)) = sum_i p_i P_i S P_i, in O(mn^2) via rank-one updates.
 
-    With T(X) = sum_i p_i a~_i (a~_i^T X - q_i a~_i^T / 2) and
-    q_i = a~_i^T S a~_i, Q S = S - (T(S) + T(S^T)^T). For symmetric S that is
-    S - (T + T^T): one product with A~, one with the rows p_i a~_i, and
-    symmetric to the last bit. P_i is never formed.
+    With T as in _q_half, Q S = S - (T(S) + T(S^T)^T). For S whose bytes
+    equal those of S^T that is S - (T + T^T): one product with A~, one with
+    the rows p_i a~_i, and symmetric to the last bit. Any other S, a
+    symmetric one whose mirrored zeros differ in sign included, takes the
+    general form. P_i is never formed.
     """
     at, pat = model.a_tilde, model.p_rows
-
-    def half(x):
-        ax = at @ x                             # rows a~_i^T X
-        q = np.einsum("ij,ij->i", ax, at)       # a~_i^T S a~_i
-        ax -= (0.5 * q)[:, None] * at
-        return pat.T @ ax
-
-    t = half(s)
-    if np.array_equal(s, s.T):
+    t = _q_half(at, pat, s)
+    if s.tobytes() == s.T.tobytes():
         return s - (t + t.T)
-    return s - (t + half(s.T).T)
+    return s - (t + _q_half(at, pat, s.T).T)
 
 
 def apply_D(model, v):

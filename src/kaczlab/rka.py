@@ -75,8 +75,27 @@ def sample_row(dist, u):
 
 
 def sample_rows(dist, u):
-    """Vectorized sample_row for an array of uniforms."""
-    return np.searchsorted(dist.cum, u, side="right").astype(np.int64)
+    """Vectorized sample_row for an array of uniforms, through a guide table.
+
+    guide[b] is the smallest i with cum[i] > b / G, for G the least power of
+    two >= 4m (Chen & Asau, 1974; Devroye, Non-Uniform Random Variate
+    Generation, 1986, sec. III.2). G is a power of two, so b = floor(u G) and
+    b / G are exact: b / G <= u, hence guide[b] <= sample_row(dist, u), and
+    b <= G - 1 for u < 1. Each index then advances while cum[idx] <= u, on
+    average at most m / G <= 1/4 steps per uniform, and lands on exactly
+    searchsorted's answer.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    cum = dist.cum
+    g = 1 << (4 * cum.size - 1).bit_length()
+    guide = np.searchsorted(cum, np.arange(g) / g, side="right").astype(np.int64)
+    idx = guide[(flat * g).astype(np.int64)]
+    act = np.flatnonzero(cum[idx] <= flat)
+    while act.size:
+        idx[act] += 1
+        act = act[cum[idx[act]] <= flat[act]]
+    return idx.reshape(u.shape)
 
 
 def rka_step(x, a_i, norm_i, y_i):
@@ -118,10 +137,11 @@ def _batched_errors(a_unit, eta_unit, rows, z0):
     errs[0] = sq_norm(z0)
     for k in range(k_max):
         np.take(a_unit, rows[k], axis=0, out=u)
-        np.subtract(eta_rows[k], np.einsum("ij,ij->i", u, z), out=c)
+        np.vecdot(u, z, out=c)
+        np.subtract(eta_rows[k], c, out=c)
         u *= c[:, None]
         z += u
-        np.einsum("ij,ij->i", z, z, out=errs[k + 1])
+        np.vecdot(z, z, out=errs[k + 1])
     return errs
 
 
@@ -188,8 +208,9 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed,
     u = np.empty((trials, k_max))
     for t in range(trials):
         np.random.default_rng(trial_row_seed(seed, t)).random(out=u[t])
-    rows = sample_rows(dist, u.T)
+    rows = sample_rows(dist, u)   # sampled in u's own order: no copy of u
     del u
+    rows = np.ascontiguousarray(rows.T)
 
     a_unit, eta_unit = _unit_rows(sys, y)
     errs = _batched_errors(a_unit, eta_unit, rows, x0 - sys.x_true)

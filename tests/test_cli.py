@@ -162,6 +162,49 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
 
 
+def reference_csv(curves, k_max):
+    """curves.csv as one format(float(v), ".17g") per value and one line per row."""
+    names = list(curves)
+    lines = [",".join(["k"] + names) + "\n"]
+    for k in range(k_max + 1):
+        lines.append(",".join([str(k)] + [format(float(curves[c][k]), ".17g")
+                                          for c in names]) + "\n")
+    return "".join(lines)
+
+
+class TestWriteOutputs:
+    K_MAX = 2 * cli.CSV_CHUNK_ROWS + 5   # three chunks, the last one short
+
+    def curves(self):
+        rng = np.random.default_rng(12)
+        n = self.K_MAX + 1
+        special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324,
+                            1e308, -1e308, 1.0, -3.0, 2.0**53, 1e16, 0.1, 1 / 3])
+        return {
+            "special": np.resize(special, n),
+            "normal": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            "integers": np.arange(n, dtype=float) - 7.0,
+        }
+
+    def test_csv_bytes_match_reference(self, tmp_path):
+        curves = self.curves()
+        csv_path, json_path = cli._write_outputs(
+            str(tmp_path), curves, {"floor_exact": 0.25}, ["w"], {"k_max": self.K_MAX},
+            self.K_MAX)
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == reference_csv(curves, self.K_MAX)
+        text = Path(json_path).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert json.loads(text)["scalars"] == {"floor_exact": 0.25}
+
+    def test_rejects_wrong_length(self, tmp_path):
+        curves = self.curves()
+        curves["short"] = curves["normal"][:-1]
+        with pytest.raises(ValueError, match="short"):
+            cli._write_outputs(str(tmp_path), curves, {}, [], {}, self.K_MAX)
+        assert not (tmp_path / "curves.csv").exists()
+
+
 def shared_iid_config(**changes):
     """A gaussian system with one shared iid draw, asking for every output."""
     cfg = {

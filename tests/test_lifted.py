@@ -116,6 +116,29 @@ class TestApplyQ:
         want_sym = mat_of(dense.Q @ sym.ravel(), 3)
         assert np.allclose(apply_Q(model, sym), want_sym, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_input_layouts(self, seed):
+        # each layout matches the Kronecker oracle, whichever path it takes
+        model, _ = random_model(7, 4, seed)
+        dense = dense_lift_oracle(model)
+        b = np.random.default_rng(seed + 60).standard_normal((4, 4))
+        sym = b + b.T
+        signed_zeros = sym.copy()
+        signed_zeros[0, 1], signed_zeros[1, 0] = 0.0, -0.0
+        cases = {
+            "fortran": np.asfortranarray(sym),
+            "transposed view": b.T,
+            "symmetric transposed view": sym.T,
+            "signed zeros": signed_zeros,
+        }
+        for name, s in cases.items():
+            want = mat_of(dense.Q @ np.ascontiguousarray(s).ravel(), 4)
+            got = apply_Q(model, s)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-14), name
+        for s in (sym, np.asfortranarray(sym)):
+            out = apply_Q(model, s)
+            assert out.tobytes() == out.T.tobytes()
+
     def test_preserves_symmetry_and_psd(self):
         model, _ = random_model(6, 4, 7)
         rng = np.random.default_rng(8)

@@ -68,6 +68,36 @@ class TestSampleRow:
         with pytest.raises(ValueError):
             sample_row(dist, 1.0)
 
+    @pytest.mark.parametrize("weights", [
+        [1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0], [1e300, 1.0, 1.0, 1.0],
+        [1.0, 1e-12, 1e-12, 1.0, 1e-12], np.ones(50),
+        np.exp(5.0 * np.random.default_rng(3).standard_normal(60)),
+        np.random.default_rng(4).random(1500) + 0.1,
+    ])
+    def test_guide_table_matches_searchsorted(self, weights):
+        dist = make_distribution(weights)
+        # every b / G for the powers of two G up to 8m, the table's G included,
+        # and for G = 4m, where u G rounds: a table of 4m buckets would start
+        # u = nextafter(0.1, 0) at row 5 of 50 equal rows, not at row 4
+        g = 1 << (8 * dist.m).bit_length()
+        marks = np.concatenate([dist.cum[:-1], np.arange(g) / g,
+                                np.arange(4 * dist.m) / (4 * dist.m)])
+        edges = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)],
+            marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0),
+        ])
+        edges = edges[(edges >= 0.0) & (edges < 1.0)]
+        got = sample_rows(dist, edges)
+        assert got.dtype == np.int64
+        assert got.tolist() == [sample_row(dist, x) for x in edges.tolist()]
+        u = np.concatenate([edges, np.random.default_rng(5).random(100_000)])
+        assert np.array_equal(sample_rows(dist, u),
+                              np.searchsorted(dist.cum, u, side="right"))
+        # a strided 2-D view, as monte_carlo_mse passes its uniforms
+        grid = u[:99_000].reshape(330, 300).T
+        assert np.array_equal(sample_rows(dist, grid),
+                              np.searchsorted(dist.cum, grid, side="right"))
+
     def test_empirical_frequencies(self):
         # multinomial concentration: 4 sigma per bin over 1e6 draws
         dist = make_distribution([1.0, 2.0, 3.0, 4.0])
