@@ -12,6 +12,9 @@ from .seeding import mix_seed
 _ROWS_TAG = 0x52
 _NOISE_TAG = 0x4E
 
+# steps per chunk of monte_carlo_mse; the curve does not depend on it
+STEP_CHUNK = 128
+
 
 @dataclass(frozen=True)
 class RowDistribution:
@@ -105,8 +108,8 @@ def rka_step(x, a_i, norm_i, y_i):
     return x + ((y_i - a_i @ x) / norm_i**2) * a_i
 
 
-def _batched_errors(a_unit, eta_unit, rows, z0):
-    """Squared-error trajectories of many Kaczmarz runs advanced together.
+def _batched_errors(a_unit, eta_unit, rows, z, out):
+    """Advance many Kaczmarz runs together, recording their squared errors.
 
     The runs step in error space z = x - x_true with unit rows
     a~_i = a_i / ||a_i|| and scaled noise eta~_i = eta_i / ||a_i||, where
@@ -117,32 +120,28 @@ def _batched_errors(a_unit, eta_unit, rows, z0):
         a_unit: (m, n) rows of A scaled to unit norm.
         eta_unit: (m,) scaled noise shared by every run, or (trials, m) with
             one noise vector per run.
-        rows: (k_max, trials) int64 row index per iteration and run.
-        z0: (n,) start error x0 - x_true, common to all runs.
+        rows: (k, trials) int64 row index per step and run.
+        z: (trials, n) C-contiguous error of each run, advanced in place by
+            the k steps, so consecutive calls continue the same runs.
+        out: (k, trials) array; out[j, t] = ||z_t||^2 after step j + 1.
 
-    Returns:
-        errs: (k_max+1, trials), errs[k, t] = ||z^(k)||^2 of run t. Every
-        operation acts on each run's own row of the state, so column t is
-        bitwise the same whichever other runs share the batch.
+    Every operation acts on each run's own row of the state, so column t is
+    bitwise the same whichever other runs share the batch, and a run split
+    over several calls is bitwise the run made in one.
     """
-    k_max, trials = rows.shape
     if eta_unit.ndim == 1:
         eta_rows = eta_unit[rows]
     else:
-        eta_rows = eta_unit[np.arange(trials), rows]
-    z = np.tile(z0, (trials, 1))
+        eta_rows = eta_unit[np.arange(rows.shape[1]), rows]
     u = np.empty_like(z)
-    c = np.empty(trials)
-    errs = np.empty((k_max + 1, trials))
-    errs[0] = sq_norm(z0)
-    for k in range(k_max):
+    c = np.empty(z.shape[0])
+    for k in range(rows.shape[0]):
         np.take(a_unit, rows[k], axis=0, out=u)
         np.vecdot(u, z, out=c)
         np.subtract(eta_rows[k], c, out=c)
         u *= c[:, None]
         z += u
-        np.vecdot(z, z, out=errs[k + 1])
-    return errs
+        np.vecdot(z, z, out=out[k])
 
 
 def _unit_rows(sys, y):
@@ -166,7 +165,11 @@ def run_trial(sys, y, dist, x0, k_max, seed):
         raise ValueError("dimension mismatch between system, y, dist and x0")
     rows = sample_rows(dist, np.random.default_rng(seed).random(k_max))
     a_unit, eta_unit = _unit_rows(sys, y)
-    return _batched_errors(a_unit, eta_unit, rows[:, None], x0 - sys.x_true)[:, 0]
+    z = (x0 - sys.x_true)[None, :]
+    errs = np.empty(k_max + 1)
+    errs[0] = sq_norm(z[0])
+    _batched_errors(a_unit, eta_unit, rows[:, None], z, errs[1:, None])
+    return errs
 
 
 def trial_row_seed(seed, trial):
@@ -189,7 +192,18 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed,
     (seed, trial), so results depend only on (seed, trial), not on how many
     trials run together. With IidNoise, resample_noise=False realizes one
     eta shared by all trials and True redraws it per trial; FixedNoise
-    ignores the flag. All trials advance together in one batched kernel.
+    ignores the flag.
+
+    All trials advance together in one batched kernel, STEP_CHUNK steps at a
+    time: each chunk draws the next uniforms of every trial's stream, samples
+    and gathers only that chunk's rows and noise, carries the (trials, n)
+    error state on, and reduces its errors to its rows of the curve. Working
+    memory is O(trials (m + n + STEP_CHUNK)) floats, plus about 1 KiB per
+    trial for the streams kept live between chunks, instead of
+    O(trials k_max). A stream yields the same doubles in pieces as in one
+    call, and every reduction is over one step's trials, so the curve is
+    bitwise the same whatever STEP_CHUNK is. A run of k_max <= 2 STEP_CHUNK
+    steps is one chunk and keeps no stream live.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -205,21 +219,32 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed,
     else:
         y = np.stack([make_measurements(sys, noise, trial_noise_seed(seed, t))[0]
                       for t in range(trials)])
-    u = np.empty((trials, k_max))
-    for t in range(trials):
-        np.random.default_rng(trial_row_seed(seed, t)).random(out=u[t])
-    rows = sample_rows(dist, u)   # sampled in u's own order: no copy of u
-    del u
-    rows = np.ascontiguousarray(rows.T)
-
     a_unit, eta_unit = _unit_rows(sys, y)
-    errs = _batched_errors(a_unit, eta_unit, rows, x0 - sys.x_true)
-    mean = errs.mean(axis=1)
-    if trials > 1:
-        stderr = errs.std(axis=1, ddof=1) / np.sqrt(trials)
-    else:
-        stderr = np.zeros(k_max + 1)
+    z0 = x0 - sys.x_true
+    z = np.tile(z0, (trials, 1))
+    mean = np.empty(k_max + 1)
+    stderr = np.zeros(k_max + 1)
     # common z0 across trials: index 0 is exact by construction
-    mean[0] = sq_norm(x0 - sys.x_true)
-    stderr[0] = 0.0
+    mean[0] = sq_norm(z0)
+
+    streams = (np.random.default_rng(trial_row_seed(seed, t)) for t in range(trials))
+    if k_max > 2 * STEP_CHUNK:
+        chunk = STEP_CHUNK
+        streams = list(streams)
+    else:
+        chunk = max(k_max, 1)   # one pass of the lazy streams: each is dropped once drawn
+    for start in range(0, k_max, chunk):
+        stop = min(start + chunk, k_max)
+        u = np.empty((trials, stop - start))
+        for t, rng in enumerate(streams):
+            rng.random(out=u[t])
+        rows = sample_rows(dist, u)   # sampled in u's own order: no copy of u
+        del u
+        rows = np.ascontiguousarray(rows.T)
+        errs = np.empty((stop - start, trials))
+        _batched_errors(a_unit, eta_unit, rows, z, errs)
+        del rows
+        mean[start + 1:stop + 1] = errs.mean(axis=1)
+        if trials > 1:
+            stderr[start + 1:stop + 1] = errs.std(axis=1, ddof=1) / np.sqrt(trials)
     return EmpiricalCurve(mean, stderr, trials)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ def dense_avg_curve(model, z0, k_max):
         m_pow = dense.P @ m_pow
         want.append(np.trace(s.reshape(n, n)) - sigma2 * np.trace(u.reshape(n, n)) + floor)
     return np.array(want), floor
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes tracemalloc traced while it ran,
+    above what was allocated when it started)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -19,6 +19,14 @@ def _trial_inputs(seed, m=12, n=5, trials=1):
     return sys_, y, a_unit, eta_unit, rows, z0
 
 
+def _errors(a_unit, eta_unit, rows, z0):
+    """(k_max+1, trials) squared errors of the runs of rows, all from z0."""
+    errs = np.empty((rows.shape[0] + 1, rows.shape[1]))
+    errs[0] = z0 @ z0
+    _batched_errors(a_unit, eta_unit, rows, np.tile(z0, (rows.shape[1], 1)), errs[1:])
+    return errs
+
+
 def _reference_errors(sys_, y, rows, z0):
     """||x^(k) - x_true||^2 of one run by a loop of rka_step."""
     x = sys_.x_true + z0
@@ -32,8 +40,8 @@ def _reference_errors(sys_, y, rows, z0):
 
 def test_python_kernel_deterministic():
     _, _, a_unit, eta_unit, rows, z0 = _trial_inputs(7, trials=4)
-    e1 = _batched_errors(a_unit, eta_unit, rows, z0)
-    e2 = _batched_errors(a_unit, eta_unit, rows, z0)
+    e1 = _errors(a_unit, eta_unit, rows, z0)
+    e2 = _errors(a_unit, eta_unit, rows, z0)
     assert np.array_equal(e1, e2)
 
 
@@ -43,7 +51,7 @@ def test_matches_rka_step_shared_noise():
     # ~1e-12 relative
     for seed in range(3):
         sys_, y, a_unit, eta_unit, rows, z0 = _trial_inputs(seed, trials=3)
-        errs = _batched_errors(a_unit, eta_unit, rows, z0)
+        errs = _errors(a_unit, eta_unit, rows, z0)
         for t in range(rows.shape[1]):
             ref = _reference_errors(sys_, y, rows[:, t], z0)
             scale = max(ref.max(), 1.0)
@@ -56,7 +64,7 @@ def test_matches_rka_step_noise_per_trial():
         noise = np.random.default_rng(100 + seed).standard_normal((3, y.size)) * 0.2
         ys = y + noise
         _, eta_trials = _unit_rows(sys_, ys)
-        errs = _batched_errors(a_unit, eta_trials, rows, z0)
+        errs = _errors(a_unit, eta_trials, rows, z0)
         for t in range(rows.shape[1]):
             ref = _reference_errors(sys_, ys[t], rows[:, t], z0)
             scale = max(ref.max(), 1.0)
@@ -70,8 +78,8 @@ def test_batch_column_equals_single_run(m, n):
     ys = y + np.random.default_rng(5).standard_normal((9, m)) * 0.2
     _, eta_trials = _unit_rows(sys_, ys)
     for eta in (eta_unit, eta_trials):
-        batch = _batched_errors(a_unit, eta, rows, z0)
+        batch = _errors(a_unit, eta, rows, z0)
         for t in range(rows.shape[1]):
             one = eta if eta.ndim == 1 else eta[t:t + 1]
-            single = _batched_errors(a_unit, one, rows[:, t:t + 1], z0)
+            single = _errors(a_unit, one, rows[:, t:t + 1], z0)
             assert np.array_equal(batch[:, t], single[:, 0])

@@ -17,10 +17,21 @@ from kaczlab import (
     sample_row,
     uniform_distribution,
 )
+from kaczlab import rka
+from kaczlab._num import sq_norm
 from kaczlab.problems import LinearSystem
-from kaczlab.rka import sample_rows, trial_row_seed
+from kaczlab.rka import (
+    _batched_errors,
+    _unit_rows,
+    sample_rows,
+    trial_noise_seed,
+    trial_row_seed,
+)
 
-from conftest import random_instance
+from conftest import random_instance, traced_peak
+
+MiB = 1 << 20
+C = rka.STEP_CHUNK
 
 
 class TestDistributions:
@@ -268,3 +279,94 @@ class TestMonteCarlo:
         sys, _, eta, _ = random_instance(6, 3, 20)
         with pytest.raises(ValueError, match="rows"):
             monte_carlo_mse(sys, FixedNoise(eta), uniform_distribution(5), np.zeros(3), 5, 2, seed=1)
+
+
+def one_shot_mse(sys, noise, dist, x0, k_max, trials, seed, resample_noise=False):
+    """(mean, stderr) of monte_carlo_mse in one piece: every uniform drawn
+    at once, then one kernel call over all k_max steps into a
+    (k_max+1, trials) error table."""
+    if isinstance(noise, FixedNoise) or not resample_noise:
+        y, _ = make_measurements(sys, noise, trial_noise_seed(seed))
+    else:
+        y = np.stack([make_measurements(sys, noise, trial_noise_seed(seed, t))[0]
+                      for t in range(trials)])
+    u = np.empty((trials, k_max))
+    for t in range(trials):
+        np.random.default_rng(trial_row_seed(seed, t)).random(out=u[t])
+    rows = sample_rows(dist, u)
+    del u
+    rows = np.ascontiguousarray(rows.T)
+    a_unit, eta_unit = _unit_rows(sys, y)
+    z0 = x0 - sys.x_true
+    errs = np.empty((k_max + 1, trials))
+    errs[0] = sq_norm(z0)
+    _batched_errors(a_unit, eta_unit, rows, np.tile(z0, (trials, 1)), errs[1:])
+    mean = errs.mean(axis=1)
+    if trials > 1:
+        stderr = errs.std(axis=1, ddof=1) / np.sqrt(trials)
+    else:
+        stderr = np.zeros(k_max + 1)
+    mean[0] = sq_norm(z0)
+    stderr[0] = 0.0
+    return mean, stderr
+
+
+NOISES = {
+    "fixed": (FixedNoise, False),
+    "iid_shared": (lambda eta: IidNoise(0.04), False),
+    "iid_resampled": (lambda eta: IidNoise(0.04), True),
+}
+
+
+def _streamed_and_one_shot(k_max, trials, noise_kind):
+    sys, dist, eta, z0 = random_instance(30, 8, 23, noise_scale=0.2)
+    make_noise, resample = NOISES[noise_kind]
+    args = (sys, make_noise(eta), dist, sys.x_true + z0, k_max, trials, 31)
+    curve = monte_carlo_mse(*args, resample_noise=resample)
+    return curve, one_shot_mse(*args, resample_noise=resample)
+
+
+class TestStreamedMonteCarlo:
+    @pytest.mark.parametrize("noise_kind", sorted(NOISES))
+    @pytest.mark.parametrize("trials", [1, 7, 40])
+    @pytest.mark.parametrize("k_max", [0, 1, C - 1, C, C + 1, 2 * C, 2 * C + 1, 3 * C + 5])
+    def test_bitwise_one_shot(self, k_max, trials, noise_kind):
+        curve, (mean, stderr) = _streamed_and_one_shot(k_max, trials, noise_kind)
+        assert curve.mse_mean.shape == (k_max + 1,)
+        assert np.array_equal(curve.mse_mean, mean)
+        assert np.array_equal(curve.mse_stderr, stderr)
+
+    @pytest.mark.parametrize("noise_kind", sorted(NOISES))
+    @pytest.mark.parametrize("chunk", [1, 3, 3 * C + 6])
+    def test_chunk_size_does_not_change_the_curve(self, monkeypatch, chunk, noise_kind):
+        monkeypatch.setattr(rka, "STEP_CHUNK", chunk)
+        for k_max in (0, 1, 2, 7, 3 * C + 5):
+            curve, (mean, stderr) = _streamed_and_one_shot(k_max, 7, noise_kind)
+            assert np.array_equal(curve.mse_mean, mean)
+            assert np.array_equal(curve.mse_stderr, stderr)
+
+
+class TestMonteCarloMemory:
+    def _args(self, k_max, trials):
+        sys = gen_gaussian(60, 20, 1.0, 41)
+        x0 = np.random.default_rng(42).standard_normal(20)
+        return (sys, IidNoise(1e-3), row_norm_distribution(sys), x0, k_max, trials, 43)
+
+    def test_peak_does_not_grow_with_k_max(self):
+        # one-shot, 256 trials x 4096 steps hold ~25 MiB of uniforms, rows,
+        # noise and errors; streamed, only one chunk of them is alive
+        _, peak = traced_peak(monte_carlo_mse, *self._args(4096, 256))
+        assert peak <= 4 * MiB
+
+    @pytest.mark.parametrize("k_max", [4, 128, 300])
+    def test_peak_at_most_one_shot_plus_a_stream_per_trial(self, k_max):
+        # the streams kept live between chunks cost about 1 KiB per trial
+        trials = 4096
+        (mean, stderr), ref_peak = traced_peak(one_shot_mse, *self._args(k_max, trials))
+        curve, peak = traced_peak(monte_carlo_mse, *self._args(k_max, trials))
+        assert peak <= ref_peak + 1024 * trials
+        if k_max <= 2 * C:
+            # one chunk: no stream outlives its draw, no array its use
+            assert peak <= ref_peak + 64 * 1024
+        assert np.array_equal(curve.mse_mean, mean)
+        assert np.array_equal(curve.mse_stderr, stderr)
