@@ -286,8 +286,8 @@ def _lifted_curve(model, z0, x0, modes, floor, k_max):
     A curve is the description (x0, modes, floor): modes = (lam, c, readout)
     with rows vec(R_i) in readout, or None for an undriven curve. W is
     stepped by apply_Q in whole blocks of CURVE_BLOCK iterates; each block is
-    read out by one product with [vec x0; readout] and one Toeplitz sum of
-    the s_i. values[0] = ||z0||^2 exactly.
+    read out by one product with vec x0, one with readout, and one Toeplitz
+    sum of the s_i. values[0] = ||z0||^2 exactly.
 
     Stepping stops after the first block whose last iterate W_j has
     owed ||W_j|| <= CURVE_STOP_REL floor, owed = ||x0|| + sum_i |c_i| ||R_i||
@@ -303,9 +303,9 @@ def _lifted_curve(model, z0, x0, modes, floor, k_max):
     if modes is None:
         modes = (np.empty(0), np.empty(0), np.empty((0, n * n)))
     lam, c, readout = modes
-    rows = np.vstack([x0.reshape(1, n * n), readout])
+    x0_vec = x0.reshape(n * n)
     owed = np.linalg.norm(x0) + np.abs(c) @ (
-        np.linalg.norm(readout, axis=1) / (1.0 - np.abs(lam)))
+        np.sqrt(np.vecdot(readout, readout)) / (1.0 - np.abs(lam)))
     blk = CURVE_BLOCK
     # sums[t] = s[start + t] = lam^t s[start] + sum_{tau < t} lam^(t-1-tau) rho[tau]
     # for t = 0..blk, with rho[tau] = <W_{start+tau}, R_i>
@@ -321,9 +321,9 @@ def _lifted_curve(model, z0, x0, modes, floor, k_max):
         for t in range(blk):
             # stack[-1] is the previous block's last iterate
             stack[t] = apply_Q(model, stack[t - 1]) if start + t else np.eye(n)
-        r = stack.reshape(blk, n * n) @ rows.T
-        sums = pw * s + np.einsum("tui,ui->ti", toeplitz, r[:, 1:])
-        values[start:start + blk] = floor + r[:, 0] + sums[:blk] @ c
+        flat = stack.reshape(blk, n * n)
+        sums = pw * s + np.einsum("tui,ui->ti", toeplitz, flat @ readout.T)
+        values[start:start + blk] = floor + flat @ x0_vec + sums[:blk] @ c
         s = sums[blk]
         start += blk
         w_norm = np.linalg.norm(stack[-1])
@@ -382,52 +382,52 @@ def lambda_max_P(model):
 
 
 def lambda_max_Q(model):
-    """Largest eigenvalue of Q by Lanczos with full reorthogonalization.
+    """Largest eigenvalue of Q by the plain three-term Lanczos recurrence.
 
     Works on symmetric n x n matrices under the Frobenius inner product and
-    only calls apply_Q. The start is I / sqrt(n): Q = sum_i p_i P_i (x) P_i
-    is PSD and maps the PSD cone into itself, so its top eigenspace holds a
-    PSD matrix V, and <I, V> = tr V >= ||V||_F gives the start an overlap of
-    at least 1/sqrt(n) with it. Every LANCZOS_CHECK_EVERY steps the top Ritz
-    pair (theta, y) of the tridiagonal matrix is computed; the result is
-    returned once the Ritz residual |beta_k y_k| <= LANCZOS_REL_TOL * theta
-    certifies it (Golub & Van Loan, ch. 10), or when the Krylov space
-    reaches its full dimension n(n+1)/2. A SolverError is raised if neither
-    happens within LANCZOS_MAX_STEPS.
+    only calls apply_Q. It holds the current and the previous Lanczos
+    vector, O(n^2) floats, and no basis; the check below adds the
+    tridiagonal matrix, O(steps^2). The start is I / sqrt(n): Q =
+    sum_i p_i P_i (x) P_i is PSD and maps the PSD cone into itself, so its
+    top eigenspace holds a PSD matrix V, and <I, V> = tr V >= ||V||_F gives
+    the start an overlap of at least 1/sqrt(n) with it. apply_Q keeps an
+    exactly symmetric input exactly symmetric, and the recurrence works
+    element by element, so every Lanczos vector stays so.
+
+    Every LANCZOS_CHECK_EVERY steps, and on a small beta, the top Ritz pair
+    (theta, y) of the tridiagonal matrix is computed; theta is returned once
+    the Ritz residual |beta_k y_k| <= LANCZOS_REL_TOL |theta| certifies it
+    (Golub & Van Loan, ch. 10). Without reorthogonalization the vectors lose
+    orthogonality, but only as Ritz values converge: the loss adds "ghost"
+    copies of converged Ritz values, and a Ritz value with a small residual
+    still lies that close to an eigenvalue of Q (Paige, 1976 and 1980;
+    Parlett, The Symmetric Eigenvalue Problem, ch. 13). So the step count
+    proves nothing about the Krylov space, and there is no exit at its
+    dimension n(n+1)/2. A SolverError is raised if no check certifies theta
+    within LANCZOS_MAX_STEPS.
     """
     n = model.a_tilde.shape[1]
-    dim = n * (n + 1) // 2
-    steps = min(dim, LANCZOS_MAX_STEPS)
-    # grown by doubling: the whole basis would be steps x n^2 floats
-    basis = np.empty((min(steps, 16), n * n))
-    basis[0] = np.eye(n).ravel() / np.sqrt(n)
+    q_prev, q = np.zeros((n, n)), np.eye(n) / np.sqrt(n)
     alphas, betas = [], []
-    resid = np.inf
-    for k in range(1, steps + 1):
-        q = basis[k - 1]
-        w = apply_Q(model, q.reshape(n, n))
-        w = (0.5 * (w + w.T)).ravel()
-        alphas.append(float(q @ w))
-        done = basis[:k]
-        for _ in range(2):   # classical Gram-Schmidt, twice is enough
-            w -= done.T @ (done @ w)
+    beta, resid = 0.0, np.inf
+    for k in range(1, LANCZOS_MAX_STEPS + 1):
+        w = apply_Q(model, q)
+        alphas.append(frob_dot(q, w))
+        w -= alphas[-1] * q
+        w -= beta * q_prev
         beta = float(np.linalg.norm(w))
-        # theta >= alphas[0], so a tiny beta already certifies the Ritz value
-        if k % LANCZOS_CHECK_EVERY == 0 or k == dim or beta <= LANCZOS_REL_TOL * alphas[0]:
+        # theta >= alphas[0], so a tiny beta already certifies the Ritz value;
+        # magnitudes, as rounding can make both -eps when Q = 0 (n = 1), and
+        # beta = 0 must certify rather than divide
+        if k % LANCZOS_CHECK_EVERY == 0 or beta <= LANCZOS_REL_TOL * abs(alphas[0]):
             tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             thetas, ys = np.linalg.eigh(tri)
             theta = float(thetas[-1])
             resid = beta * abs(ys[-1, -1])
-            if resid <= LANCZOS_REL_TOL * theta or k == dim:
+            if resid <= LANCZOS_REL_TOL * abs(theta):
                 return theta
-        if k == steps:
-            break
-        if k == basis.shape[0]:
-            grown = np.empty((min(2 * k, steps), n * n))
-            grown[:k] = basis
-            basis = grown
-        basis[k] = w / beta
         betas.append(beta)
+        q_prev, q = q, w / beta
     raise SolverError(
         f"Lanczos on Q did not certify lambda_max in {LANCZOS_MAX_STEPS} steps "
         f"(Ritz residual {resid:.3e})"

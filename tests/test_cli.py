@@ -340,6 +340,17 @@ class TestConfigErrors:
         out = "/proc/definitely/not/writable"
         assert main(["run", "--config", cfg_path, "--out", out]) == 1
 
+    def test_uncertified_lambda_q_exits_1(self, tmp_path, capsys, monkeypatch):
+        # lambda_max(Q) of this system needs 40 Lanczos steps
+        monkeypatch.setattr(lifted, "LANCZOS_MAX_STEPS", 20)
+        cfg = shared_iid_config(matrix={"kind": "tomography", "grid": 5, "angles": 10, "rays": 5},
+                                outputs=["empirical"])
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "did not certify" in err
+        assert not (tmp_path / "result.json").exists()
+
     def test_custom_weights_substitute_general_bound(self, tmp_path, eta8, capsys):
         cfg = base_config(eta8)
         cfg["distribution"] = {"weights": [1, 2, 3, 4, 5, 6, 7, 8]}

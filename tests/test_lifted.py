@@ -33,11 +33,12 @@ from kaczlab import (
     zf_avg_bound_curve,
     zf_general_bound_curve,
 )
+from kaczlab import lifted
 from kaczlab.lifted import d_readout, dense_p, weighted_gram
 from kaczlab.problems import LinearSystem
 from kaczlab.seeding import rng_from
 
-from conftest import dense_avg_curve, dense_exact_curve, random_instance, random_model
+from conftest import dense_avg_curve, dense_exact_curve, random_instance, random_model, traced_peak
 
 
 def mat_of(vec, n):
@@ -505,8 +506,10 @@ class TestSpectra:
         assert lambda_max_Q(model) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_dense_eig_oracle(self, seed):
-        model, _ = random_model(6, 3, seed)
+    @pytest.mark.parametrize("n", range(1, lifted.DENSE_ORACLE_MAX_N + 1))
+    def test_dense_eig_oracle(self, n, seed, apply_q_calls):
+        # a plain Lanczos run may take more than the n(n+1)/2 steps of the space
+        model, _ = random_model(n + 3, n, seed)
         dense = dense_lift_oracle(model)
         assert lambda_max_P(model) == pytest.approx(
             np.linalg.eigvalsh(dense.P)[-1], abs=1e-9
@@ -514,6 +517,9 @@ class TestSpectra:
         assert lambda_max_Q(model) == pytest.approx(
             np.linalg.eigvalsh(dense.Q)[-1], abs=1e-9
         )
+        if n == 1:
+            # Q = 0, so the first step's beta stops the run
+            assert len(apply_q_calls) == 1
 
     def test_ordering(self):
         for seed in range(8):
@@ -549,9 +555,18 @@ class TestTomographySpectra:
     def test_readme_system_certified(self):
         sys = gen_tomography(10, 15, 10)
         model = build_model(sys, row_norm_distribution(sys))
-        lam_q, lam_p = lambda_max_Q(model), lambda_max_P(model)
+        # O(n^2) floats: no Lanczos basis, which would be 60 MiB here
+        lam_q, peak = traced_peak(lambda_max_Q, model)
+        lam_p = lambda_max_P(model)
         assert np.isfinite(lam_q)
         assert 0.0 < lam_q <= lam_p < 1.0
+        assert peak < 4 * 2**20
+
+    def test_uncertified_run_fails_loudly(self, model, monkeypatch):
+        # this system needs 40 steps
+        monkeypatch.setattr(lifted, "LANCZOS_MAX_STEPS", 20)
+        with pytest.raises(SolverError, match="did not certify"):
+            lambda_max_Q(model)
 
     def test_zf_avg_floor(self, model):
         sigma2 = 2.25e-4
