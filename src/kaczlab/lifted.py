@@ -140,29 +140,32 @@ def apply_Q(model, s):
 
 
 def apply_D(model, v):
-    """mat(D v) = sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i); symmetric."""
-    n = v.shape[0]
-    return d_readout(model, v[:, None]).reshape(n, n)
+    """mat(D v) = sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i); symmetric.
 
-
-def _sym_readout(at, u, b, w):
-    """Rows vec(H_i + H_i^T), H_i = u_i b_i^T - sum_r w_ri a~_r a~_r^T.
-
-    u and b are (n, k) (b may have one column for all i), w is (m, k);
-    returns the (k, n^2) readout matrix of the k symmetric matrices.
-    """
-    half = u.T[:, :, None] * b.T[:, None, :] - at.T @ (w.T[:, :, None] * at)
-    return (half + half.transpose(0, 2, 1)).reshape(len(half), -1)
-
-
-def d_readout(model, u):
-    """Rows vec(D u_i) for the columns u_i of u, so <W, D u_i> = row i . vec(W).
-
-    In _sym_readout's terms b_i = A~^T (p eta~) and w_ri = p_r eta~_r (a~_r . u_i).
+    With c = p eta~ that is H + H^T for H = v (A~^T c)^T - A~^T diag(c A~v) A~.
     """
     at = model.a_tilde
     c = model.p * model.eta_tilde
-    return _sym_readout(at, u, (at.T @ c)[:, None], c[:, None] * (at @ u))
+    half = np.outer(v, at.T @ c) - at.T @ ((c * (at @ v))[:, None] * at)
+    return half + half.T
+
+
+def _mode_rows(op, u):
+    """Rows vec(op(u_i)) for the columns u_i of u: the (k, n^2) readout of k modes.
+
+    Each row is written in place, so no more than one op result is held
+    beside the readout.
+    """
+    n, k = u.shape
+    rows = np.empty((k, n * n))
+    for i in range(k):
+        rows[i] = op(u[:, i]).ravel()
+    return rows
+
+
+def d_readout(model, u):
+    """Rows vec(D u_i) for the columns u_i of u, so <W, D u_i> = row i . vec(W)."""
+    return _mode_rows(lambda v: apply_D(model, v), u)
 
 
 def vec_e(model):
@@ -425,7 +428,8 @@ def lambda_max_Q(model):
             theta = float(thetas[-1])
             resid = beta * abs(ys[-1, -1])
             if resid <= LANCZOS_REL_TOL * abs(theta):
-                return theta
+                # Q is PSD, so a negative theta is rounding (-eps at n = 1, Q = 0)
+                return max(theta, 0.0)
         betas.append(beta)
         q_prev, q = q, w / beta
     raise SolverError(

@@ -2,8 +2,8 @@
 
 Only second-order noise statistics enter: every noise term below is exactly
 proportional to sigma2. The averaged curve is the same adjoint recursion as
-the fixed-noise one, its drive read through g(u_i u_i^T) for the
-eigenvectors u_i of P.
+the fixed-noise one, its drive read through the mode rows g(u_i u_i^T):
+g_apply on each eigenvector u_i of P, as d_readout applies D to each.
 """
 
 from dataclasses import dataclass
@@ -13,8 +13,8 @@ import numpy as np
 from .lifted import (
     LiftedModel,
     _lifted_curve,
+    _mode_rows,
     _solve_i_minus_q,
-    _sym_readout,
     i_minus_p_eigvals,
 )
 from .problems import IidNoise
@@ -51,16 +51,8 @@ def g_apply(base, mmat):
 
 
 def g_readout(base, u):
-    """Rows vec(g(u_i u_i^T)) for the columns u_i of u.
-
-    g_apply's terms on every rank-one u_i u_i^T at once: with
-    k_r = p_r^2/||a_r||^2, b_i = sum_r k_r (a~_r . u_i) a~_r and
-    w_ri = k_r (a~_r . u_i)^2.
-    """
-    at = base.a_tilde
-    k = (base.p**2 / base.row_norms**2)[:, None]
-    au = at @ u
-    return _sym_readout(at, u, at.T @ (k * au), k * au**2)
+    """Rows vec(g(u_i u_i^T)) for the columns u_i of u: g_apply per column."""
+    return _mode_rows(lambda v: g_apply(base, np.outer(v, v)), u)
 
 
 def expected_v1(model):

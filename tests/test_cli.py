@@ -5,8 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kaczlab import bounds, cli, lifted, load_system, noise_avg, save_vector, validate
+from kaczlab import (
+    IidNoise,
+    bounds,
+    cli,
+    gen_gaussian,
+    lifted,
+    load_system,
+    make_measurements,
+    noise_avg,
+    row_norm_distribution,
+    run_trial,
+    save_vector,
+    validate,
+)
 from kaczlab.cli import main, run_experiment
+from kaczlab.rka import trial_noise_seed, trial_row_seed
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -139,6 +153,28 @@ class TestRun:
         # empirical (trials=1, shared noise) IS the exact curve's system; both
         # start from ||z0||^2
         assert rows[0][1] == rows[0][3]
+
+    def test_iid_resample_false_is_one_draw(self, tmp_path):
+        # the exact curve's eta and the single empirical trial's are one draw
+        cfg = {
+            "matrix": {"kind": "gaussian", "m": 10, "n": 3, "seed": 2},
+            "noise": {"kind": "iid", "sigma2": 1e-3, "resample": False},
+            "k_max": 30,
+            "trials": 1,
+            "seed": 4,
+            "outputs": ["empirical", "exact"],
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        sys_obj = gen_gaussian(10, 3, 1.0, 2)
+        y, eta = make_measurements(sys_obj, IidNoise(1e-3), trial_noise_seed(4))
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["scalars"]["eta_sq_norm"] == float(eta @ eta)
+        want = run_trial(sys_obj, y, row_norm_distribution(sys_obj), np.zeros(3), 30,
+                         trial_row_seed(4, 0))
+        header, rows = read_csv(tmp_path / "curves.csv")
+        got = np.array([float(r[header.index("empirical")]) for r in rows])
+        assert np.array_equal(got, want)
 
     def test_vector_files(self, tmp_path, eta8):
         save_vector(eta8, tmp_path / "eta.txt")

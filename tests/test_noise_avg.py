@@ -11,6 +11,7 @@ from kaczlab import (
     expected_v1,
     g_apply,
     gen_gaussian,
+    gen_tomography,
     row_norm_distribution,
     solve_v1,
     zf_avg_bound_curve,
@@ -19,7 +20,7 @@ from kaczlab.lifted import CURVE_BLOCK, dense_p, exact_mse_curve
 from kaczlab.noise_avg import g_readout
 from kaczlab.seeding import rng_from
 
-from conftest import dense_avg_curve, random_instance
+from conftest import dense_avg_curve, random_instance, traced_peak
 
 
 def navg_model(m, n, seed, sigma2):
@@ -77,6 +78,22 @@ class TestGApply:
         want = np.array([w @ g_mat @ np.outer(ui, ui).ravel() for ui in u.T])
         got = g_readout(base, u) @ w
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_readout_rows_are_g_apply(self):
+        model, _, _, _ = navg_model(7, 4, 6, 0.1)
+        base = model.base
+        u = base.p_eigvecs
+        rows = g_readout(base, u)
+        for i in range(4):
+            assert np.array_equal(rows[i], g_apply(base, np.outer(u[:, i], u[:, i])).ravel())
+
+    def test_readout_peak_is_its_rows(self):
+        # README config 2's system: 7.6 MiB of rows, and no (modes x m x n) temporary
+        sys = gen_tomography(10, 15, 10)
+        base = build_model(sys, row_norm_distribution(sys))
+        rows, peak = traced_peak(g_readout, base, base.p_eigvecs)
+        assert rows.shape == (100, 100 * 100)
+        assert peak <= rows.nbytes + 2**20
 
     def test_symmetric_output(self):
         model, _, _, _ = navg_model(8, 4, 4, 0.1)
