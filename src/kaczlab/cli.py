@@ -81,11 +81,19 @@ def _int_value(obj, key, where, minimum=None):
 
 
 def _float_value(obj, key, where):
-    """obj[key] as a finite float; bools and strings are config errors."""
+    """obj[key] as a finite float; bools, strings and integers past the
+    float range are config errors."""
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: must be a finite number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: must be a finite number, got an integer too large "
+                          "for a float") from None
+    if not np.isfinite(number):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    return number
 
 
 def _floats_value(obj, key, where):
@@ -120,7 +128,7 @@ def load_config(path):
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")

@@ -5,12 +5,15 @@ S_k = E z^(k) z^(k)T and m_k = E z^(k): both evolve linearly under the
 probability-weighted projector moments
 
     P = sum_i p_i P_i                    (n x n, dense: dense_p)
-    Q.vec(S) = vec(sum_i p_i P_i S P_i)  (n^2 x n^2, implicit)
+    Q.vec(S) = vec(sum_i p_i P_i S P_i)  (n^2 x n^2, implicit or tabulated)
     D.v = vec(sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i))
     e = vec(sum_i p_i eta~_i^2 a~_i a~_i^T),   f = sum_i p_i eta~_i a~_i
 
 with P_i = I - a~_i a~_i^T. Everything n^2-dimensional is represented as an
-n x n matrix; vec/mat are implicit reshapes and never materialized.
+n x n matrix; vec/mat are implicit reshapes and never materialized. For
+n <= DENSE_ORACLE_MAX_N, Q is also held as a dense matrix on the
+n(n+1)/2-dimensional space of symmetric matrices, the only ones the curves
+and solvers give it (apply_Q).
 
 Q is self-adjoint, so each MSE curve is read from the adjoint iterates
 W_j = Q^j I: the error trace <I, Q^k X_0> is <W_k, X_0>, and the drive of
@@ -47,10 +50,20 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LiftedModel:
-    """Normalized rows, normalized noise, selection probabilities, and eigh(P).
+    """Normalized rows, normalized noise, selection probabilities, eigh(P),
+    and for n <= DENSE_ORACLE_MAX_N Q tabulated on symmetric matrices.
 
     The noise enters only through D, e and f; a noise-free model is one with
     eta_tilde = 0, for which all three vanish.
+
+    q_table is (table, upper, full), or None for n > DENSE_ORACLE_MAX_N.
+    upper indexes the n(n+1)/2 entries k <= l of a raveled n x n matrix, and
+    full maps each of its n^2 entries (k, l) to the position of (min, max) in
+    upper. Column j of table holds the upper entries of Q B_j, for B_j the
+    symmetric matrix whose upper entries are the j-th unit vector; it is
+    _apply_q_implicit applied to B_j, so dense_lift_oracle stays a reference
+    independent of it. Bounding n by the oracle's limit keeps every table
+    where that oracle can check it, at most 78^2 doubles (48 KB).
     """
 
     a_tilde: np.ndarray           # (m, n), unit rows
@@ -60,6 +73,7 @@ class LiftedModel:
     p_rows: np.ndarray = field(init=False)      # (m, n), rows p_i a~_i
     p_eigvals: np.ndarray = field(init=False)   # (n,) ascending, P's one eigh
     p_eigvecs: np.ndarray = field(init=False)   # (n, n) as columns
+    q_table: tuple = field(init=False)          # (table, upper, full) or None
 
     def __post_init__(self):
         p_rows = self.p[:, None] * self.a_tilde
@@ -70,6 +84,8 @@ class LiftedModel:
             arr.setflags(write=False)
         object.__setattr__(self, "p_eigvals", lam)
         object.__setattr__(self, "p_eigvecs", u)
+        small = self.a_tilde.shape[1] <= DENSE_ORACLE_MAX_N
+        object.__setattr__(self, "q_table", _tabulate_q(self) if small else None)
 
     @property
     def shape(self):
@@ -123,7 +139,7 @@ def _q_half(at, pat, x):
     return pat.T @ ax
 
 
-def apply_Q(model, s):
+def _apply_q_implicit(model, s):
     """mat(Q vec(S)) = sum_i p_i P_i S P_i, in O(mn^2) via rank-one updates.
 
     With T as in _q_half, Q S = S - (T(S) + T(S^T)^T). For S whose bytes
@@ -137,6 +153,40 @@ def apply_Q(model, s):
     if s.tobytes() == s.T.tobytes():
         return s - (t + t.T)
     return s - (t + _q_half(at, pat, s.T).T)
+
+
+def _tabulate_q(model):
+    """(table, upper, full) of LiftedModel.q_table, from _apply_q_implicit."""
+    n = model.a_tilde.shape[1]
+    rows, cols = np.triu_indices(n)
+    upper = rows * n + cols
+    full = np.empty(n * n, dtype=np.intp)
+    full[upper] = full[cols * n + rows] = np.arange(upper.size)
+    table = np.empty((upper.size, upper.size))
+    for j, (k, l) in enumerate(zip(rows, cols)):
+        basis = np.zeros((n, n))
+        basis[k, l] = basis[l, k] = 1.0
+        table[:, j] = _apply_q_implicit(model, basis).ravel()[upper]
+    for arr in (table, upper, full):
+        arr.setflags(write=False)
+    return table, upper, full
+
+
+def apply_Q(model, s):
+    """mat(Q vec(S)) = sum_i p_i P_i S P_i, for any n x n S.
+
+    For S whose bytes equal those of S^T, on a model with n <=
+    DENSE_ORACLE_MAX_N, this is one product of model.q_table's
+    (n(n+1)/2)^2 matrix with S's upper entries, copied out to both
+    triangles, so symmetric to the last bit. At those sizes the implicit
+    form's cost is the dispatch of its numpy calls, not its arithmetic, and
+    the table takes three calls to its nine. Any other S, and every S at
+    larger n, takes _apply_q_implicit's O(mn^2) form.
+    """
+    if model.q_table is not None and s.tobytes() == s.T.tobytes():
+        table, upper, full = model.q_table
+        return (table @ s.ravel()[upper])[full].reshape(s.shape)
+    return _apply_q_implicit(model, s)
 
 
 def apply_D(model, v):

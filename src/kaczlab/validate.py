@@ -87,14 +87,19 @@ def enumeration_checks(sys, dist, eta, z0, k_max):
 
 
 def dense_lift_checks(model, v, s, mmat):
-    """P, Q, D, g, v2 and v1 against the dense lift, on a vector v and n x n s, mmat."""
+    """P, Q, D, g, v2 and v1 against the dense lift, on a vector v and n x n s, mmat.
+
+    Q is checked on s and on s + s^T: a non-symmetric s takes apply_Q's
+    implicit form, and s + s^T its table.
+    """
     n = model.a_tilde.shape[1]
     dense = dense_lift_oracle(model)
     v2 = np.linalg.solve(np.eye(n) - dense.P, dense.f)
     v1 = np.linalg.solve(np.eye(n * n) - dense.Q, dense.e + dense.D @ v2).reshape(n, n)
     return {
         "dense_P": _rel_dev(dense_p(model) @ v, dense.P @ v),
-        "dense_Q": _rel_dev(apply_Q(model, s), (dense.Q @ s.ravel()).reshape(n, n)),
+        "dense_Q": max(_rel_dev(apply_Q(model, x), (dense.Q @ x.ravel()).reshape(n, n))
+                       for x in (s, s + s.T)),
         "dense_D": _rel_dev(apply_D(model, v), (dense.D @ v).reshape(n, n)),
         "dense_g": _rel_dev(g_apply(model, mmat), (dense.G @ mmat.ravel()).reshape(n, n)),
         "dense_v2": _rel_dev(solve_v2(model), v2),

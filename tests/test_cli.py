@@ -365,6 +365,13 @@ class TestConfigErrors:
         path.write_text("{not json")
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_integer_past_digit_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an integer over 4300 digits
+        path = tmp_path / "huge.json"
+        path.write_text('{"k_max": 1' + "0" * 5000 + "}")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
+
     def test_wrong_noise_length(self, tmp_path, eta8):
         cfg = base_config(eta8)
         cfg["noise"] = {"kind": "fixed", "values": [0.0, 1.0]}
@@ -477,6 +484,22 @@ class TestConfigErrors:
         ("x0", {"values": [0.0, "a", 0.0, 0.0]}, "x0.values[1]"),
     ])
     def test_non_numeric_list_entry_rejected(self, tmp_path, eta8, capsys, section, desc, key):
+        cfg = base_config(eta8)
+        cfg[section] = desc
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert f"{key}: must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, desc, key", [
+        ("noise", {"kind": "iid", "sigma2": 10**400}, "noise.sigma2"),
+        ("matrix", {"kind": "gaussian", "m": 8, "n": 4, "seed": 5, "x_scale": 10**400},
+         "matrix.x_scale"),
+        ("distribution", {"weights": [1, 2, 3, 10**400, 5, 6, 7, 8]}, "distribution.weights[3]"),
+        ("noise", {"kind": "fixed", "values": [0.1] * 7 + [10**400]}, "noise.values[7]"),
+        ("x0", {"values": [0.0, 0.0, 10**400, 0.0]}, "x0.values[2]"),
+    ])
+    def test_integer_past_float_range_rejected(self, tmp_path, eta8, capsys, section, desc, key):
+        # float() of such a JSON integer raises OverflowError, not an inf
         cfg = base_config(eta8)
         cfg[section] = desc
         cfg_path = write_config(tmp_path, cfg)

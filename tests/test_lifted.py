@@ -160,6 +160,73 @@ class TestApplyQ:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+class TestQForms:
+    """apply_Q's two forms: the implicit O(mn^2) one, and for n <= 12 the
+    table on the symmetric subspace that is built from it."""
+
+    SMALL_N = range(1, lifted.DENSE_ORACLE_MAX_N + 1)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", SMALL_N)
+    def test_implicit_dense_kron_oracle(self, n, seed):
+        model, _ = random_model(n + 3, n, seed)
+        dense = dense_lift_oracle(model)
+        b = np.random.default_rng(seed + 70).standard_normal((n, n))
+        for s in (b, b + b.T):
+            want = mat_of(dense.Q @ s.ravel(), n)
+            assert np.allclose(lifted._apply_q_implicit(model, s), want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", SMALL_N)
+    def test_table_matches_implicit(self, n, seed):
+        # relative to ||S||, as ||Q||_2 <= 1 and Q = 0 at n = 1
+        model, _ = random_model(n + 3, n, seed)
+        assert model.q_table is not None
+        b = np.random.default_rng(seed + 80).standard_normal((n, n))
+        s = b + b.T
+        got, want = apply_Q(model, s), lifted._apply_q_implicit(model, s)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(s)
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_table_output_bitwise_symmetric(self, n):
+        model, _ = random_model(n + 3, n, 5)
+        b = np.random.default_rng(90).standard_normal((n, n))
+        sym = b + b.T
+        for s in (sym, np.asfortranarray(sym), sym.T):
+            out = apply_Q(model, s)
+            assert out.flags.c_contiguous and out.tobytes() == out.T.tobytes()
+            assert np.array_equal(out, apply_Q(model, sym))
+
+    def test_table_only_up_to_the_oracle_limit(self):
+        n = lifted.DENSE_ORACLE_MAX_N
+        at_limit, _ = random_model(n + 3, n, 2)
+        table, upper, full = at_limit.q_table
+        assert table.shape == (n * (n + 1) // 2,) * 2 and not table.flags.writeable
+        assert upper.size == table.shape[0] and full.size == n * n
+        above, _ = random_model(n + 4, n + 1, 2)
+        assert above.q_table is None
+        b = np.random.default_rng(3).standard_normal((n + 1, n + 1))
+        for s in (b, b + b.T):
+            assert apply_Q(above, s).tobytes() == lifted._apply_q_implicit(above, s).tobytes()
+
+    def test_non_symmetric_input_takes_implicit_form(self):
+        model, _ = random_model(7, 4, 6)
+        b = np.random.default_rng(4).standard_normal((4, 4))
+        signed_zeros = b + b.T
+        signed_zeros[0, 1], signed_zeros[1, 0] = 0.0, -0.0
+        for s in (b, signed_zeros):
+            assert apply_Q(model, s).tobytes() == lifted._apply_q_implicit(model, s).tobytes()
+
+    def test_build_does_not_use_dense_oracle(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("the table must not come from the dense oracle")
+
+        monkeypatch.setattr(lifted, "dense_lift_oracle", refuse)
+        for n in self.SMALL_N:
+            model, _ = random_model(n + 3, n, 1)
+            assert model.q_table is not None
+
+
 class TestApplyD:
     def test_zero_noise(self):
         sys, dist, _, _ = random_instance(4, 3, 11)
