@@ -33,7 +33,6 @@ from .lifted import (
     vec_f,
 )
 from .noise_avg import (
-    NoiseAveragedModel,
     avg_limiting_mse,
     avg_mse_curve,
     expected_v1,

@@ -38,12 +38,11 @@ def zf_general_bound_curve(model, z0, k_max):
     return _geometric_curve(z0, lambda_max_P(model), k_max, floor)
 
 
-def zf_avg_bound_curve(model, z0, k_max):
-    """Noise average of the p-general bound.
+def zf_avg_bound_curve(model, noise, z0, k_max):
+    """Noise average of the p-general bound, for noise = IidNoise(sigma2).
 
     E_eta sum_i p_i eta~_i^2 = sigma2 sum_i p_i / ||a_i||^2, so the floor is
-    that over (1 - lambda_max(P)).
+    that over (1 - lambda_max(P)). The model's own eta~ is not read.
     """
-    base = model.base
-    floor = model.sigma2 * float(np.sum(base.p / base.row_norms**2)) / i_minus_p_eigvals(base)[-1]
-    return _geometric_curve(z0, lambda_max_P(base), k_max, floor)
+    floor = noise.sigma2 * float(np.sum(model.p / model.row_norms**2)) / i_minus_p_eigvals(model)[-1]
+    return _geometric_curve(z0, lambda_max_P(model), k_max, floor)

@@ -20,7 +20,7 @@ from .lifted import (
     lambda_max_Q,
     limiting_mse,
 )
-from .noise_avg import NoiseAveragedModel, avg_limiting_mse, avg_mse_curve
+from .noise_avg import avg_limiting_mse, avg_mse_curve
 from .problems import (
     FixedNoise,
     IidNoise,
@@ -124,7 +124,7 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(raw)
@@ -320,12 +320,11 @@ def run_experiment(cfg, verbose=False):
     z0 = x0 - sys_obj.x_true
     outputs = _validate_outputs(outputs, noise, resample, norm_proportional, warnings)
 
-    eta = None
-    if isinstance(noise, FixedNoise):
-        eta = noise.eta
-    elif not resample:
-        # the same shared draw monte_carlo_mse uses with resample=false
-        _, eta = make_measurements(sys_obj, noise, trial_noise_seed(seed))
+    iid = noise if isinstance(noise, IidNoise) else None
+    if iid is not None and not resample:
+        # one draw, shared by every trial and by the exact curve
+        noise = FixedNoise(make_measurements(sys_obj, iid, trial_noise_seed(seed))[1])
+    eta = noise.eta if isinstance(noise, FixedNoise) else None
 
     def log(msg):
         if verbose:
@@ -333,7 +332,6 @@ def run_experiment(cfg, verbose=False):
 
     # the noise average reads only P, Q and g, which ignore eta: one model serves both
     model = build_model(sys_obj, dist, eta)
-    nmodel = NoiseAveragedModel(model, noise.sigma2) if isinstance(noise, IidNoise) else None
 
     curves = {}
     scalars = {
@@ -346,10 +344,7 @@ def run_experiment(cfg, verbose=False):
     for kind in outputs:
         log(f"computing {kind} ...")
         if kind == "empirical":
-            emp = monte_carlo_mse(
-                sys_obj, noise, dist, x0, k_max, trials, seed,
-                resample_noise=resample,
-            )
+            emp = monte_carlo_mse(sys_obj, noise, dist, x0, k_max, trials, seed)
             curves["empirical"] = emp.mse_mean
             curves["empirical_stderr"] = emp.mse_stderr
         elif kind == "exact":
@@ -357,7 +352,7 @@ def run_experiment(cfg, verbose=False):
             curves["exact"] = curve.values
             scalars["floor_exact"] = curve.floor
         elif kind == "exact_avg":
-            curve = avg_mse_curve(nmodel, z0, k_max)
+            curve = avg_mse_curve(model, iid, z0, k_max)
             curves["exact_avg"] = curve.values
             scalars["floor_avg"] = curve.floor
         elif kind == "bound_sv":
@@ -367,13 +362,13 @@ def run_experiment(cfg, verbose=False):
         elif kind == "bound_zf_general":
             curves["bound_zf_general"] = zf_general_bound_curve(model, z0, k_max)
         elif kind == "bound_zf_avg":
-            curves["bound_zf_avg"] = zf_avg_bound_curve(nmodel, z0, k_max)
+            curves["bound_zf_avg"] = zf_avg_bound_curve(model, iid, z0, k_max)
         elif kind == "floor":
             # exact / exact_avg, computed before floor, already solved for it
             if eta is not None and "floor_exact" not in scalars:
                 scalars["floor_exact"] = limiting_mse(model)
-            if nmodel is not None and "floor_avg" not in scalars:
-                scalars["floor_avg"] = avg_limiting_mse(nmodel)
+            if iid is not None and "floor_avg" not in scalars:
+                scalars["floor_avg"] = avg_limiting_mse(model, iid)
     return curves, scalars, warnings
 
 

@@ -200,24 +200,6 @@ def apply_D(model, v):
     return half + half.T
 
 
-def _mode_rows(op, u):
-    """Rows vec(op(u_i)) for the columns u_i of u: the (k, n^2) readout of k modes.
-
-    Each row is written in place, so no more than one op result is held
-    beside the readout.
-    """
-    n, k = u.shape
-    rows = np.empty((k, n * n))
-    for i in range(k):
-        rows[i] = op(u[:, i]).ravel()
-    return rows
-
-
-def d_readout(model, u):
-    """Rows vec(D u_i) for the columns u_i of u, so <W, D u_i> = row i . vec(W)."""
-    return _mode_rows(lambda v: apply_D(model, v), u)
-
-
 def vec_e(model):
     """mat(e) = sum_i p_i eta~_i^2 a~_i a~_i^T (symmetric PSD)."""
     at = model.a_tilde
@@ -325,25 +307,27 @@ def solve_v1(model):
     return _fixed_point(model)[0]
 
 
-def _lifted_curve(model, z0, x0, modes, floor, k_max):
+def _lifted_curve(model, z0, v, drive, k_max):
     """The one lifted recursion behind every exact MSE curve.
 
     Each curve is values[k] = floor + trace(X_k) for X_k = Q X_{k-1} +
-    F_{k-1} from X_0 = x0, centred on its fixed point (whose trace is the
-    floor), with a drive F_l = sum_i c_i lam_i^l R_i that decays along the
-    eigenvalues lam_i of P. Q is self-adjoint, so with W_j = Q^j I
+    F_{k-1} from X_0 = z0 z0^T - v, centred on its fixed point v (None for
+    zero) whose trace is the floor, with a drive F_l = sum_i c_i lam_i^l R_i
+    that decays along the eigenpairs (lam_i, u_i) of the model's eigh(P). Q
+    is self-adjoint, so with W_j = Q^j I
 
-        values[k] = floor + <W_k, x0> + sum_i c_i s_i[k],
+        values[k] = floor + <W_k, X_0> + sum_i c_i s_i[k],
         s_i[k] = lam_i s_i[k-1] + <W_{k-1}, R_i>,   s_i[0] = 0.
 
-    A curve is the description (x0, modes, floor): modes = (lam, c, readout)
-    with rows vec(R_i) in readout, or None for an undriven curve. W is
-    stepped by apply_Q in whole blocks of CURVE_BLOCK iterates; each block is
-    read out by one product with vec x0, one with readout, and one Toeplitz
+    drive is (c, op) with R_i = op(model, u_i), or None for an undriven
+    curve. The rows vec(R_i) of the (n, n^2) readout are written one op
+    result at a time, so no more than one is held beside it. W is stepped
+    by apply_Q in whole blocks of CURVE_BLOCK iterates; each block is read
+    out by one product with vec X_0, one with the readout, and one Toeplitz
     sum of the s_i. values[0] = ||z0||^2 exactly.
 
     Stepping stops after the first block whose last iterate W_j has
-    owed ||W_j|| <= CURVE_STOP_REL floor, owed = ||x0|| + sum_i |c_i| ||R_i||
+    owed ||W_j|| <= CURVE_STOP_REL floor, owed = ||X_0|| + sum_i |c_i| ||R_i||
     / (1 - |lam_i|), or W_j = 0. ||Q||_2 <= 1, Q being a convex combination
     of the orthogonal projectors P_i (x) P_i, so no later W moves a value by
     more than that (Cauchy-Schwarz), and every later value is the geometric
@@ -352,10 +336,18 @@ def _lifted_curve(model, z0, x0, modes, floor, k_max):
     depend on k_max, and neither does any value. Runs in
     O(k_stop m n^2 + k_max n), k_stop <= k_max the steps before the stop.
     """
-    n = x0.shape[0]
-    if modes is None:
-        modes = (np.empty(0), np.empty(0), np.empty((0, n * n)))
-    lam, c, readout = modes
+    n = z0.size
+    x0, floor = np.outer(z0, z0), 0.0
+    if v is not None:
+        x0 -= v
+        floor = float(np.trace(v))
+    if drive is None:
+        lam, c, readout = np.empty(0), np.empty(0), np.empty((0, n * n))
+    else:
+        (c, op), lam, u = drive, model.p_eigvals, model.p_eigvecs
+        readout = np.empty((n, n * n))
+        for i in range(n):
+            readout[i] = op(model, u[:, i]).ravel()
     x0_vec = x0.reshape(n * n)
     owed = np.linalg.norm(x0) + np.abs(c) @ (
         np.sqrt(np.vecdot(readout, readout)) / (1.0 - np.abs(lam)))
@@ -409,12 +401,9 @@ def exact_mse_curve(model, z0, k_max):
     """
     z0 = np.asarray(z0, dtype=float)
     if not model.has_noise:
-        return _lifted_curve(model, z0, np.outer(z0, z0), None, 0.0, k_max)
+        return _lifted_curve(model, z0, None, None, k_max)
     v1, v2 = _fixed_point(model)
-    u = model.p_eigvecs
-    modes = (model.p_eigvals, u.T @ (z0 - v2), d_readout(model, u))
-    return _lifted_curve(model, z0, np.outer(z0, z0) - v1, modes,
-                         float(np.trace(v1)), k_max)
+    return _lifted_curve(model, z0, v1, (model.p_eigvecs.T @ (z0 - v2), apply_D), k_max)
 
 
 def exact_mse_at(model, z0, k):

@@ -252,6 +252,27 @@ def _parse_floats(tokens, lineno, expected):
     return values
 
 
+def _read_lines(lines, first, count, width, item):
+    """Lines first .. first + count - 1 (1-based), width values each, as a
+    (count, width) array. Errors name the line, or the first missing item
+    ("matrix row 3 of 5 missing").
+
+    The lines are counted, and the first is parsed, before the array is
+    allocated: a header that promises more values than its file holds is an
+    error naming a line, never an allocation of what it promised.
+    """
+    if first + count - 1 > len(lines):
+        raise MatrixFileError(f"{item} {len(lines) - first + 2} of {count} missing: "
+                              f"file ends before line {len(lines) + 1}")
+    out = np.empty((0, width))
+    for i in range(count):
+        values = _parse_floats(lines[first - 1 + i].split(), first + i, width)
+        if i == 0:
+            out = np.empty((count, width))
+        out[i] = values
+    return out
+
+
 def load_system(path):
     """Read a system saved by save_system.  Errors name the offending line."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -267,25 +288,11 @@ def load_system(path):
         raise MatrixFileError(f"line 1: non-integer header ({exc})") from exc
     if m < 1 or n < 1:
         raise MatrixFileError(f"line 1: dimensions must be positive, got {m} x {n}")
-    a = np.empty((m, n))
-    for i in range(m):
-        lineno = i + 2
-        if lineno > len(lines):
-            raise MatrixFileError(
-                f"matrix row {i + 1} of {m} missing: file ends before line {lineno}"
-            )
-        a[i] = _parse_floats(lines[lineno - 1].split(), lineno, n)
+    a = _read_lines(lines, 2, m, n, "matrix row")
     marker_lineno = m + 2
     if marker_lineno > len(lines) or lines[marker_lineno - 1].strip() != "x_true":
         raise MatrixFileError(f'line {marker_lineno}: expected "x_true" marker')
-    x = np.empty(n)
-    for j in range(n):
-        lineno = marker_lineno + 1 + j
-        if lineno > len(lines):
-            raise MatrixFileError(
-                f"x_true entry {j + 1} of {n} missing: file ends before line {lineno}"
-            )
-        x[j] = _parse_floats(lines[lineno - 1].split(), lineno, 1)[0]
+    x = _read_lines(lines, marker_lineno + 1, n, 1, "x_true entry")[:, 0]
     return LinearSystem(a, x)
 
 
@@ -307,12 +314,6 @@ def load_vector(path):
         size = int(lines[0])
     except ValueError as exc:
         raise MatrixFileError(f"line 1: non-integer length ({exc})") from exc
-    out = np.empty(size)
-    for j in range(size):
-        lineno = j + 2
-        if lineno > len(lines):
-            raise MatrixFileError(
-                f"entry {j + 1} of {size} missing: file ends before line {lineno}"
-            )
-        out[j] = _parse_floats(lines[lineno - 1].split(), lineno, 1)[0]
-    return out
+    if size < 0:
+        raise MatrixFileError(f"line 1: length must be >= 0, got {size}")
+    return _read_lines(lines, 2, size, 1, "entry")[:, 0]

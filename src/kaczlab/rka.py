@@ -178,21 +178,19 @@ def trial_row_seed(seed, trial):
 
 
 def trial_noise_seed(seed, trial=None):
-    """Seed of the noise draw; trial=None is the shared (resample=False) draw."""
+    """Seed of the noise draw; trial=None is the draw all trials share."""
     if trial is None:
         return mix_seed(seed, _NOISE_TAG)
     return mix_seed(seed, _NOISE_TAG, trial)
 
 
-def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed,
-                    resample_noise=False):
+def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed):
     """Sample mean/standard error of the squared-error trajectory over trials.
 
     Each trial draws rows from an independent stream hashed from
     (seed, trial), so results depend only on (seed, trial), not on how many
-    trials run together. With IidNoise, resample_noise=False realizes one
-    eta shared by all trials and True redraws it per trial; FixedNoise
-    ignores the flag.
+    trials run together. FixedNoise is one eta shared by all trials;
+    IidNoise is redrawn per trial, from trial_noise_seed(seed, trial).
 
     All trials advance together in one batched kernel, STEP_CHUNK steps at a
     time: each chunk draws the next uniforms of every trial's stream, samples
@@ -214,8 +212,8 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed,
     if dist.m != m:
         raise ValueError(f"dist has {dist.m} rows, the system {m}")
 
-    if isinstance(noise, FixedNoise) or not resample_noise:
-        y, _ = make_measurements(sys, noise, trial_noise_seed(seed))
+    if isinstance(noise, FixedNoise):
+        y, _ = make_measurements(sys, noise)
     else:
         y = np.stack([make_measurements(sys, noise, trial_noise_seed(seed, t))[0]
                       for t in range(trials)])

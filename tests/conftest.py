@@ -39,15 +39,15 @@ def dense_exact_curve(model, z0, k_max):
     return np.array(want)
 
 
-def dense_avg_curve(model, z0, k_max):
+def dense_avg_curve(model, noise, z0, k_max):
     """(values, floor) of the noise-averaged curve on the assembled Kronecker
     matrices: Q^k (z0 z0^T - E v1) - sigma2 sum_{l<k} Q^l G vec(P^(k-1-l)
     (I-P)^-1) + tr(E v1), with E v1 by a dense solve."""
-    base, sigma2 = model.base, model.sigma2
-    m, n = base.a_tilde.shape
-    dense = dense_lift_oracle(base)
+    sigma2 = noise.sigma2
+    m, n = model.a_tilde.shape
+    dense = dense_lift_oracle(model)
     gram_rhs = sum(
-        base.p[i] / base.row_norms[i] ** 2 * np.kron(base.a_tilde[i], base.a_tilde[i])
+        model.p[i] / model.row_norms[i] ** 2 * np.kron(model.a_tilde[i], model.a_tilde[i])
         for i in range(m)
     )
     m_pow = np.linalg.inv(np.eye(n) - dense.P)

@@ -11,7 +11,6 @@ import pytest
 from kaczlab import (
     FixedNoise,
     IidNoise,
-    NoiseAveragedModel,
     avg_limiting_mse,
     avg_mse_curve,
     build_model,
@@ -110,13 +109,11 @@ def test_criterion_4_noise_averaged_experiment():
     m, n = sys.a.shape
     dist = row_norm_distribution(sys)
     sigma2 = 2.25e-4
-    model = NoiseAveragedModel(build_model(sys, dist), sigma2)
+    model, noise = build_model(sys, dist), IidNoise(sigma2)
     x0 = np.zeros(n)
     z0 = x0 - sys.x_true
-    theory = avg_mse_curve(model, z0, 3000)
-    emp = monte_carlo_mse(
-        sys, IidNoise(sigma2), dist, x0, 3000, 1007, seed=707, resample_noise=True
-    )
+    theory = avg_mse_curve(model, noise, z0, 3000)
+    emp = monte_carlo_mse(sys, noise, dist, x0, 3000, 1007, seed=707)
     rows = []
     ok = True
     for k in (0, 500, 1500, 3000):
@@ -124,8 +121,8 @@ def test_criterion_4_noise_averaged_experiment():
         lim = 4 * emp.mse_stderr[k]
         ok &= diff <= lim
         rows.append(f"k={k}:{diff:.1e}<={lim:.1e}")
-    bound_floor = zf_avg_bound_curve(model, np.zeros(n), 0)[0]
-    floor = avg_limiting_mse(model)
+    bound_floor = zf_avg_bound_curve(model, noise, np.zeros(n), 0)[0]
+    floor = avg_limiting_mse(model, noise)
     ratio = bound_floor / floor
     ok = ok and ratio >= 1.0
     elapsed = time.perf_counter() - t0
@@ -163,8 +160,7 @@ def test_criterion_5_limiting_consistency():
         model = build_model(sys, dist, eta)
         curve = exact_mse_curve(model, z0, k_big)
         worst_exact = max(worst_exact, abs(curve.values[-1] - curve.floor) / curve.floor)
-        nmodel = NoiseAveragedModel(build_model(sys, dist), sigma2)
-        acurve = avg_mse_curve(nmodel, z0, k_big)
+        acurve = avg_mse_curve(build_model(sys, dist), IidNoise(sigma2), z0, k_big)
         worst_avg = max(worst_avg, abs(acurve.values[-1] - acurve.floor) / acurve.floor)
         floor, afloor = dense_floors(model, sigma2)
         worst_dense = max(worst_dense, abs(curve.floor - floor) / floor,
@@ -217,13 +213,13 @@ def test_criterion_8_sigma2_linearity():
     sys, dist, _, z0 = random_instance(15, 5, 8000)
     base = build_model(sys, dist)
     k_max = 80
-    noiseless = avg_mse_curve(NoiseAveragedModel(base, 0.0), z0, k_max).values
+    noiseless = avg_mse_curve(base, IidNoise(0.0), z0, k_max).values
     worst = 0.0
     ref_s = 1e-6
-    ref = avg_mse_curve(NoiseAveragedModel(base, ref_s), z0, k_max).values
+    ref = avg_mse_curve(base, IidNoise(ref_s), z0, k_max).values
     unit_noise = (ref - noiseless) / ref_s          # per-sigma2 contribution
     for s2 in (1e-6, 1e-4, 1e-2):
-        curve = avg_mse_curve(NoiseAveragedModel(base, s2), z0, k_max).values
+        curve = avg_mse_curve(base, IidNoise(s2), z0, k_max).values
         predicted = noiseless + s2 * unit_noise
         worst = max(worst, np.max(np.abs(curve - predicted) / np.abs(curve)))
     ok = worst <= 1e-10

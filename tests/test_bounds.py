@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kaczlab import (
-    NoiseAveragedModel,
+    IidNoise,
     avg_limiting_mse,
     avg_mse_curve,
     build_model,
@@ -137,8 +137,7 @@ class TestZfGeneralBound:
 class TestZfAvgBound:
     def test_sigma_zero(self):
         sys, dist, _, z0 = random_instance(8, 3, 60)
-        model = NoiseAveragedModel(build_model(sys, dist), 0.0)
-        curve = zf_avg_bound_curve(model, z0, 20)
+        curve = zf_avg_bound_curve(build_model(sys, dist), IidNoise(0.0), z0, 20)
         noiseless = zf_general_bound_curve(build_model(sys, dist), z0, 20)
         assert np.allclose(curve, noiseless, rtol=1e-12)
 
@@ -147,24 +146,24 @@ class TestZfAvgBound:
 
         sys = gen_gaussian(4, 1, 1.0, 61)
         dist = row_norm_distribution(sys)
-        model = NoiseAveragedModel(build_model(sys, dist), 0.04)
-        curve = zf_avg_bound_curve(model, np.array([1.0]), 10)
-        assert curve[-1] == pytest.approx(avg_limiting_mse(model), rel=1e-12)
+        model, noise = build_model(sys, dist), IidNoise(0.04)
+        curve = zf_avg_bound_curve(model, noise, np.array([1.0]), 10)
+        assert curve[-1] == pytest.approx(avg_limiting_mse(model, noise), rel=1e-12)
 
     def test_dominates_avg_curve(self):
         sys, dist, _, z0 = random_instance(12, 4, 62)
-        model = NoiseAveragedModel(build_model(sys, dist), 1e-3)
-        bound = zf_avg_bound_curve(model, z0, 200)
-        exact = avg_mse_curve(model, z0, 200)
+        model, noise = build_model(sys, dist), IidNoise(1e-3)
+        bound = zf_avg_bound_curve(model, noise, z0, 200)
+        exact = avg_mse_curve(model, noise, z0, 200)
         assert np.all(bound >= exact.values - 1e-12 * exact.values[0])
 
     def test_small_tomography_ratio(self):
         sys = gen_tomography(4, 6, 5)
         dist = row_norm_distribution(sys)
-        model = NoiseAveragedModel(build_model(sys, dist), 2.25e-4)
+        model, noise = build_model(sys, dist), IidNoise(2.25e-4)
         z0 = -sys.x_true
-        bound = zf_avg_bound_curve(model, z0, 10)
-        floor = avg_limiting_mse(model)
+        bound = zf_avg_bound_curve(model, noise, z0, 10)
+        floor = avg_limiting_mse(model, noise)
         assert bound[-1] / floor >= 1.0
 
 

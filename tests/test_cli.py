@@ -365,6 +365,12 @@ class TestConfigErrors:
         path.write_text("{not json")
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_integer_past_digit_limit(self, tmp_path, capsys):
         # json.loads raises a plain ValueError for an integer over 4300 digits
         path = tmp_path / "huge.json"
@@ -477,6 +483,28 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {key}: " in err and message in err
+
+    @pytest.mark.parametrize("section, desc, key, text, message", [
+        ("matrix", {"kind": "file"}, "matrix.path", "1000000000000000 3\n1 0 0\n",
+         "matrix row 2 of 1000000000000000 missing: file ends before line 3"),
+        ("matrix", {"kind": "file"}, "matrix.path", "2 1000000000000000\n1 0 0\n0 1 0\n",
+         "line 2: expected 1000000000000000 values, found 3"),
+        ("noise", {"kind": "fixed"}, "noise.path", "1000000000000000\n0.1\n",
+         "entry 2 of 1000000000000000 missing: file ends before line 3"),
+        ("noise", {"kind": "fixed"}, "noise.path", "-3\n0.1\n",
+         "line 1: length must be >= 0, got -3"),
+    ], ids=["matrix_rows", "matrix_width", "noise_length", "noise_negative"])
+    def test_header_past_file_rejected(
+        self, tmp_path, eta8, capsys, section, desc, key, text, message
+    ):
+        # a PiB-sized header is refused by the line count, not by numpy's allocator
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        cfg = base_config(eta8)
+        cfg[section] = dict(desc, path=str(path))
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert f"config error: {key}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, desc, key", [
         ("distribution", {"weights": [1, 2, "a", 4, 5, 6, 7, 8]}, "distribution.weights[2]"),

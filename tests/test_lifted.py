@@ -3,7 +3,7 @@ import pytest
 
 from kaczlab import (
     FixedNoise,
-    NoiseAveragedModel,
+    IidNoise,
     SolverError,
     apply_D,
     apply_Q,
@@ -34,7 +34,7 @@ from kaczlab import (
     zf_general_bound_curve,
 )
 from kaczlab import lifted
-from kaczlab.lifted import d_readout, dense_p, weighted_gram
+from kaczlab.lifted import dense_p, weighted_gram
 from kaczlab.problems import LinearSystem
 from kaczlab.seeding import rng_from
 
@@ -256,33 +256,14 @@ class TestApplyD:
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
         assert np.allclose(got, got.T, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_readout_is_dense_adjoint(self, seed):
-        # <W, D u_i> = u_i^T D^T vec(W) for the eigenvectors u_i of P
-        model, _ = random_model(5, 3, seed)
-        dense = dense_lift_oracle(model)
-        _, u = np.linalg.eigh(dense_p(model))
-        b = np.random.default_rng(seed + 70).standard_normal((3, 3))
-        w = (b + b.T).ravel()
-        want = u.T @ (dense.D.T @ w)
-        got = d_readout(model, u) @ w
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_readout_rows_are_apply_D(self):
-        model, _ = random_model(7, 4, 3)
-        u = model.p_eigvecs
-        rows = d_readout(model, u)
-        for i in range(4):
-            assert np.array_equal(rows[i], apply_D(model, u[:, i]).ravel())
-
     def test_readout_peak_is_its_rows(self):
-        # 0.95 MiB of rows, and no (modes x m x n) temporary
+        # exact_mse_curve holds the rows vec(D u_i) of 50 modes, 0.95 MiB,
+        # and no (modes x m x n) temporary (2.9 MiB) beside them
         sys = gen_gaussian(150, 50, 1.0, 3)
         eta = rng_from(3, 1).standard_normal(150)
         model = build_model(sys, row_norm_distribution(sys), eta)
-        rows, peak = traced_peak(d_readout, model, model.p_eigvecs)
-        assert rows.shape == (50, 50 * 50)
-        assert peak <= rows.nbytes + 2**20
+        _, peak = traced_peak(exact_mse_curve, model, rng_from(3, 2).standard_normal(50), 100)
+        assert peak <= 50 * (50 * 50) * 8 + 2 * 2**20
 
     def test_trace_annihilated(self):
         # D^T vec(I) = 0: trace(mat(D v)) == 0 for every v
@@ -552,9 +533,9 @@ class TestCurveStop:
 
     def test_avg_matches_dense_lift(self, horizon):
         sys, dist, _, z0 = horizon
-        model = NoiseAveragedModel(build_model(sys, dist), 1e-3)
-        want, _ = dense_avg_curve(model, z0, self.K_MAX)
-        assert np.allclose(avg_mse_curve(model, z0, self.K_MAX).values, want,
+        model, noise = build_model(sys, dist), IidNoise(1e-3)
+        want, _ = dense_avg_curve(model, noise, z0, self.K_MAX)
+        assert np.allclose(avg_mse_curve(model, noise, z0, self.K_MAX).values, want,
                            rtol=1e-10, atol=0)
 
     def test_apply_q_calls(self, horizon, apply_q_calls):
@@ -563,7 +544,7 @@ class TestCurveStop:
         exact_mse_curve(build_model(sys, dist, eta), z0, self.K_MAX)
         assert len(apply_q_calls) < 1000
         apply_q_calls.clear()
-        avg_mse_curve(NoiseAveragedModel(build_model(sys, dist), 1e-3), z0, self.K_MAX)
+        avg_mse_curve(build_model(sys, dist), IidNoise(1e-3), z0, self.K_MAX)
         assert len(apply_q_calls) < 1000
 
     def test_zero_floor_not_truncated(self):
@@ -654,7 +635,7 @@ class TestTomographySpectra:
     def test_zf_avg_floor(self, model):
         sigma2 = 2.25e-4
         n = model.a_tilde.shape[1]
-        curve = zf_avg_bound_curve(NoiseAveragedModel(model, sigma2), np.zeros(n), 5)
+        curve = zf_avg_bound_curve(model, IidNoise(sigma2), np.zeros(n), 5)
         lam = np.linalg.eigvalsh(dense_p(model))[-1]
         floor = sigma2 * np.sum(model.p / model.row_norms**2) / (1.0 - lam)
         assert curve == pytest.approx(np.full(6, floor), rel=1e-12)

@@ -262,12 +262,9 @@ class TestMonteCarlo:
     def test_resample_false_shares_noise(self):
         sys, dist, _, z0 = random_instance(6, 3, 19)
         x0 = sys.x_true + z0
-        fixed = monte_carlo_mse(
-            sys, IidNoise(0.05), dist, x0, 30, trials=8, seed=11, resample_noise=False
-        )
-        redrawn = monte_carlo_mse(
-            sys, IidNoise(0.05), dist, x0, 30, trials=8, seed=11, resample_noise=True
-        )
+        shared = shared_draw(sys, IidNoise(0.05), 11)
+        fixed = monte_carlo_mse(sys, shared, dist, x0, 30, trials=8, seed=11)
+        redrawn = monte_carlo_mse(sys, IidNoise(0.05), dist, x0, 30, trials=8, seed=11)
         assert not np.array_equal(fixed.mse_mean, redrawn.mse_mean)
 
     def test_rejects_bad_trials(self):
@@ -281,12 +278,17 @@ class TestMonteCarlo:
             monte_carlo_mse(sys, FixedNoise(eta), uniform_distribution(5), np.zeros(3), 5, 2, seed=1)
 
 
-def one_shot_mse(sys, noise, dist, x0, k_max, trials, seed, resample_noise=False):
+def shared_draw(sys, noise, seed):
+    """FixedNoise of the draw of noise that every trial of seed shares."""
+    return FixedNoise(make_measurements(sys, noise, trial_noise_seed(seed))[1])
+
+
+def one_shot_mse(sys, noise, dist, x0, k_max, trials, seed):
     """(mean, stderr) of monte_carlo_mse in one piece: every uniform drawn
     at once, then one kernel call over all k_max steps into a
     (k_max+1, trials) error table."""
-    if isinstance(noise, FixedNoise) or not resample_noise:
-        y, _ = make_measurements(sys, noise, trial_noise_seed(seed))
+    if isinstance(noise, FixedNoise):
+        y, _ = make_measurements(sys, noise)
     else:
         y = np.stack([make_measurements(sys, noise, trial_noise_seed(seed, t))[0]
                       for t in range(trials)])
@@ -312,18 +314,16 @@ def one_shot_mse(sys, noise, dist, x0, k_max, trials, seed, resample_noise=False
 
 
 NOISES = {
-    "fixed": (FixedNoise, False),
-    "iid_shared": (lambda eta: IidNoise(0.04), False),
-    "iid_resampled": (lambda eta: IidNoise(0.04), True),
+    "fixed": lambda sys, eta, seed: FixedNoise(eta),
+    "iid_shared": lambda sys, eta, seed: shared_draw(sys, IidNoise(0.04), seed),
+    "iid_resampled": lambda sys, eta, seed: IidNoise(0.04),
 }
 
 
 def _streamed_and_one_shot(k_max, trials, noise_kind):
     sys, dist, eta, z0 = random_instance(30, 8, 23, noise_scale=0.2)
-    make_noise, resample = NOISES[noise_kind]
-    args = (sys, make_noise(eta), dist, sys.x_true + z0, k_max, trials, 31)
-    curve = monte_carlo_mse(*args, resample_noise=resample)
-    return curve, one_shot_mse(*args, resample_noise=resample)
+    args = (sys, NOISES[noise_kind](sys, eta, 31), dist, sys.x_true + z0, k_max, trials, 31)
+    return monte_carlo_mse(*args), one_shot_mse(*args)
 
 
 class TestStreamedMonteCarlo:
@@ -350,7 +350,8 @@ class TestMonteCarloMemory:
     def _args(self, k_max, trials):
         sys = gen_gaussian(60, 20, 1.0, 41)
         x0 = np.random.default_rng(42).standard_normal(20)
-        return (sys, IidNoise(1e-3), row_norm_distribution(sys), x0, k_max, trials, 43)
+        noise = shared_draw(sys, IidNoise(1e-3), 43)
+        return (sys, noise, row_norm_distribution(sys), x0, k_max, trials, 43)
 
     def test_peak_does_not_grow_with_k_max(self):
         # one-shot, 256 trials x 4096 steps hold ~25 MiB of uniforms, rows,
