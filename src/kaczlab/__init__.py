@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .bounds import (
     sv_bound_curve,
-    zf_avg_bound_curve,
     zf_bound_curve,
     zf_general_bound_curve,
 )
@@ -32,12 +31,7 @@ from .lifted import (
     vec_e,
     vec_f,
 )
-from .noise_avg import (
-    avg_limiting_mse,
-    avg_mse_curve,
-    expected_v1,
-    g_apply,
-)
+from .noise_avg import g_apply
 from .problems import (
     FixedNoise,
     IidNoise,

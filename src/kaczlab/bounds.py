@@ -4,10 +4,13 @@ import numpy as np
 
 from ._num import sq_norm
 from .lifted import i_minus_p_eigvals, lambda_max_P, vec_e
+from .problems import IidNoise
 
 
 def _geometric_curve(z0, rate, k_max, floor=0.0):
     """||z0||^2 rate^k + floor for k = 0..k_max, the shape of every bound here."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     return sq_norm(np.asarray(z0, dtype=float)) * rate ** np.arange(k_max + 1) + floor
 
 
@@ -19,30 +22,23 @@ def sv_bound_curve(sys, z0, k_max):
     return _geometric_curve(z0, 1.0 - sys.kappa**-2, k_max)
 
 
-def zf_bound_curve(sys, z0, eta, k_max):
-    """The noisy refinement: geometric term plus ||eta||^2 / sigma_min^2."""
-    floor = sq_norm(np.asarray(eta, dtype=float)) / sys.sigma_min**2
+def zf_bound_curve(sys, noise, z0, k_max):
+    """The noisy refinement for FixedNoise(eta): geometric term plus ||eta||^2 / sigma_min^2."""
+    floor = sq_norm(noise.eta) / sys.sigma_min**2
     return _geometric_curve(z0, 1.0 - sys.kappa**-2, k_max, floor)
 
 
-def zf_general_bound_curve(model, z0, k_max):
+def zf_general_bound_curve(model, noise, z0, k_max):
     """The p-general bound lambda_max(P)^k ||z0||^2 + tr(e) / (1 - lambda_max(P)).
 
-    Valid for arbitrary positive selection probabilities; tr(e) is
-    sum_i p_i eta~_i^2. A noise-free model's floor is 0, and its gap
-    1 - lambda_max(P) is not read.
+    Valid for arbitrary positive selection probabilities. tr(e) is
+    sum_i p_i eta~_i^2 for a FixedNoise, and its average over an
+    IidNoise(sigma2) is sigma2 sum_i p_i / ||a_i||^2. With zero noise the
+    floor is 0, and the gap 1 - lambda_max(P) is not read.
     """
-    floor = 0.0
-    if model.has_noise:
-        floor = float(np.trace(vec_e(model))) / i_minus_p_eigvals(model)[-1]
-    return _geometric_curve(z0, lambda_max_P(model), k_max, floor)
-
-
-def zf_avg_bound_curve(model, noise, z0, k_max):
-    """Noise average of the p-general bound, for noise = IidNoise(sigma2).
-
-    E_eta sum_i p_i eta~_i^2 = sigma2 sum_i p_i / ||a_i||^2, so the floor is
-    that over (1 - lambda_max(P)). The model's own eta~ is not read.
-    """
-    floor = noise.sigma2 * float(np.sum(model.p / model.row_norms**2)) / i_minus_p_eigvals(model)[-1]
+    if isinstance(noise, IidNoise):
+        power = noise.sigma2 * float(np.sum(model.p / model.row_norms**2))
+    else:
+        power = float(np.trace(vec_e(model, noise)))
+    floor = power / i_minus_p_eigvals(model)[-1] if power else 0.0
     return _geometric_curve(z0, lambda_max_P(model), k_max, floor)

@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .bounds import sv_bound_curve, zf_bound_curve, zf_general_bound_curve, zf_avg_bound_curve
+from .bounds import sv_bound_curve, zf_bound_curve, zf_general_bound_curve
 from .lifted import (
     build_model,
     exact_mse_curve,
@@ -20,7 +20,6 @@ from .lifted import (
     lambda_max_Q,
     limiting_mse,
 )
-from .noise_avg import avg_limiting_mse, avg_mse_curve
 from .problems import (
     FixedNoise,
     IidNoise,
@@ -324,22 +323,25 @@ def run_experiment(cfg, verbose=False):
     if iid is not None and not resample:
         # one draw, shared by every trial and by the exact curve
         noise = FixedNoise(make_measurements(sys_obj, iid, trial_noise_seed(seed))[1])
-    eta = noise.eta if isinstance(noise, FixedNoise) else None
+    fixed = noise if isinstance(noise, FixedNoise) else None
+    # the noise spec each analysis reads, the realized vector or the average
+    # over draws, and the scalar that takes its floor
+    analyses = {"exact": (fixed, "floor_exact"), "exact_avg": (iid, "floor_avg")}
+    bounded = {"bound_zf_general": "exact", "bound_zf_avg": "exact_avg"}
 
     def log(msg):
         if verbose:
             print(msg, file=_sys.stderr)
 
-    # the noise average reads only P, Q and g, which ignore eta: one model serves both
-    model = build_model(sys_obj, dist, eta)
+    model = build_model(sys_obj, dist)
 
     curves = {}
     scalars = {
         "m": m, "n": n, "sigma_min": sys_obj.sigma_min, "kappa": sys_obj.kappa,
         "lambda_max_p": lambda_max_P(model), "lambda_max_q": lambda_max_Q(model),
     }
-    if eta is not None:
-        scalars["eta_sq_norm"] = float(eta @ eta)
+    if fixed is not None:
+        scalars["eta_sq_norm"] = float(fixed.eta @ fixed.eta)
 
     for kind in outputs:
         log(f"computing {kind} ...")
@@ -347,28 +349,21 @@ def run_experiment(cfg, verbose=False):
             emp = monte_carlo_mse(sys_obj, noise, dist, x0, k_max, trials, seed)
             curves["empirical"] = emp.mse_mean
             curves["empirical_stderr"] = emp.mse_stderr
-        elif kind == "exact":
-            curve = exact_mse_curve(model, z0, k_max)
-            curves["exact"] = curve.values
-            scalars["floor_exact"] = curve.floor
-        elif kind == "exact_avg":
-            curve = avg_mse_curve(model, iid, z0, k_max)
-            curves["exact_avg"] = curve.values
-            scalars["floor_avg"] = curve.floor
+        elif kind in analyses:
+            spec, key = analyses[kind]
+            curve = exact_mse_curve(model, spec, z0, k_max)
+            curves[kind], scalars[key] = curve.values, curve.floor
+        elif kind in bounded:
+            curves[kind] = zf_general_bound_curve(model, analyses[bounded[kind]][0], z0, k_max)
         elif kind == "bound_sv":
             curves["bound_sv"] = sv_bound_curve(sys_obj, z0, k_max)
         elif kind == "bound_zf":
-            curves["bound_zf"] = zf_bound_curve(sys_obj, z0, eta, k_max)
-        elif kind == "bound_zf_general":
-            curves["bound_zf_general"] = zf_general_bound_curve(model, z0, k_max)
-        elif kind == "bound_zf_avg":
-            curves["bound_zf_avg"] = zf_avg_bound_curve(model, iid, z0, k_max)
+            curves["bound_zf"] = zf_bound_curve(sys_obj, fixed, z0, k_max)
         elif kind == "floor":
             # exact / exact_avg, computed before floor, already solved for it
-            if eta is not None and "floor_exact" not in scalars:
-                scalars["floor_exact"] = limiting_mse(model)
-            if iid is not None and "floor_avg" not in scalars:
-                scalars["floor_avg"] = avg_limiting_mse(model, iid)
+            for spec, key in analyses.values():
+                if spec is not None and key not in scalars:
+                    scalars[key] = limiting_mse(model, spec)
     return curves, scalars, warnings
 
 

@@ -1,4 +1,4 @@
-"""Exact fixed-noise MSE analysis of randomized Kaczmarz via lifting.
+"""Exact MSE analysis of randomized Kaczmarz via lifting.
 
 The squared error is tracked through the pair (S_k, m_k) where
 S_k = E z^(k) z^(k)T and m_k = E z^(k): both evolve linearly under the
@@ -9,11 +9,14 @@ probability-weighted projector moments
     D.v = vec(sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i))
     e = vec(sum_i p_i eta~_i^2 a~_i a~_i^T),   f = sum_i p_i eta~_i a~_i
 
-with P_i = I - a~_i a~_i^T. Everything n^2-dimensional is represented as an
-n x n matrix; vec/mat are implicit reshapes and never materialized. For
-n <= DENSE_ORACLE_MAX_N, Q is also held as a dense matrix on the
-n(n+1)/2-dimensional space of symmetric matrices, the only ones the curves
-and solvers give it (apply_Q).
+with P_i = I - a~_i a~_i^T and eta~_i = eta_i / ||a_i|| for a FixedNoise(eta).
+The model holds no noise: each analysis takes a FixedNoise or an IidNoise,
+and _noise_terms alone maps it to a curve's fixed point and drive.
+
+Everything n^2-dimensional is represented as an n x n matrix; vec/mat are
+implicit reshapes and never materialized. For n <= DENSE_ORACLE_MAX_N, Q is
+also held as a dense matrix on the n(n+1)/2-dimensional space of symmetric
+matrices, the only ones the curves and solvers give it (apply_Q).
 
 Q is self-adjoint, so each MSE curve is read from the adjoint iterates
 W_j = Q^j I: the error trace <I, Q^k X_0> is <W_k, X_0>, and the drive of
@@ -26,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._num import frob_dot, sq_norm
-from .problems import LinearSystem
+from .noise_avg import g_apply
+from .problems import FixedNoise, IidNoise, LinearSystem
 from .rka import RowDistribution
 
 DENSE_ORACLE_MAX_N = 12
@@ -50,11 +54,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LiftedModel:
-    """Normalized rows, normalized noise, selection probabilities, eigh(P),
-    and for n <= DENSE_ORACLE_MAX_N Q tabulated on symmetric matrices.
-
-    The noise enters only through D, e and f; a noise-free model is one with
-    eta_tilde = 0, for which all three vanish.
+    """Normalized rows, selection probabilities, eigh(P), and for n <=
+    DENSE_ORACLE_MAX_N Q tabulated on symmetric matrices; no noise.
 
     q_table is (table, upper, full), or None for n > DENSE_ORACLE_MAX_N.
     upper indexes the n(n+1)/2 entries k <= l of a raveled n x n matrix, and
@@ -69,7 +70,6 @@ class LiftedModel:
     a_tilde: np.ndarray           # (m, n), unit rows
     p: np.ndarray                 # (m,)
     row_norms: np.ndarray         # (m,)
-    eta_tilde: np.ndarray         # (m,), zero for noise-free
     p_rows: np.ndarray = field(init=False)      # (m, n), rows p_i a~_i
     p_eigvals: np.ndarray = field(init=False)   # (n,) ascending, P's one eigh
     p_eigvecs: np.ndarray = field(init=False)   # (n, n) as columns
@@ -86,14 +86,6 @@ class LiftedModel:
         object.__setattr__(self, "p_eigvecs", u)
         small = self.a_tilde.shape[1] <= DENSE_ORACLE_MAX_N
         object.__setattr__(self, "q_table", _tabulate_q(self) if small else None)
-
-    @property
-    def shape(self):
-        return self.a_tilde.shape
-
-    @property
-    def has_noise(self):
-        return bool(self.eta_tilde.any())
 
 
 @dataclass(frozen=True)
@@ -117,19 +109,23 @@ class DenseLift:
     G: np.ndarray   # (n^2, n^2), vec(g(M)) = G vec(M), g as in noise_avg.g_apply
 
 
-def build_model(sys: LinearSystem, dist: RowDistribution, eta=None):
-    """Normalize rows and noise by the row norms; eta=None means eta = 0, noise-free."""
+def build_model(sys: LinearSystem, dist: RowDistribution):
+    """Normalize the rows by their norms and pair them with dist's probabilities."""
     m, _ = sys.a.shape
     if dist.m != m:
         raise ValueError(f"distribution has {dist.m} entries for {m} rows")
     a_tilde = sys.a / sys.row_norms[:, None]
-    eta = np.zeros(m) if eta is None else np.asarray(eta, dtype=float)
-    if eta.shape != (m,):
-        raise ValueError(f"eta must have length {m}, got {eta.shape}")
-    eta_tilde = eta / sys.row_norms
-    for arr in (a_tilde, eta_tilde):
-        arr.setflags(write=False)
-    return LiftedModel(a_tilde, dist.p, sys.row_norms, eta_tilde)
+    a_tilde.setflags(write=False)
+    return LiftedModel(a_tilde, dist.p, sys.row_norms)
+
+
+def _scaled_eta(model, noise):
+    """eta~ = eta / ||a_i|| of a FixedNoise with one entry per row of the model."""
+    if not isinstance(noise, FixedNoise):
+        raise TypeError(f"unsupported noise spec: {noise!r}")
+    if noise.eta.shape != model.row_norms.shape:
+        raise ValueError(f"eta must have length {model.row_norms.size}, got {noise.eta.shape}")
+    return noise.eta / model.row_norms
 
 
 def _q_half(at, pat, x):
@@ -189,27 +185,27 @@ def apply_Q(model, s):
     return _apply_q_implicit(model, s)
 
 
-def apply_D(model, v):
-    """mat(D v) = sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i); symmetric.
+def apply_D(model, noise, v):
+    """mat(D v) = sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i), for a FixedNoise; symmetric.
 
     With c = p eta~ that is H + H^T for H = v (A~^T c)^T - A~^T diag(c A~v) A~.
     """
     at = model.a_tilde
-    c = model.p * model.eta_tilde
+    c = model.p * _scaled_eta(model, noise)
     half = np.outer(v, at.T @ c) - at.T @ ((c * (at @ v))[:, None] * at)
     return half + half.T
 
 
-def vec_e(model):
-    """mat(e) = sum_i p_i eta~_i^2 a~_i a~_i^T (symmetric PSD)."""
+def vec_e(model, noise):
+    """mat(e) = sum_i p_i eta~_i^2 a~_i a~_i^T for a FixedNoise (symmetric PSD)."""
     at = model.a_tilde
-    w = model.p * model.eta_tilde**2
+    w = model.p * _scaled_eta(model, noise)**2
     return at.T @ (w[:, None] * at)
 
 
-def vec_f(model):
-    """f = sum_i p_i eta~_i a~_i."""
-    return model.a_tilde.T @ (model.p * model.eta_tilde)
+def vec_f(model, noise):
+    """f = sum_i p_i eta~_i a~_i for a FixedNoise."""
+    return model.a_tilde.T @ (model.p * _scaled_eta(model, noise))
 
 
 def weighted_gram(model):
@@ -239,10 +235,10 @@ def i_minus_p_eigvals(model):
     return gap
 
 
-def solve_v2(model):
-    """v2 = (I - P)^{-1} f in P's eigenbasis, with its residual verified."""
+def solve_v2(model, noise):
+    """v2 = (I - P)^{-1} f for a FixedNoise, in P's eigenbasis, with its residual verified."""
     gap, u = i_minus_p_eigvals(model), model.p_eigvecs
-    f = vec_f(model)
+    f = vec_f(model, noise)
     v2 = u @ ((u.T @ f) / gap)
     resid = np.linalg.norm(weighted_gram(model) @ v2 - f)
     if resid > V2_REL_TOL * np.linalg.norm(f):
@@ -296,15 +292,38 @@ def _solve_i_minus_q(model, rhs):
     )
 
 
-def _fixed_point(model):
-    """(mat(v1), v2), the fixed point of the block recursion; v2 solved once."""
-    v2 = solve_v2(model)
-    return _solve_i_minus_q(model, vec_e(model) + apply_D(model, v2)), v2
+def _noise_terms(model, noise, z0):
+    """_lifted_curve's fixed point v and drive (c, op) for a noise spec.
+
+    FixedNoise: the block map (S, m) -> (Q S + D m + e, P m + f) has the
+    fixed point (v1, v2), v1 = (I - Q)^{-1} [e + D v2]; around it the drive
+    is D P^l (z0 - v2), so c = U^T (z0 - v2) and R_i = D u_i. IidNoise: the
+    average, with E[D M f] = sigma2 g(M), has the fixed point E v1 = sigma2
+    (I-Q)^{-1} [sum_i p_i a~_i a~_i^T / ||a_i||^2 + g((I-P)^{-1})] and the
+    drive -sigma2 g(P^l (I-P)^{-1}): c_i = -sigma2 / (1 - lam_i), R_i =
+    g(u_i u_i^T). Zero noise of either kind is (None, None), the undriven
+    curve, with no (I - P) or (I - Q) solve. Anything else is a TypeError.
+    """
+    if isinstance(noise, IidNoise):
+        if noise.sigma2 == 0.0:
+            return None, None
+        at, gap, u = model.a_tilde, i_minus_p_eigvals(model), model.p_eigvecs
+        weights = model.p / model.row_norms**2
+        rhs = at.T @ (weights[:, None] * at) + g_apply(model, (u / gap) @ u.T)
+        return noise.sigma2 * _solve_i_minus_q(model, rhs), (
+            -noise.sigma2 / gap, lambda model, u: g_apply(model, np.outer(u, u)))
+    if not _scaled_eta(model, noise).any():
+        return None, None
+    v2 = solve_v2(model, noise)
+    v1 = _solve_i_minus_q(model, vec_e(model, noise) + apply_D(model, noise, v2))
+    return v1, (model.p_eigvecs.T @ (z0 - v2), lambda model, u: apply_D(model, noise, u))
 
 
-def solve_v1(model):
-    """mat(v1) = (I - Q)^{-1} [e + D v2], the second-moment fixed point."""
-    return _fixed_point(model)[0]
+def solve_v1(model, noise):
+    """mat(v1) of a FixedNoise or E v1 of an IidNoise; zero for zero noise."""
+    n = model.a_tilde.shape[1]
+    v, _ = _noise_terms(model, noise, np.zeros(n))   # the drive is not read
+    return np.zeros((n, n)) if v is None else v
 
 
 def _lifted_curve(model, z0, v, drive, k_max):
@@ -387,35 +406,29 @@ def _lifted_curve(model, z0, v, drive, k_max):
     return MseCurve(values[: k_max + 1], floor)
 
 
-def exact_mse_curve(model, z0, k_max):
-    """The exact MSE trajectory for a fixed noise vector.
-
-    The block map (S, m) -> (Q S + D m + e, P m + f) from (z0 z0^T, z0) has
-    the fixed point (v1, v2), so around it the recursion is homogeneous:
-    X_0 = z0 z0^T - v1 driven by D P^l (z0 - v2), whose modes are the
-    model's lam, u = eigh(P), c = u^T (z0 - v2) and R_i = D u_i, with floor
-    trace(v1). For a noise-free model (eta~ = 0) D, e and f vanish, so the
-    fixed point is zero and the curve is the undriven one from X_0 = z0 z0^T,
-    whatever P's spectrum: no (I - P) or (I - Q) solve is made. values[k] =
-    trace(S_k).
-    """
+def exact_mse_curve(model, noise, z0, k_max):
+    """values[k] = E ||x^(k) - x_true||^2 for k <= k_max, given a FixedNoise's
+    vector or averaged over an IidNoise's draws: _lifted_curve around
+    _noise_terms' fixed point, whose trace is the floor, with its drive."""
     z0 = np.asarray(z0, dtype=float)
-    if not model.has_noise:
-        return _lifted_curve(model, z0, None, None, k_max)
-    v1, v2 = _fixed_point(model)
-    return _lifted_curve(model, z0, v1, (model.p_eigvecs.T @ (z0 - v2), apply_D), k_max)
+    n = model.a_tilde.shape[1]
+    if z0.shape != (n,):
+        raise ValueError(f"z0 must have length {n}, got {z0.shape}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    return _lifted_curve(model, z0, *_noise_terms(model, noise, z0), k_max)
 
 
-def exact_mse_at(model, z0, k):
-    """MSE at a single iteration: exact_mse_curve(model, z0, k).values[k]."""
-    return float(exact_mse_curve(model, z0, k).values[k])
+def exact_mse_at(model, noise, z0, k):
+    """MSE at a single iteration: exact_mse_curve(model, noise, z0, k).values[k]."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return float(exact_mse_curve(model, noise, z0, k).values[k])
 
 
-def limiting_mse(model):
-    """The error floor trace(mat(v1)); zero for noise-free models."""
-    if not model.has_noise:
-        return 0.0
-    return float(np.trace(solve_v1(model)))
+def limiting_mse(model, noise):
+    """The error floor trace(solve_v1(model, noise)); zero for zero noise."""
+    return float(np.trace(solve_v1(model, noise)))
 
 
 def lambda_max_P(model):
@@ -477,11 +490,12 @@ def lambda_max_Q(model):
     )
 
 
-def dense_lift_oracle(model):
+def dense_lift_oracle(model, noise):
     """Assemble P, Q, D, e, f, H = [[Q, D], [0, P]] and g's matrix G explicitly.
 
-    G = sum_i (p_i^2/||a_i||^2) D_i (I (x) a~_i^T), with D_i the noise-free
-    part of D's i-th term, does not depend on eta~.
+    D, e and f are those of the FixedNoise noise. G = sum_i (p_i^2/||a_i||^2)
+    D_i (I (x) a~_i^T), with D_i the noise-free part of D's i-th term, does
+    not depend on it.
 
     Kronecker products make this O(n^4) in space, so it is guarded to
     n <= 12 and meant only for cross-checking the implicit operators.
@@ -496,6 +510,7 @@ def dense_lift_oracle(model):
     e_v = np.zeros(n * n)
     f_v = np.zeros(n)
     g_mat = np.zeros((n * n, n * n))
+    scaled = _scaled_eta(model, noise)
     for i in range(m):
         at = model.a_tilde[i]
         proj = eye - np.outer(at, at)
@@ -504,7 +519,7 @@ def dense_lift_oracle(model):
         col = at.reshape(-1, 1)
         d_i = np.kron(col, proj) + np.kron(proj, col)
         g_mat += (model.p[i] ** 2 / model.row_norms[i] ** 2) * (d_i @ np.kron(eye, at))
-        etai = model.eta_tilde[i]
+        etai = scaled[i]
         d_mat += model.p[i] * etai * d_i
         e_v += model.p[i] * etai**2 * np.kron(at, at)
         f_v += model.p[i] * etai * at

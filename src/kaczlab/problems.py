@@ -75,7 +75,7 @@ class FixedNoise:
     eta: np.ndarray
 
     def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
+        eta = np.array(self.eta, dtype=float)   # a copy: the caller's array stays writable
         if eta.ndim != 1 or not np.all(np.isfinite(eta)):
             raise ValueError("eta must be a finite 1-D vector")
         eta.setflags(write=False)

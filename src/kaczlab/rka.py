@@ -205,6 +205,8 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     m, n = sys.a.shape
     x0 = np.ascontiguousarray(x0, dtype=float)
     if x0.shape != (n,):

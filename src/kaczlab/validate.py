@@ -24,7 +24,7 @@ from .lifted import (
     solve_v2,
 )
 from .noise_avg import g_apply
-from .problems import gen_gaussian
+from .problems import FixedNoise, gen_gaussian
 from .rka import make_distribution, row_norm_distribution
 from .seeding import rng_from
 
@@ -77,42 +77,42 @@ def _rel_dev(got, want):
 
 def enumeration_checks(sys, dist, eta, z0, k_max):
     """exact_mse_curve and exact_mse_at against exhaustive enumeration, k <= k_max."""
-    model = build_model(sys, dist, eta)
+    model, noise = build_model(sys, dist), FixedNoise(eta)
     enum = enumerated_mse_curve(sys, eta, dist, z0, k_max)
-    at_k = [exact_mse_at(model, z0, k) for k in range(k_max + 1)]
+    at_k = [exact_mse_at(model, noise, z0, k) for k in range(k_max + 1)]
     return {
-        "enum_vs_curve": _rel_dev(exact_mse_curve(model, z0, k_max).values, enum),
+        "enum_vs_curve": _rel_dev(exact_mse_curve(model, noise, z0, k_max).values, enum),
         "enum_vs_closed_form": _rel_dev(at_k, enum),
     }
 
 
-def dense_lift_checks(model, v, s, mmat):
-    """P, Q, D, g, v2 and v1 against the dense lift, on a vector v and n x n s, mmat.
+def dense_lift_checks(model, noise, v, s, mmat):
+    """P, Q, D, g, v2 and v1 of a FixedNoise against the dense lift, on v and n x n s, mmat.
 
     Q is checked on s and on s + s^T: a non-symmetric s takes apply_Q's
     implicit form, and s + s^T its table.
     """
     n = model.a_tilde.shape[1]
-    dense = dense_lift_oracle(model)
+    dense = dense_lift_oracle(model, noise)
     v2 = np.linalg.solve(np.eye(n) - dense.P, dense.f)
     v1 = np.linalg.solve(np.eye(n * n) - dense.Q, dense.e + dense.D @ v2).reshape(n, n)
     return {
         "dense_P": _rel_dev(dense_p(model) @ v, dense.P @ v),
         "dense_Q": max(_rel_dev(apply_Q(model, x), (dense.Q @ x.ravel()).reshape(n, n))
                        for x in (s, s + s.T)),
-        "dense_D": _rel_dev(apply_D(model, v), (dense.D @ v).reshape(n, n)),
+        "dense_D": _rel_dev(apply_D(model, noise, v), (dense.D @ v).reshape(n, n)),
         "dense_g": _rel_dev(g_apply(model, mmat), (dense.G @ mmat.ravel()).reshape(n, n)),
-        "dense_v2": _rel_dev(solve_v2(model), v2),
-        "dense_v1": _rel_dev(solve_v1(model), v1),
+        "dense_v2": _rel_dev(solve_v2(model, noise), v2),
+        "dense_v1": _rel_dev(solve_v1(model, noise), v1),
     }
 
 
-def spectral_checks(model, s, v):
+def spectral_checks(model, noise, s, v):
     """0 < lambda_max(Q) <= lambda_max(P) < 1 (as violations), both against dense
     eigvalsh, spec H = spec Q + spec P, and, for symmetric s, the identities
     tr(Q s) = tr(P s) and tr(D v) = 0.
     """
-    dense = dense_lift_oracle(model)
+    dense = dense_lift_oracle(model, noise)
     lam_p = lambda_max_P(model)
     lam_q = lambda_max_Q(model)
     h_eigs = np.sort(np.linalg.eigvals(dense.H).real)
@@ -120,7 +120,7 @@ def spectral_checks(model, s, v):
         np.concatenate([np.linalg.eigvalsh(dense.Q), np.linalg.eigvalsh(dense.P)])
     )
     tq = abs(np.trace(apply_Q(model, s)) - np.trace(dense.P @ s))
-    td = abs(np.trace(apply_D(model, v)))
+    td = abs(np.trace(apply_D(model, noise, v)))
     return {
         "lambda_q_le_lambda_p": max(lam_q - lam_p, 0.0),
         "lambda_p_below_one": max(lam_p - (1.0 - 1e-12), 0.0),
@@ -162,22 +162,22 @@ def run_suite():
         checks += _checks(enumeration_checks(sys, dist, eta, z0, 4), f"_{m}x{n}")
 
     sys, dist, eta, _ = _random_instance(4, 3, 13)
-    model = build_model(sys, dist, eta)
+    model, noise = build_model(sys, dist), FixedNoise(eta)
     rng = rng_from(13, 0xD)
     v = rng.standard_normal(3)
     smat = rng.standard_normal((3, 3))
     mrand = rng.standard_normal((3, 3))
-    checks += _checks(dense_lift_checks(model, v, smat, mrand))
-    checks += _checks(spectral_checks(model, smat + smat.T, v))
+    checks += _checks(dense_lift_checks(model, noise, v, smat, mrand))
+    checks += _checks(spectral_checks(model, noise, smat + smat.T, v))
 
     # scalar collapse: n = 1 means every projector is zero
     sys1 = gen_gaussian(3, 1, 1.0, 14)
     eta1 = rng_from(14, 0xC).standard_normal(3)
-    model1 = build_model(sys1, row_norm_distribution(sys1), eta1)
-    expected_floor = float(np.sum(model1.p * model1.eta_tilde**2))
-    curve1 = exact_mse_curve(model1, np.array([2.0]), 3).values
+    model1, noise1 = build_model(sys1, row_norm_distribution(sys1)), FixedNoise(eta1)
+    expected_floor = float(np.sum(model1.p * (eta1 / sys1.row_norms)**2))
+    curve1 = exact_mse_curve(model1, noise1, np.array([2.0]), 3).values
     checks += _checks({
-        "scalar_floor": abs(limiting_mse(model1) - expected_floor) / expected_floor,
+        "scalar_floor": abs(limiting_mse(model1, noise1) - expected_floor) / expected_floor,
         "scalar_curve_constant": _rel_dev(curve1[1:], expected_floor),
         "scalar_lambdas_zero": abs(lambda_max_P(model1)) + abs(lambda_max_Q(model1)),
     })

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kaczlab import build_model, dense_lift_oracle, gen_gaussian, lifted, make_distribution
+from kaczlab import (FixedNoise, build_model, dense_lift_oracle, gen_gaussian, lifted,
+                     make_distribution)
 from kaczlab.seeding import rng_from
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -21,16 +22,17 @@ def random_instance(m, n, seed, noise_scale=1.0):
 
 
 def random_model(m, n, seed, noise_scale=1.0):
+    """(model, FixedNoise(eta), z0) of random_instance."""
     sys, dist, eta, z0 = random_instance(m, n, seed, noise_scale)
-    return build_model(sys, dist, eta), z0
+    return build_model(sys, dist), FixedNoise(eta), z0
 
 
-def dense_exact_curve(model, z0, k_max):
+def dense_exact_curve(model, noise, z0, k_max):
     """trace(S_k) for k <= k_max, stepping the inhomogeneous form
-    S <- Q S + D m + e, m <- P m + f on the assembled Kronecker matrices from
-    (z0 (x) z0, z0)."""
+    S <- Q S + D m + e, m <- P m + f of a FixedNoise on the assembled
+    Kronecker matrices from (z0 (x) z0, z0)."""
     n = z0.size
-    dense = dense_lift_oracle(model)
+    dense = dense_lift_oracle(model, noise)
     s, mv = np.kron(z0, z0), z0.copy()
     want = [z0 @ z0]
     for _ in range(k_max):
@@ -45,7 +47,7 @@ def dense_avg_curve(model, noise, z0, k_max):
     (I-P)^-1) + tr(E v1), with E v1 by a dense solve."""
     sigma2 = noise.sigma2
     m, n = model.a_tilde.shape
-    dense = dense_lift_oracle(model)
+    dense = dense_lift_oracle(model, FixedNoise(np.zeros(m)))   # P, Q and G only
     gram_rhs = sum(
         model.p[i] / model.row_norms[i] ** 2 * np.kron(model.a_tilde[i], model.a_tilde[i])
         for i in range(m)

@@ -11,8 +11,6 @@ import pytest
 from kaczlab import (
     FixedNoise,
     IidNoise,
-    avg_limiting_mse,
-    avg_mse_curve,
     build_model,
     dense_lift_oracle,
     exact_mse_curve,
@@ -21,10 +19,10 @@ from kaczlab import (
     gen_tomography,
     lambda_max_P,
     lambda_max_Q,
+    limiting_mse,
     monte_carlo_mse,
     row_norm_distribution,
     sv_bound_curve,
-    zf_avg_bound_curve,
     zf_bound_curve,
     zf_general_bound_curve,
 )
@@ -61,12 +59,12 @@ def test_criterion_2_dense_lift_equivalence():
     worst = 0.0
     for seed, (m, n) in enumerate([(6, 3), (8, 4), (9, 5), (10, 6), (7, 4), (12, 6)]):
         sys, dist, eta, _ = random_instance(m, n, seed + 2000)
-        model = build_model(sys, dist, eta)
+        model = build_model(sys, dist)
         rng = rng_from(seed, 0xACC2)
         v = rng.standard_normal(n)
         s = rng.standard_normal((n, n))
         mmat = rng.standard_normal((n, n))
-        worst = max(worst, *dense_lift_checks(model, v, s, mmat).values())
+        worst = max(worst, *dense_lift_checks(model, FixedNoise(eta), v, s, mmat).values())
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
     report(2, "dense-lift equivalence", ok,
@@ -82,9 +80,9 @@ def test_criterion_3_fixed_noise_experiment():
     eta *= np.sqrt(1.6) / np.linalg.norm(eta)       # ||eta||^2 = 1.6
     x0 = sys.x_true + rng.standard_normal(50)
     z0 = x0 - sys.x_true
-    model = build_model(sys, dist, eta)
-    exact = exact_mse_curve(model, z0, 2000)
-    emp = monte_carlo_mse(sys, FixedNoise(eta), dist, x0, 2000, 1007, seed=606)
+    model, noise = build_model(sys, dist), FixedNoise(eta)
+    exact = exact_mse_curve(model, noise, z0, 2000)
+    emp = monte_carlo_mse(sys, noise, dist, x0, 2000, 1007, seed=606)
     rows = []
     ok = True
     for k in (0, 1, 10, 100, 500, 1000, 2000):
@@ -92,8 +90,8 @@ def test_criterion_3_fixed_noise_experiment():
         lim = 4 * emp.mse_stderr[k]
         ok &= diff <= lim
         rows.append(f"k={k}:{diff:.1e}<={lim:.1e}")
-    zf = zf_bound_curve(sys, z0, eta, 2000)
-    zf_gen = zf_general_bound_curve(model, z0, 2000)
+    zf = zf_bound_curve(sys, noise, z0, 2000)
+    zf_gen = zf_general_bound_curve(model, noise, z0, 2000)
     slack = 1e-12 * exact.values[0]
     dom = bool(np.all(zf >= exact.values - slack) and np.all(zf_gen >= exact.values - slack))
     dom_emp = bool(np.all(zf >= emp.mse_mean - slack))
@@ -112,7 +110,7 @@ def test_criterion_4_noise_averaged_experiment():
     model, noise = build_model(sys, dist), IidNoise(sigma2)
     x0 = np.zeros(n)
     z0 = x0 - sys.x_true
-    theory = avg_mse_curve(model, noise, z0, 3000)
+    theory = exact_mse_curve(model, noise, z0, 3000)
     emp = monte_carlo_mse(sys, noise, dist, x0, 3000, 1007, seed=707)
     rows = []
     ok = True
@@ -121,8 +119,8 @@ def test_criterion_4_noise_averaged_experiment():
         lim = 4 * emp.mse_stderr[k]
         ok &= diff <= lim
         rows.append(f"k={k}:{diff:.1e}<={lim:.1e}")
-    bound_floor = zf_avg_bound_curve(model, noise, np.zeros(n), 0)[0]
-    floor = avg_limiting_mse(model, noise)
+    bound_floor = zf_general_bound_curve(model, noise, np.zeros(n), 0)[0]
+    floor = limiting_mse(model, noise)
     ratio = bound_floor / floor
     ok = ok and ratio >= 1.0
     elapsed = time.perf_counter() - t0
@@ -132,10 +130,11 @@ def test_criterion_4_noise_averaged_experiment():
            f"{ratio:.1f} (hard assertion: ratio >= 1); {elapsed:.1f}s")
 
 
-def dense_floors(model, sigma2):
-    """trace(v1) and trace(E v1) by dense solves on the assembled Kronecker lift."""
+def dense_floors(model, noise, sigma2):
+    """trace(v1) of a FixedNoise and trace(E v1) of IidNoise(sigma2) by dense
+    solves on the assembled Kronecker lift."""
     m, n = model.a_tilde.shape
-    dense = dense_lift_oracle(model)
+    dense = dense_lift_oracle(model, noise)
     i_minus_p, i_minus_q = np.eye(n) - dense.P, np.eye(n * n) - dense.Q
     v2 = np.linalg.solve(i_minus_p, dense.f)
     v1 = np.linalg.solve(i_minus_q, dense.e + dense.D @ v2)
@@ -157,12 +156,12 @@ def test_criterion_5_limiting_consistency():
         m = 6 + 2 * i            # 6..24
         n = 2 + i % 7            # 2..8
         sys, dist, eta, z0 = random_instance(m, n, i + 3000, noise_scale=0.4)
-        model = build_model(sys, dist, eta)
-        curve = exact_mse_curve(model, z0, k_big)
+        model, noise = build_model(sys, dist), FixedNoise(eta)
+        curve = exact_mse_curve(model, noise, z0, k_big)
         worst_exact = max(worst_exact, abs(curve.values[-1] - curve.floor) / curve.floor)
-        acurve = avg_mse_curve(build_model(sys, dist), IidNoise(sigma2), z0, k_big)
+        acurve = exact_mse_curve(model, IidNoise(sigma2), z0, k_big)
         worst_avg = max(worst_avg, abs(acurve.values[-1] - acurve.floor) / acurve.floor)
-        floor, afloor = dense_floors(model, sigma2)
+        floor, afloor = dense_floors(model, noise, sigma2)
         worst_dense = max(worst_dense, abs(curve.floor - floor) / floor,
                           abs(acurve.floor - afloor) / afloor)
     ok = worst_exact <= 1e-8 and worst_avg <= 1e-8 and worst_dense <= 1e-8
@@ -177,8 +176,8 @@ def test_criterion_6_identity_tightness():
     dist = row_norm_distribution(sys)      # uniform for the identity
     z0 = rng_from(6, 0xACC6).standard_normal(n)
     k_max = 60
-    model = build_model(sys, dist, np.zeros(n))
-    exact = exact_mse_curve(model, z0, k_max).values
+    model = build_model(sys, dist)
+    exact = exact_mse_curve(model, FixedNoise(np.zeros(n)), z0, k_max).values
     closed = float(z0 @ z0) * (1 - 1 / n) ** np.arange(k_max + 1)
     bound = sv_bound_curve(sys, z0, k_max)
     dev_closed = np.max(np.abs(exact - closed) / closed)
@@ -194,12 +193,12 @@ def test_criterion_7_spectral_suite():
         n = 2 + seed % 4       # 2..5 so the dense H stays small
         m = n + 2 + seed % 4
         sys, dist, eta, _ = random_instance(m, n, seed + 4000)
-        model = build_model(sys, dist, eta)
+        model = build_model(sys, dist)
         lam_q, lam_p = lambda_max_Q(model), lambda_max_P(model)
         assert 0.0 < lam_q and lam_p < 1.0
         rng = rng_from(seed, 0xACC7)
         b = rng.standard_normal((n, n))
-        dev = spectral_checks(model, b + b.T, rng.standard_normal(n))
+        dev = spectral_checks(model, FixedNoise(eta), b + b.T, rng.standard_normal(n))
         worst_order = max(worst_order, dev["lambda_q_le_lambda_p"])
         worst_union = max(worst_union, dev["h_spectrum_union"])
         worst_trace = max(worst_trace, dev["trace_Q_identity"], dev["trace_D_zero"])
@@ -213,13 +212,13 @@ def test_criterion_8_sigma2_linearity():
     sys, dist, _, z0 = random_instance(15, 5, 8000)
     base = build_model(sys, dist)
     k_max = 80
-    noiseless = avg_mse_curve(base, IidNoise(0.0), z0, k_max).values
+    noiseless = exact_mse_curve(base, IidNoise(0.0), z0, k_max).values
     worst = 0.0
     ref_s = 1e-6
-    ref = avg_mse_curve(base, IidNoise(ref_s), z0, k_max).values
+    ref = exact_mse_curve(base, IidNoise(ref_s), z0, k_max).values
     unit_noise = (ref - noiseless) / ref_s          # per-sigma2 contribution
     for s2 in (1e-6, 1e-4, 1e-2):
-        curve = avg_mse_curve(base, IidNoise(s2), z0, k_max).values
+        curve = exact_mse_curve(base, IidNoise(s2), z0, k_max).values
         predicted = noiseless + s2 * unit_noise
         worst = max(worst, np.max(np.abs(curve - predicted) / np.abs(curve)))
     ok = worst <= 1e-10
@@ -237,10 +236,10 @@ def test_criterion_9_complexity_scaling():
         sys = gen_gaussian(m, n, 1.0, 9000 + n)
         dist = row_norm_distribution(sys)
         eta = rng_from(n, 0xACC9).standard_normal(m) * 0.1
-        model = build_model(sys, dist, eta)
+        model, noise = build_model(sys, dist), FixedNoise(eta)
         z0 = rng_from(n, 0xACCA).standard_normal(n)
-        exact_mse_curve(model, z0, 10)  # warm-up
-        runs[n] = (model, z0)
+        exact_mse_curve(model, noise, z0, 10)  # warm-up
+        runs[n] = (model, noise, z0)
 
     def per_step(n):
         t0 = time.perf_counter()

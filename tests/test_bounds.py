@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from kaczlab import (
+    FixedNoise,
     IidNoise,
-    avg_limiting_mse,
-    avg_mse_curve,
     build_model,
     exact_mse_curve,
     gen_identity,
@@ -18,7 +17,6 @@ from kaczlab import (
     row_norm_distribution,
     sv_bound_curve,
     uniform_distribution,
-    zf_avg_bound_curve,
     zf_bound_curve,
     zf_general_bound_curve,
 )
@@ -69,8 +67,8 @@ class TestSvBound:
         bound = sv_bound_curve(sys, z0, k_max)
         want = float(z0 @ z0) * (1 - 1 / n) ** np.arange(k_max + 1)
         assert np.allclose(bound, want, rtol=1e-12)
-        model = build_model(sys, dist, np.zeros(n))
-        exact = exact_mse_curve(model, z0, k_max)
+        model = build_model(sys, dist)
+        exact = exact_mse_curve(model, FixedNoise(np.zeros(n)), z0, k_max)
         assert np.allclose(exact.values, want, rtol=1e-12)
 
     def test_dominates_noiseless_exact(self):
@@ -78,20 +76,20 @@ class TestSvBound:
             sys, _, _, z0 = random_instance(10, 4, seed + 10)
             dist = row_norm_distribution(sys)  # bound stated for this p
             bound = sv_bound_curve(sys, z0, 80)
-            exact = exact_mse_curve(build_model(sys, dist), z0, 80)
+            exact = exact_mse_curve(build_model(sys, dist), IidNoise(0.0), z0, 80)
             assert np.all(bound >= exact.values - 1e-12 * exact.values[0])
 
 
 class TestZfBound:
     def test_reduces_to_sv_without_noise(self):
         sys, _, _, z0 = random_instance(8, 3, 20)
-        zf = zf_bound_curve(sys, z0, np.zeros(8), 30)
+        zf = zf_bound_curve(sys, FixedNoise(np.zeros(8)), z0, 30)
         sv = sv_bound_curve(sys, z0, 30)
         assert np.array_equal(zf, sv)
 
     def test_floor(self):
         sys, _, eta, z0 = random_instance(8, 3, 21)
-        zf = zf_bound_curve(sys, z0, eta, 5000)
+        zf = zf_bound_curve(sys, FixedNoise(eta), z0, 5000)
         want_floor = float(eta @ eta) / sys.sigma_min**2
         assert zf[-1] == pytest.approx(want_floor, rel=1e-9)
 
@@ -99,8 +97,9 @@ class TestZfBound:
         for seed in range(4):
             sys, _, eta, z0 = random_instance(12, 4, seed + 30)
             dist = row_norm_distribution(sys)
-            zf = zf_bound_curve(sys, z0, eta, 100)
-            exact = exact_mse_curve(build_model(sys, dist, eta), z0, 100)
+            noise = FixedNoise(eta)
+            zf = zf_bound_curve(sys, noise, z0, 100)
+            exact = exact_mse_curve(build_model(sys, dist), noise, z0, 100)
             assert np.all(zf >= exact.values - 1e-12 * exact.values[0])
 
 
@@ -109,7 +108,7 @@ class TestZfGeneralBound:
         sys, dist, _, z0 = random_instance(8, 3, 40)
         model = build_model(sys, dist)
         lam = lambda_max_P(model)
-        curve = zf_general_bound_curve(model, z0, 20)
+        curve = zf_general_bound_curve(model, FixedNoise(np.zeros(8)), z0, 20)
         want = float(z0 @ z0) * lam ** np.arange(21)
         assert np.allclose(curve, want, rtol=1e-12)
 
@@ -119,26 +118,29 @@ class TestZfGeneralBound:
         sys = gen_gaussian(3, 1, 1.0, 41)
         dist = row_norm_distribution(sys)
         eta = np.random.default_rng(42).standard_normal(3)
-        model = build_model(sys, dist, eta)
-        curve = zf_general_bound_curve(model, np.array([2.0]), 10)
-        floor = limiting_mse(model)
+        model, noise = build_model(sys, dist), FixedNoise(eta)
+        curve = zf_general_bound_curve(model, noise, np.array([2.0]), 10)
+        floor = limiting_mse(model, noise)
         assert curve[-1] == pytest.approx(floor, rel=1e-12)
         assert np.allclose(curve[1:], floor, rtol=1e-12)
 
     def test_dominates_exact_any_distribution(self):
         for seed in range(4):
             sys, dist, eta, z0 = random_instance(10, 4, seed + 50)
-            model = build_model(sys, dist, eta)  # dist is non-norm-proportional
-            curve = zf_general_bound_curve(model, z0, 150)
-            exact = exact_mse_curve(model, z0, 150)
+            model, noise = build_model(sys, dist), FixedNoise(eta)  # dist is non-norm-proportional
+            curve = zf_general_bound_curve(model, noise, z0, 150)
+            exact = exact_mse_curve(model, noise, z0, 150)
             assert np.all(curve >= exact.values - 1e-12 * exact.values[0])
 
 
 class TestZfAvgBound:
+    """zf_general_bound_curve averaged over an IidNoise."""
+
     def test_sigma_zero(self):
         sys, dist, _, z0 = random_instance(8, 3, 60)
-        curve = zf_avg_bound_curve(build_model(sys, dist), IidNoise(0.0), z0, 20)
-        noiseless = zf_general_bound_curve(build_model(sys, dist), z0, 20)
+        model = build_model(sys, dist)
+        curve = zf_general_bound_curve(model, IidNoise(0.0), z0, 20)
+        noiseless = zf_general_bound_curve(model, FixedNoise(np.zeros(8)), z0, 20)
         assert np.allclose(curve, noiseless, rtol=1e-12)
 
     def test_scalar_floor_equals_avg_limiting(self):
@@ -147,14 +149,14 @@ class TestZfAvgBound:
         sys = gen_gaussian(4, 1, 1.0, 61)
         dist = row_norm_distribution(sys)
         model, noise = build_model(sys, dist), IidNoise(0.04)
-        curve = zf_avg_bound_curve(model, noise, np.array([1.0]), 10)
-        assert curve[-1] == pytest.approx(avg_limiting_mse(model, noise), rel=1e-12)
+        curve = zf_general_bound_curve(model, noise, np.array([1.0]), 10)
+        assert curve[-1] == pytest.approx(limiting_mse(model, noise), rel=1e-12)
 
     def test_dominates_avg_curve(self):
         sys, dist, _, z0 = random_instance(12, 4, 62)
         model, noise = build_model(sys, dist), IidNoise(1e-3)
-        bound = zf_avg_bound_curve(model, noise, z0, 200)
-        exact = avg_mse_curve(model, noise, z0, 200)
+        bound = zf_general_bound_curve(model, noise, z0, 200)
+        exact = exact_mse_curve(model, noise, z0, 200)
         assert np.all(bound >= exact.values - 1e-12 * exact.values[0])
 
     def test_small_tomography_ratio(self):
@@ -162,8 +164,8 @@ class TestZfAvgBound:
         dist = row_norm_distribution(sys)
         model, noise = build_model(sys, dist), IidNoise(2.25e-4)
         z0 = -sys.x_true
-        bound = zf_avg_bound_curve(model, noise, z0, 10)
-        floor = avg_limiting_mse(model, noise)
+        bound = zf_general_bound_curve(model, noise, z0, 10)
+        floor = limiting_mse(model, noise)
         assert bound[-1] / floor >= 1.0
 
 
@@ -181,7 +183,20 @@ class TestRowNormBoundsAgree:
         rng = np.random.default_rng(seed + 70)
         eta, z0 = 0.1 * rng.standard_normal(m), rng.standard_normal(n)
         k_max = 500
-        general = zf_general_bound_curve(build_model(sys, dist, eta), z0, k_max)
-        assert np.allclose(zf_bound_curve(sys, z0, eta, k_max), general, rtol=1e-12, atol=0)
-        noise_free = zf_general_bound_curve(build_model(sys, dist), z0, k_max)
+        model, noise = build_model(sys, dist), FixedNoise(eta)
+        general = zf_general_bound_curve(model, noise, z0, k_max)
+        assert np.allclose(zf_bound_curve(sys, noise, z0, k_max), general, rtol=1e-12, atol=0)
+        noise_free = zf_general_bound_curve(model, IidNoise(0.0), z0, k_max)
         assert np.allclose(sv_bound_curve(sys, z0, k_max), noise_free, rtol=1e-12, atol=0)
+
+
+class TestArguments:
+    def test_negative_k_max(self):
+        sys, dist, eta, z0 = random_instance(8, 3, 80)
+        model, noise = build_model(sys, dist), FixedNoise(eta)
+        curves = ((sv_bound_curve, (sys, z0)), (zf_bound_curve, (sys, noise, z0)),
+                  (zf_general_bound_curve, (model, noise, z0)),
+                  (zf_general_bound_curve, (model, IidNoise(0.1), z0)))
+        for fn, args in curves:
+            with pytest.raises(ValueError, match="k_max must be >= 0, got -1"):
+                fn(*args, -1)

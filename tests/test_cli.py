@@ -13,7 +13,6 @@ from kaczlab import (
     lifted,
     load_system,
     make_measurements,
-    noise_avg,
     row_norm_distribution,
     run_trial,
     save_vector,
@@ -266,7 +265,7 @@ class TestComputeOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (cli, lifted, noise_avg, bounds):
+        for mod in (cli, lifted, bounds):
             for name in ("build_model", "solve_v2"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
@@ -290,8 +289,7 @@ class TestComputeOnce:
                 calls.append(None)
                 return real(model, rhs)
 
-            for mod in (lifted, noise_avg):
-                monkeypatch.setattr(mod, "_solve_i_minus_q", counted)
+            monkeypatch.setattr(lifted, "_solve_i_minus_q", counted)
             cfg = shared_iid_config(matrix={"kind": "gaussian", "m": 24, "n": 8, "seed": 3},
                                     outputs=outputs)
             _, scalars, _ = run_experiment(cfg)

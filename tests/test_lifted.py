@@ -7,7 +7,6 @@ from kaczlab import (
     SolverError,
     apply_D,
     apply_Q,
-    avg_mse_curve,
     build_model,
     dense_lift_oracle,
     enumerated_mse_curve,
@@ -30,10 +29,9 @@ from kaczlab import (
     uniform_distribution,
     vec_e,
     vec_f,
-    zf_avg_bound_curve,
     zf_general_bound_curve,
 )
-from kaczlab import lifted
+from kaczlab import bounds, lifted
 from kaczlab.lifted import dense_p, weighted_gram
 from kaczlab.problems import LinearSystem
 from kaczlab.seeding import rng_from
@@ -46,32 +44,39 @@ def mat_of(vec, n):
 
 
 class TestBuildModel:
+    """The model holds rows and probabilities; a FixedNoise is scaled by the
+    same row norms wherever D, e and f read it."""
+
     def test_identity_rows(self):
         sys = gen_identity(3)
-        model = build_model(sys, uniform_distribution(3), np.array([1.0, 2.0, 3.0]))
+        model = build_model(sys, uniform_distribution(3))
         assert np.array_equal(model.a_tilde, np.eye(3))
-        assert np.array_equal(model.eta_tilde, [1.0, 2.0, 3.0])
+        eta = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(lifted._scaled_eta(model, FixedNoise(eta)), eta)
 
     def test_row_normalization(self):
         sys = LinearSystem(np.array([[3.0, 4.0], [0.0, 1.0]]), np.zeros(2))
-        model = build_model(sys, uniform_distribution(2), np.array([5.0, 0.0]))
+        model = build_model(sys, uniform_distribution(2))
         assert model.a_tilde[0] == pytest.approx([0.6, 0.8], rel=1e-15)
-        assert model.eta_tilde[0] == pytest.approx(1.0, rel=1e-15)
+        scaled = lifted._scaled_eta(model, FixedNoise(np.array([5.0, 0.0])))
+        assert scaled[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_unit_rows_and_noise_recovery(self):
         sys, dist, eta, _ = random_instance(8, 4, 2)
-        model = build_model(sys, dist, eta)
+        model = build_model(sys, dist)
         assert np.allclose(np.linalg.norm(model.a_tilde, axis=1), 1.0, rtol=0, atol=1e-14)
-        assert np.allclose(model.eta_tilde * model.row_norms, eta, rtol=1e-14, atol=0)
+        scaled = lifted._scaled_eta(model, FixedNoise(eta))
+        assert np.allclose(scaled * model.row_norms, eta, rtol=1e-14, atol=0)
 
     def test_round_trip_rebuild(self, tmp_path):
         sys, dist, eta, _ = random_instance(6, 3, 4)
         save_system(sys, tmp_path / "s.txt")
         reloaded = load_system(tmp_path / "s.txt")
-        m1 = build_model(sys, dist, eta)
-        m2 = build_model(reloaded, dist, eta)
+        m1 = build_model(sys, dist)
+        m2 = build_model(reloaded, dist)
         assert np.array_equal(m1.a_tilde, m2.a_tilde)
-        assert np.array_equal(m1.eta_tilde, m2.eta_tilde)
+        noise = FixedNoise(eta)
+        assert np.array_equal(lifted._scaled_eta(m1, noise), lifted._scaled_eta(m2, noise))
 
 
 class TestApplyP:
@@ -88,15 +93,15 @@ class TestApplyP:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dense_oracle(self, seed):
-        model, _ = random_model(4, 3, seed)
-        dense = dense_lift_oracle(model)
+        model, noise, _ = random_model(4, 3, seed)
+        dense = dense_lift_oracle(model, noise)
         v = np.random.default_rng(seed).standard_normal(3)
         assert np.allclose(dense_p(model) @ v, dense.P @ v, rtol=0, atol=1e-13)
 
 
 class TestApplyQ:
     def test_zero(self):
-        model, _ = random_model(4, 3, 3)
+        model, _, _ = random_model(4, 3, 3)
         assert np.all(apply_Q(model, np.zeros((3, 3))) == 0.0)
 
     def test_n1_annihilates(self):
@@ -106,8 +111,8 @@ class TestApplyQ:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_dense_kron_oracle(self, seed):
-        model, _ = random_model(4, 3, seed)
-        dense = dense_lift_oracle(model)
+        model, noise, _ = random_model(4, 3, seed)
+        dense = dense_lift_oracle(model, noise)
         rng = np.random.default_rng(seed + 50)
         s = rng.standard_normal((3, 3))  # deliberately non-symmetric
         want = mat_of(dense.Q @ s.ravel(), 3)
@@ -120,8 +125,8 @@ class TestApplyQ:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_input_layouts(self, seed):
         # each layout matches the Kronecker oracle, whichever path it takes
-        model, _ = random_model(7, 4, seed)
-        dense = dense_lift_oracle(model)
+        model, noise, _ = random_model(7, 4, seed)
+        dense = dense_lift_oracle(model, noise)
         b = np.random.default_rng(seed + 60).standard_normal((4, 4))
         sym = b + b.T
         signed_zeros = sym.copy()
@@ -141,7 +146,7 @@ class TestApplyQ:
             assert out.tobytes() == out.T.tobytes()
 
     def test_preserves_symmetry_and_psd(self):
-        model, _ = random_model(6, 4, 7)
+        model, _, _ = random_model(6, 4, 7)
         rng = np.random.default_rng(8)
         b = rng.standard_normal((4, 4))
         s = b @ b.T  # symmetric PSD
@@ -151,7 +156,7 @@ class TestApplyQ:
 
     def test_trace_identity(self):
         # vec(I)^T Q = vec(P)^T: trace(Q S) == trace(P S) for symmetric S
-        model, _ = random_model(5, 3, 9)
+        model, _, _ = random_model(5, 3, 9)
         rng = np.random.default_rng(10)
         b = rng.standard_normal((3, 3))
         s = b + b.T
@@ -169,8 +174,8 @@ class TestQForms:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("n", SMALL_N)
     def test_implicit_dense_kron_oracle(self, n, seed):
-        model, _ = random_model(n + 3, n, seed)
-        dense = dense_lift_oracle(model)
+        model, noise, _ = random_model(n + 3, n, seed)
+        dense = dense_lift_oracle(model, noise)
         b = np.random.default_rng(seed + 70).standard_normal((n, n))
         for s in (b, b + b.T):
             want = mat_of(dense.Q @ s.ravel(), n)
@@ -180,7 +185,7 @@ class TestQForms:
     @pytest.mark.parametrize("n", SMALL_N)
     def test_table_matches_implicit(self, n, seed):
         # relative to ||S||, as ||Q||_2 <= 1 and Q = 0 at n = 1
-        model, _ = random_model(n + 3, n, seed)
+        model, _, _ = random_model(n + 3, n, seed)
         assert model.q_table is not None
         b = np.random.default_rng(seed + 80).standard_normal((n, n))
         s = b + b.T
@@ -189,7 +194,7 @@ class TestQForms:
 
     @pytest.mark.parametrize("n", [1, 4, 12])
     def test_table_output_bitwise_symmetric(self, n):
-        model, _ = random_model(n + 3, n, 5)
+        model, _, _ = random_model(n + 3, n, 5)
         b = np.random.default_rng(90).standard_normal((n, n))
         sym = b + b.T
         for s in (sym, np.asfortranarray(sym), sym.T):
@@ -199,18 +204,18 @@ class TestQForms:
 
     def test_table_only_up_to_the_oracle_limit(self):
         n = lifted.DENSE_ORACLE_MAX_N
-        at_limit, _ = random_model(n + 3, n, 2)
+        at_limit, _, _ = random_model(n + 3, n, 2)
         table, upper, full = at_limit.q_table
         assert table.shape == (n * (n + 1) // 2,) * 2 and not table.flags.writeable
         assert upper.size == table.shape[0] and full.size == n * n
-        above, _ = random_model(n + 4, n + 1, 2)
+        above, _, _ = random_model(n + 4, n + 1, 2)
         assert above.q_table is None
         b = np.random.default_rng(3).standard_normal((n + 1, n + 1))
         for s in (b, b + b.T):
             assert apply_Q(above, s).tobytes() == lifted._apply_q_implicit(above, s).tobytes()
 
     def test_non_symmetric_input_takes_implicit_form(self):
-        model, _ = random_model(7, 4, 6)
+        model, _, _ = random_model(7, 4, 6)
         b = np.random.default_rng(4).standard_normal((4, 4))
         signed_zeros = b + b.T
         signed_zeros[0, 1], signed_zeros[1, 0] = 0.0, -0.0
@@ -218,41 +223,44 @@ class TestQForms:
             assert apply_Q(model, s).tobytes() == lifted._apply_q_implicit(model, s).tobytes()
 
     def test_build_does_not_use_dense_oracle(self, monkeypatch):
-        def refuse(model):
+        def refuse(*args):
             raise AssertionError("the table must not come from the dense oracle")
 
         monkeypatch.setattr(lifted, "dense_lift_oracle", refuse)
         for n in self.SMALL_N:
-            model, _ = random_model(n + 3, n, 1)
+            model, _, _ = random_model(n + 3, n, 1)
             assert model.q_table is not None
 
 
 class TestApplyD:
     def test_zero_noise(self):
         sys, dist, _, _ = random_instance(4, 3, 11)
-        model = build_model(sys, dist, np.zeros(4))
+        model = build_model(sys, dist)
         v = np.random.default_rng(0).standard_normal(3)
-        assert np.all(apply_D(model, v) == 0.0)
+        assert np.all(apply_D(model, FixedNoise(np.zeros(4)), v) == 0.0)
 
     def test_zero_vector(self):
-        model, _ = random_model(4, 3, 12)
-        assert np.all(apply_D(model, np.zeros(3)) == 0.0)
+        model, noise, _ = random_model(4, 3, 12)
+        assert np.all(apply_D(model, noise, np.zeros(3)) == 0.0)
 
     def test_requires_noise(self):
-        # D no longer requires a noise vector: eta=None is the eta=0 model, whose D is 0
+        # D is stated for a noise vector: a FixedNoise with one entry per row
         sys, dist, _, _ = random_instance(4, 3, 13)
+        model = build_model(sys, dist)
         v = np.random.default_rng(13).standard_normal(3)
-        got = apply_D(build_model(sys, dist), v)
-        assert np.array_equal(got, apply_D(build_model(sys, dist, np.zeros(4)), v))
-        assert np.all(got == 0.0)
+        for bad in (IidNoise(0.1), np.zeros(4)):
+            with pytest.raises(TypeError, match="unsupported noise spec"):
+                apply_D(model, bad, v)
+        with pytest.raises(ValueError, match="length 4"):
+            apply_D(model, FixedNoise(np.zeros(3)), v)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dense_kron_oracle(self, seed):
-        model, _ = random_model(4, 3, seed)
-        dense = dense_lift_oracle(model)
+        model, noise, _ = random_model(4, 3, seed)
+        dense = dense_lift_oracle(model, noise)
         v = np.random.default_rng(seed + 60).standard_normal(3)
         want = mat_of(dense.D @ v, 3)
-        got = apply_D(model, v)
+        got = apply_D(model, noise, v)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
         assert np.allclose(got, got.T, rtol=0, atol=1e-14)
 
@@ -260,68 +268,73 @@ class TestApplyD:
         # exact_mse_curve holds the rows vec(D u_i) of 50 modes, 0.95 MiB,
         # and no (modes x m x n) temporary (2.9 MiB) beside them
         sys = gen_gaussian(150, 50, 1.0, 3)
-        eta = rng_from(3, 1).standard_normal(150)
-        model = build_model(sys, row_norm_distribution(sys), eta)
-        _, peak = traced_peak(exact_mse_curve, model, rng_from(3, 2).standard_normal(50), 100)
+        noise = FixedNoise(rng_from(3, 1).standard_normal(150))
+        model = build_model(sys, row_norm_distribution(sys))
+        _, peak = traced_peak(exact_mse_curve, model, noise, rng_from(3, 2).standard_normal(50),
+                              100)
         assert peak <= 50 * (50 * 50) * 8 + 2 * 2**20
 
     def test_trace_annihilated(self):
         # D^T vec(I) = 0: trace(mat(D v)) == 0 for every v
-        model, _ = random_model(6, 4, 14)
+        model, noise, _ = random_model(6, 4, 14)
         for seed in range(5):
             v = np.random.default_rng(seed).standard_normal(4)
-            assert abs(np.trace(apply_D(model, v))) <= 1e-12 * np.linalg.norm(v)
+            assert abs(np.trace(apply_D(model, noise, v))) <= 1e-12 * np.linalg.norm(v)
 
 
 class TestMoments:
     def test_zero_noise(self):
         sys, dist, _, _ = random_instance(4, 3, 15)
-        model = build_model(sys, dist, np.zeros(4))
-        assert np.all(vec_e(model) == 0.0)
-        assert np.all(vec_f(model) == 0.0)
+        model, noise = build_model(sys, dist), FixedNoise(np.zeros(4))
+        assert np.all(vec_e(model, noise) == 0.0)
+        assert np.all(vec_f(model, noise) == 0.0)
 
     def test_requires_noise(self):
-        # e and f no longer require a noise vector: eta=None is the eta=0 model, whose e and f are 0
+        # e and f are stated for a noise vector: a FixedNoise with one entry per row
         sys, dist, _, _ = random_instance(4, 3, 15)
-        none_model, zero_model = build_model(sys, dist), build_model(sys, dist, np.zeros(4))
-        for fn in (vec_e, vec_f):
-            got = fn(none_model)
-            assert np.array_equal(got, fn(zero_model)), fn.__name__
-            assert np.all(got == 0.0), fn.__name__
+        model = build_model(sys, dist)
+        for fn in (vec_e, vec_f, solve_v2):
+            with pytest.raises(TypeError, match="unsupported noise spec"):
+                fn(model, IidNoise(0.1))
+            with pytest.raises(ValueError, match="length 4"):
+                fn(model, FixedNoise(np.zeros(5)))
 
     def test_scalar_formulas(self):
         sys = gen_gaussian(3, 1, 1.0, 16)
         rng = np.random.default_rng(17)
         eta = rng.standard_normal(3)
-        model = build_model(sys, row_norm_distribution(sys), eta)
-        assert np.trace(vec_e(model)) == pytest.approx(
-            np.sum(model.p * model.eta_tilde**2), rel=1e-15
+        model, noise = build_model(sys, row_norm_distribution(sys)), FixedNoise(eta)
+        scaled = eta / sys.row_norms
+        assert np.trace(vec_e(model, noise)) == pytest.approx(
+            np.sum(model.p * scaled**2), rel=1e-15
         )
-        assert vec_f(model)[0] == pytest.approx(
-            np.sum(model.p * model.a_tilde[:, 0] * model.eta_tilde), rel=1e-14
+        assert vec_f(model, noise)[0] == pytest.approx(
+            np.sum(model.p * model.a_tilde[:, 0] * scaled), rel=1e-14
         )
 
     def test_trace_e(self):
-        model, _ = random_model(10, 4, 18)
-        want = float(np.sum(model.p * model.eta_tilde**2))
-        assert np.trace(vec_e(model)) == pytest.approx(want, rel=1e-14)
+        model, noise, _ = random_model(10, 4, 18)
+        want = float(np.sum(model.p * (noise.eta / model.row_norms)**2))
+        assert np.trace(vec_e(model, noise)) == pytest.approx(want, rel=1e-14)
 
     def test_e_psd(self):
-        model, _ = random_model(8, 4, 19)
-        assert np.linalg.eigvalsh(vec_e(model))[0] >= -1e-14
+        model, noise, _ = random_model(8, 4, 19)
+        assert np.linalg.eigvalsh(vec_e(model, noise))[0] >= -1e-14
 
 
-def noise_free_pairs():
-    """(model built with eta=None, model built with eta=0, z0) on a regular
-    instance and on one whose weights leave I - P singular to working precision."""
+def noise_free_instances():
+    """(model, z0) on a regular instance and on one whose weights leave I - P
+    singular to working precision."""
     sys, dist, _, z0 = random_instance(6, 3, 21)
     singular_sys = gen_gaussian(4, 2, 1.0, 2)
     singular = make_distribution(np.array([1e300, 1.0, 1.0, 1.0]))
     z0_singular = rng_from(2, 1).standard_normal(2)
-    return [
-        (build_model(s, d), build_model(s, d, np.zeros(s.a.shape[0])), z)
-        for s, d, z in ((sys, dist, z0), (singular_sys, singular, z0_singular))
-    ]
+    return [(build_model(sys, dist), z0), (build_model(singular_sys, singular), z0_singular)]
+
+
+def zero_specs(model):
+    """Zero noise of either kind, for the model's m rows."""
+    return {"fixed": FixedNoise(np.zeros(model.a_tilde.shape[0])), "iid": IidNoise(0.0)}
 
 
 def outcome(fn, *args):
@@ -341,82 +354,94 @@ def same_outcome(a, b):
 
 
 class TestNoiseFree:
-    """eta=None and eta=0 build the same model, with the same results bit for bit."""
+    """FixedNoise(0) and IidNoise(0) give the same results bit for bit, with
+    no (I - P) or (I - Q) solve, even where I - P is singular."""
 
-    def test_eta_tilde_is_read_only_zeros(self):
-        for none_model, zero_model, _ in noise_free_pairs():
-            for model in (none_model, zero_model):
-                assert not model.has_noise
-                assert np.array_equal(model.eta_tilde, np.zeros(model.shape[0]))
-                assert not model.eta_tilde.flags.writeable
+    @pytest.mark.parametrize("kind", ["fixed", "iid"])
+    def test_zero_noise_is_undriven(self, kind, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("zero noise needs no (I - P) or (I - Q) solve")
+
+        for mod in (lifted, bounds):
+            monkeypatch.setattr(mod, "i_minus_p_eigvals", refuse)
+        monkeypatch.setattr(lifted, "_solve_i_minus_q", refuse)
+        for model, z0 in noise_free_instances():
+            noise = zero_specs(model)[kind]
+            curve = exact_mse_curve(model, noise, z0, 300)
+            undriven = lifted._lifted_curve(model, z0, None, None, 300)
+            assert curve.values.tobytes() == undriven.values.tobytes()
+            assert curve.floor == 0.0 and limiting_mse(model, noise) == 0.0
+            bound = zf_general_bound_curve(model, noise, z0, 300)
+            flat = bounds._geometric_curve(z0, lambda_max_P(model), 300)
+            assert bound.tobytes() == flat.tobytes()
 
     def test_operators_match_zero_noise(self):
-        for none_model, zero_model, z0 in noise_free_pairs():
+        for model, z0 in noise_free_instances():
             v = np.arange(1.0, z0.size + 1)
-            for fn, args in ((apply_D, (v,)), (vec_e, ()), (vec_f, ()),
-                             (solve_v2, ()), (solve_v1, ())):
-                got = outcome(fn, none_model, *args)
-                assert same_outcome(got, outcome(fn, zero_model, *args)), fn.__name__
-                if fn in (apply_D, vec_e, vec_f):
-                    assert np.all(got[0] == 0.0)
+            zero = zero_specs(model)["fixed"]
+            for fn, args in ((apply_D, (v,)), (vec_e, ()), (vec_f, ())):
+                assert np.all(fn(model, zero, *args) == 0.0), fn.__name__
+            for noise in zero_specs(model).values():
+                assert np.array_equal(solve_v1(model, noise), np.zeros((z0.size,) * 2))
 
     def test_curves_match_zero_noise(self):
-        for none_model, zero_model, z0 in noise_free_pairs():
+        for model, z0 in noise_free_instances():
+            fixed, iid = zero_specs(model).values()
             for fn, args in ((limiting_mse, ()), (exact_mse_curve, (z0, 300)),
                              (zf_general_bound_curve, (z0, 300))):
-                got = outcome(fn, none_model, *args)
+                got = outcome(fn, model, fixed, *args)
                 assert got is not SolverError, fn.__name__
-                assert same_outcome(got, outcome(fn, zero_model, *args)), fn.__name__
+                assert same_outcome(got, outcome(fn, model, iid, *args)), fn.__name__
 
 
 class TestFixedPoints:
     def test_v2_zero_noise(self):
         sys, dist, _, _ = random_instance(4, 3, 20)
-        model = build_model(sys, dist, np.zeros(4))
-        assert np.allclose(solve_v2(model), 0.0, atol=1e-16)
+        model = build_model(sys, dist)
+        assert np.allclose(solve_v2(model, FixedNoise(np.zeros(4))), 0.0, atol=1e-16)
 
     def test_v2_identity_closed_form(self):
         eta = np.array([0.3, -1.2, 2.0])
-        model = build_model(gen_identity(3), uniform_distribution(3), eta)
-        assert np.allclose(solve_v2(model), eta, rtol=1e-14)
+        model = build_model(gen_identity(3), uniform_distribution(3))
+        assert np.allclose(solve_v2(model, FixedNoise(eta)), eta, rtol=1e-14)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_v2_dense_oracle(self, seed):
-        model, _ = random_model(4, 3, seed)
-        dense = dense_lift_oracle(model)
+        model, noise, _ = random_model(4, 3, seed)
+        dense = dense_lift_oracle(model, noise)
         want = np.linalg.solve(np.eye(3) - dense.P, dense.f)
-        assert np.allclose(solve_v2(model), want, rtol=1e-10)
+        assert np.allclose(solve_v2(model, noise), want, rtol=1e-10)
 
     def test_v2_residual(self):
-        model, _ = random_model(20, 6, 21)
-        v2 = solve_v2(model)
+        model, noise, _ = random_model(20, 6, 21)
+        v2 = solve_v2(model, noise)
         g = weighted_gram(model)
-        f = vec_f(model)
+        f = vec_f(model, noise)
         assert np.linalg.norm(g @ v2 - f) <= 1e-10 * np.linalg.norm(f)
 
     def test_v1_zero_noise(self):
         sys, dist, _, _ = random_instance(4, 3, 22)
-        model = build_model(sys, dist, np.zeros(4))
-        assert np.all(solve_v1(model) == 0.0)
+        model = build_model(sys, dist)
+        assert np.all(solve_v1(model, FixedNoise(np.zeros(4))) == 0.0)
 
     def test_v1_scalar_collapse(self):
         sys = gen_gaussian(3, 1, 1.0, 23)
         eta = np.random.default_rng(24).standard_normal(3)
-        model = build_model(sys, row_norm_distribution(sys), eta)
-        want = float(np.sum(model.p * model.eta_tilde**2))
-        assert solve_v1(model)[0, 0] == pytest.approx(want, rel=1e-13)
+        model = build_model(sys, row_norm_distribution(sys))
+        want = float(np.sum(model.p * (eta / sys.row_norms)**2))
+        assert solve_v1(model, FixedNoise(eta))[0, 0] == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_v1_dense_oracle(self, seed):
-        model, _ = random_model(4, 3, seed)
-        dense = dense_lift_oracle(model)
+        model, noise, _ = random_model(4, 3, seed)
+        dense = dense_lift_oracle(model, noise)
         v2 = np.linalg.solve(np.eye(3) - dense.P, dense.f)
         want = mat_of(np.linalg.solve(np.eye(9) - dense.Q, dense.e + dense.D @ v2), 3)
-        assert np.allclose(solve_v1(model), want, rtol=1e-9, atol=1e-12)
+        assert np.allclose(solve_v1(model, noise), want, rtol=1e-9, atol=1e-12)
 
     def test_v1_symmetric_psd(self):
-        model, _ = random_model(12, 5, 25)
-        v1 = solve_v1(model)
+        model, noise, _ = random_model(12, 5, 25)
+        v1 = solve_v1(model, noise)
         assert np.array_equal(v1, v1.T)
         assert np.linalg.eigvalsh(v1)[0] >= -1e-12
 
@@ -424,69 +449,69 @@ class TestFixedPoints:
 class TestExactCurves:
     def test_zero_everything(self):
         sys, dist, _, _ = random_instance(4, 3, 26)
-        model = build_model(sys, dist, np.zeros(4))
-        curve = exact_mse_curve(model, np.zeros(3), 10)
+        model = build_model(sys, dist)
+        curve = exact_mse_curve(model, FixedNoise(np.zeros(4)), np.zeros(3), 10)
         assert np.all(curve.values == 0.0)
         assert curve.floor == 0.0
 
     def test_scalar_constant(self):
         sys = gen_gaussian(4, 1, 1.0, 27)
         eta = np.random.default_rng(28).standard_normal(4)
-        model = build_model(sys, row_norm_distribution(sys), eta)
-        want = float(np.sum(model.p * model.eta_tilde**2))
-        curve = exact_mse_curve(model, np.array([3.0]), 6)
+        model, noise = build_model(sys, row_norm_distribution(sys)), FixedNoise(eta)
+        want = float(np.sum(model.p * (eta / sys.row_norms)**2))
+        curve = exact_mse_curve(model, noise, np.array([3.0]), 6)
         assert curve.values[0] == pytest.approx(9.0)
         assert np.allclose(curve.values[1:], want, rtol=1e-13)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_enumeration_oracle(self, seed):
         sys, dist, eta, z0 = random_instance(3, 2, seed)
-        model = build_model(sys, dist, eta)
+        model, noise = build_model(sys, dist), FixedNoise(eta)
         enum = enumerated_mse_curve(sys, eta, dist, z0, 4)
-        curve = exact_mse_curve(model, z0, 4)
+        curve = exact_mse_curve(model, noise, z0, 4)
         assert np.allclose(curve.values, enum, rtol=1e-10)
 
     def test_closed_form_matches_recursion(self):
-        model, z0 = random_model(6, 3, 29)
-        curve = exact_mse_curve(model, z0, 50)
+        model, noise, z0 = random_model(6, 3, 29)
+        curve = exact_mse_curve(model, noise, z0, 50)
         for k in (1, 7, 50):
-            assert exact_mse_at(model, z0, k) == pytest.approx(
+            assert exact_mse_at(model, noise, z0, k) == pytest.approx(
                 curve.values[k], rel=1e-12
             )
 
     def test_closed_form_k0(self):
-        model, z0 = random_model(6, 3, 30)
-        assert exact_mse_at(model, z0, 0) == float(np.dot(z0, z0))
+        model, noise, z0 = random_model(6, 3, 30)
+        assert exact_mse_at(model, noise, z0, 0) == float(np.dot(z0, z0))
 
     def test_closed_form_enumeration(self):
         sys, dist, eta, z0 = random_instance(2, 2, 31)
-        model = build_model(sys, dist, eta)
+        model, noise = build_model(sys, dist), FixedNoise(eta)
         enum = enumerated_mse_curve(sys, eta, dist, z0, 3)
-        assert exact_mse_at(model, z0, 3) == pytest.approx(enum[3], rel=1e-10)
+        assert exact_mse_at(model, noise, z0, 3) == pytest.approx(enum[3], rel=1e-10)
 
     @pytest.mark.parametrize("m,n,seed", [(4, 2, 50), (6, 3, 51), (8, 4, 52), (5, 4, 53)])
     def test_dense_lift_stepping(self, m, n, seed):
-        model, z0 = random_model(m, n, seed)
+        model, noise, z0 = random_model(m, n, seed)
         k_max = 60
-        want = dense_exact_curve(model, z0, k_max)
-        curve = exact_mse_curve(model, z0, k_max)
+        want = dense_exact_curve(model, noise, z0, k_max)
+        curve = exact_mse_curve(model, noise, z0, k_max)
         assert np.allclose(curve.values, want, rtol=1e-10, atol=0)
         for k in (0, 1, k_max):
-            assert exact_mse_at(model, z0, k) == curve.values[k]
+            assert exact_mse_at(model, noise, z0, k) == curve.values[k]
 
     def test_floor_long_horizon(self):
         sys, dist, eta, z0 = random_instance(20, 5, 32, noise_scale=0.5)
-        model = build_model(sys, dist, eta)
-        curve = exact_mse_curve(model, z0, 100_000)
+        model, noise = build_model(sys, dist), FixedNoise(eta)
+        curve = exact_mse_curve(model, noise, z0, 100_000)
         assert abs(curve.values[-1] - curve.floor) <= 1e-8 * curve.floor
 
     def test_convergence_envelope(self):
         # |values[K] - floor| <= lambda_max(P)^K * ||(z0 x z0 - v1, z0 - v2)|| * n
         sys, dist, eta, z0 = random_instance(8, 4, 33)
-        model = build_model(sys, dist, eta)
+        model, noise = build_model(sys, dist), FixedNoise(eta)
         k_max = 60
-        curve = exact_mse_curve(model, z0, k_max)
-        v1, v2 = solve_v1(model), solve_v2(model)
+        curve = exact_mse_curve(model, noise, z0, k_max)
+        v1, v2 = solve_v1(model, noise), solve_v2(model, noise)
         w = np.sqrt(
             np.linalg.norm(np.outer(z0, z0) - v1) ** 2 + np.linalg.norm(z0 - v2) ** 2
         )
@@ -495,10 +520,10 @@ class TestExactCurves:
 
     def test_monte_carlo_agreement(self):
         sys, dist, eta, z0 = random_instance(12, 4, 34, noise_scale=0.3)
-        model = build_model(sys, dist, eta)
+        model, noise = build_model(sys, dist), FixedNoise(eta)
         x0 = sys.x_true + z0
         z0_eff = x0 - sys.x_true
-        curve = exact_mse_curve(model, z0_eff, 300)
+        curve = exact_mse_curve(model, noise, z0_eff, 300)
         emp = monte_carlo_mse(sys, FixedNoise(eta), dist, x0, 300, 1500, seed=4)
         for k in (0, 1, 5, 20, 100, 300):
             diff = abs(emp.mse_mean[k] - curve.values[k])
@@ -506,8 +531,45 @@ class TestExactCurves:
 
     def test_limiting_zero_noise(self):
         sys, dist, _, _ = random_instance(5, 3, 35)
-        assert limiting_mse(build_model(sys, dist, np.zeros(5))) == 0.0
-        assert limiting_mse(build_model(sys, dist)) == 0.0
+        model = build_model(sys, dist)
+        assert limiting_mse(model, FixedNoise(np.zeros(5))) == 0.0
+        assert limiting_mse(model, IidNoise(0.0)) == 0.0
+
+
+def spec_readers(z0):
+    """(function, arguments after (model, noise)) of everything that reads a noise spec."""
+    return ((exact_mse_curve, (z0, 5)), (exact_mse_at, (z0, 5)), (limiting_mse, ()),
+            (solve_v1, ()), (zf_general_bound_curve, (z0, 5)))
+
+
+class TestArguments:
+    """Bad arguments raise an error that names them, before any solve."""
+
+    def test_negative_k_max(self):
+        model, noise, z0 = random_model(8, 3, 60)
+        with pytest.raises(ValueError, match="k_max must be >= 0, got -1"):
+            exact_mse_curve(model, noise, z0, -1)
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            exact_mse_at(model, noise, z0, -1)
+
+    def test_z0_wrong_length(self):
+        model, noise, _ = random_model(8, 3, 61)
+        for z0 in (np.zeros(2), np.zeros(4), np.zeros((3, 1)), 1.0):
+            with pytest.raises(ValueError, match="z0 must have length 3"):
+                exact_mse_curve(model, noise, z0, 5)
+
+    def test_rejects_non_spec(self):
+        model, noise, z0 = random_model(8, 3, 62)
+        for bad in (noise.eta, 0.1, None):
+            for fn, args in spec_readers(z0):
+                with pytest.raises(TypeError, match="unsupported noise spec"):
+                    fn(model, bad, *args)
+
+    def test_fixed_noise_wrong_length(self):
+        model, _, z0 = random_model(8, 3, 63)
+        for fn, args in spec_readers(z0):
+            with pytest.raises(ValueError, match=r"eta must have length 8, got \(7,\)"):
+                fn(model, FixedNoise(np.zeros(7)), *args)
 
 
 class TestCurveStop:
@@ -526,25 +588,26 @@ class TestCurveStop:
 
     def test_exact_matches_dense_lift(self, horizon):
         sys, dist, eta, z0 = horizon
-        model = build_model(sys, dist, eta)
-        want = dense_exact_curve(model, z0, self.K_MAX)
-        assert np.allclose(exact_mse_curve(model, z0, self.K_MAX).values, want,
+        model, noise = build_model(sys, dist), FixedNoise(eta)
+        want = dense_exact_curve(model, noise, z0, self.K_MAX)
+        assert np.allclose(exact_mse_curve(model, noise, z0, self.K_MAX).values, want,
                            rtol=1e-10, atol=0)
 
     def test_avg_matches_dense_lift(self, horizon):
         sys, dist, _, z0 = horizon
         model, noise = build_model(sys, dist), IidNoise(1e-3)
         want, _ = dense_avg_curve(model, noise, z0, self.K_MAX)
-        assert np.allclose(avg_mse_curve(model, noise, z0, self.K_MAX).values, want,
+        assert np.allclose(exact_mse_curve(model, noise, z0, self.K_MAX).values, want,
                            rtol=1e-10, atol=0)
 
     def test_apply_q_calls(self, horizon, apply_q_calls):
         # each count includes the floor's CG solve
         sys, dist, eta, z0 = horizon
-        exact_mse_curve(build_model(sys, dist, eta), z0, self.K_MAX)
+        model = build_model(sys, dist)
+        exact_mse_curve(model, FixedNoise(eta), z0, self.K_MAX)
         assert len(apply_q_calls) < 1000
         apply_q_calls.clear()
-        avg_mse_curve(build_model(sys, dist), IidNoise(1e-3), z0, self.K_MAX)
+        exact_mse_curve(model, IidNoise(1e-3), z0, self.K_MAX)
         assert len(apply_q_calls) < 1000
 
     def test_zero_floor_not_truncated(self):
@@ -552,7 +615,8 @@ class TestCurveStop:
         # W is stepped to k_max, where the curve has fallen to about 1e-150
         n, k_max = 4, 1200
         z0 = rng_from(4, 0x570F).standard_normal(n)
-        curve = exact_mse_curve(build_model(gen_identity(n), uniform_distribution(n)), z0, k_max)
+        model = build_model(gen_identity(n), uniform_distribution(n))
+        curve = exact_mse_curve(model, FixedNoise(np.zeros(n)), z0, k_max)
         closed = float(z0 @ z0) * (1 - 1 / n) ** np.arange(k_max + 1)
         assert closed[-1] < 1e-148
         assert np.allclose(curve.values, closed, rtol=1e-12, atol=0)
@@ -573,8 +637,8 @@ class TestSpectra:
     @pytest.mark.parametrize("n", range(1, lifted.DENSE_ORACLE_MAX_N + 1))
     def test_dense_eig_oracle(self, n, seed, apply_q_calls):
         # a plain Lanczos run may take more than the n(n+1)/2 steps of the space
-        model, _ = random_model(n + 3, n, seed)
-        dense = dense_lift_oracle(model)
+        model, noise, _ = random_model(n + 3, n, seed)
+        dense = dense_lift_oracle(model, noise)
         assert lambda_max_P(model) == pytest.approx(
             np.linalg.eigvalsh(dense.P)[-1], abs=1e-9
         )
@@ -589,7 +653,7 @@ class TestSpectra:
         for seed in range(8):
             m = 4 + seed
             n = 2 + seed % 4
-            model, _ = random_model(m, n, seed + 100)
+            model, _, _ = random_model(m, n, seed + 100)
             lam_q = lambda_max_Q(model)
             lam_p = lambda_max_P(model)
             assert 0.0 < lam_q <= lam_p + 1e-9
@@ -635,7 +699,7 @@ class TestTomographySpectra:
     def test_zf_avg_floor(self, model):
         sigma2 = 2.25e-4
         n = model.a_tilde.shape[1]
-        curve = zf_avg_bound_curve(model, IidNoise(sigma2), np.zeros(n), 5)
+        curve = zf_general_bound_curve(model, IidNoise(sigma2), np.zeros(n), 5)
         lam = np.linalg.eigvalsh(dense_p(model))[-1]
         floor = sigma2 * np.sum(model.p / model.row_norms**2) / (1.0 - lam)
         assert curve == pytest.approx(np.full(6, floor), rel=1e-12)
@@ -643,8 +707,8 @@ class TestTomographySpectra:
 
 class TestDenseLiftOracle:
     def test_block_structure(self):
-        model, _ = random_model(5, 3, 40)
-        dense = dense_lift_oracle(model)
+        model, noise, _ = random_model(5, 3, 40)
+        dense = dense_lift_oracle(model, noise)
         n = 3
         assert np.all(dense.H[n * n :, : n * n] == 0.0)
         assert np.array_equal(dense.H[: n * n, : n * n], dense.Q)
@@ -653,8 +717,8 @@ class TestDenseLiftOracle:
 
     def test_spectrum_union(self):
         for seed in range(5):
-            model, _ = random_model(5, 3, seed + 200)
-            dense = dense_lift_oracle(model)
+            model, noise, _ = random_model(5, 3, seed + 200)
+            dense = dense_lift_oracle(model, noise)
             h_eigs = np.sort(np.linalg.eigvals(dense.H).real)
             pq = np.sort(
                 np.concatenate(
@@ -664,8 +728,8 @@ class TestDenseLiftOracle:
             assert np.allclose(h_eigs, pq, rtol=0, atol=1e-8)
 
     def test_contraction(self):
-        model, _ = random_model(5, 3, 41)
-        dense = dense_lift_oracle(model)
+        model, noise, _ = random_model(5, 3, 41)
+        dense = dense_lift_oracle(model, noise)
         rho = np.max(np.abs(np.linalg.eigvals(dense.H)))
         assert rho < 1.0
         hk = np.linalg.matrix_power(dense.H, 500)
@@ -675,4 +739,4 @@ class TestDenseLiftOracle:
         sys = gen_gaussian(200, 14, 1.0, 42)
         model = build_model(sys, row_norm_distribution(sys))
         with pytest.raises(ValueError, match="n <= 12"):
-            dense_lift_oracle(model)
+            dense_lift_oracle(model, FixedNoise(np.zeros(200)))

@@ -111,6 +111,12 @@ class TestMeasurements:
         assert np.linalg.norm(y - sys.a @ sys.x_true) ** 2 == pytest.approx(1.6)
         assert np.array_equal(realized, eta)
 
+    def test_fixed_keeps_callers_array_writable(self):
+        eta = np.zeros(5)
+        noise = FixedNoise(eta)
+        eta[0] = 1.0
+        assert noise.eta[0] == 0.0 and not noise.eta.flags.writeable
+
     def test_iid_variance(self):
         sys = gen_gaussian(1000, 10, 1.0, 11)
         pooled = []

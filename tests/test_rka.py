@@ -214,7 +214,7 @@ class TestRunTrial:
         assert clean[-1] < 1e-12 * clean[0]
         y1, _ = make_measurements(sys, FixedNoise(eta))
         noisy = run_trial(sys, y1, dist, x0, 2000, seed=4)
-        floor = limiting_mse(build_model(sys, dist, eta))
+        floor = limiting_mse(build_model(sys, dist), FixedNoise(eta))
         tail = noisy[1500:].mean()
         assert tail > 100 * clean[-1]
         assert 0.1 * floor <= tail <= 10 * floor
@@ -271,6 +271,13 @@ class TestMonteCarlo:
         sys, dist, eta, _ = random_instance(6, 3, 20)
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_mse(sys, FixedNoise(eta), dist, np.zeros(3), 5, 0, seed=1)
+
+    @pytest.mark.parametrize("noise", [FixedNoise(np.zeros(6)), IidNoise(0.1)], ids=["fixed", "iid"])
+    def test_rejects_negative_k_max(self, noise):
+        sys, dist, _, _ = random_instance(6, 3, 20)
+        for k_max in (-1, -3):
+            with pytest.raises(ValueError, match=f"k_max must be >= 0, got {k_max}"):
+                monte_carlo_mse(sys, noise, dist, np.zeros(3), k_max, 2, seed=1)
 
     def test_rejects_distribution_size_mismatch(self):
         sys, _, eta, _ = random_instance(6, 3, 20)
