@@ -9,5 +9,14 @@ def sq_norm(v):
     return float(np.dot(v, v))
 
 
+def check_int(value, name, minimum=0):
+    """value as an int >= minimum: a bool or a non-integer is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def frob_dot(a, b):
     return float(np.dot(a.ravel(), b.ravel()))

@@ -2,15 +2,14 @@
 
 import numpy as np
 
-from ._num import sq_norm
-from .lifted import i_minus_p_eigvals, lambda_max_P, vec_e
+from ._num import check_int, sq_norm
+from .lifted import fixed_eta, i_minus_p_eigvals, lambda_max_P, vec_e
 from .problems import IidNoise
 
 
 def _geometric_curve(z0, rate, k_max, floor=0.0):
     """||z0||^2 rate^k + floor for k = 0..k_max, the shape of every bound here."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = check_int(k_max, "k_max")
     return sq_norm(np.asarray(z0, dtype=float)) * rate ** np.arange(k_max + 1) + floor
 
 
@@ -24,7 +23,7 @@ def sv_bound_curve(sys, z0, k_max):
 
 def zf_bound_curve(sys, noise, z0, k_max):
     """The noisy refinement for FixedNoise(eta): geometric term plus ||eta||^2 / sigma_min^2."""
-    floor = sq_norm(noise.eta) / sys.sigma_min**2
+    floor = sq_norm(fixed_eta(noise, sys.a.shape[0])) / sys.sigma_min**2
     return _geometric_curve(z0, 1.0 - sys.kappa**-2, k_max, floor)
 
 

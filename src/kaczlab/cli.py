@@ -41,16 +41,17 @@ from .rka import (
 from .seeding import rng_from
 from .validate import run_suite
 
-CURVE_KINDS = (
-    "empirical",
-    "exact",
-    "exact_avg",
-    "bound_sv",
-    "bound_zf",
-    "bound_zf_general",
-    "bound_zf_avg",
-    "floor",
-)
+# each output kind and the noise spec it reads: "fixed", the realized vector
+# (fixed noise, or the iid draw shared with resample=false); "iid", the draws'
+# IidNoise; or None
+CURVE_KINDS = {
+    "empirical": None, "exact": "fixed", "exact_avg": "iid", "bound_sv": None,
+    "bound_zf": "fixed", "bound_zf_general": "fixed", "bound_zf_avg": "iid", "floor": None,
+}
+# what a config must give for each spec, and the scalar that takes its floor
+SPEC_NEEDS = {"fixed": "a realized noise vector (fixed noise, or iid with resample=false)",
+              "iid": "iid noise, not fixed"}
+FLOOR_KEYS = {"fixed": "floor_exact", "iid": "floor_avg"}
 # curves.csv rows formatted and written per chunk; a small chunk keeps the
 # formatted text out of the run's peak memory
 CSV_CHUNK_ROWS = 512
@@ -214,13 +215,11 @@ def _build_x0(desc, sys):
     n = sys.a.shape[1]
     if desc == "zero":
         return np.zeros(n)
-    if isinstance(desc, dict) and set(desc) == {"values"}:
-        x0 = _floats_value(desc, "values", "x0.values")
-        if x0.shape != (n,):
-            raise ConfigError(f"x0: vector has length {x0.size}, expected {n}")
-        return x0
-    if isinstance(desc, dict) and set(desc) == {"path"}:
-        x0 = _load_file(load_vector, desc, "x0.path")
+    if isinstance(desc, dict) and set(desc) in ({"values"}, {"path"}):
+        if "values" in desc:
+            x0 = _floats_value(desc, "values", "x0.values")
+        else:
+            x0 = _load_file(load_vector, desc, "x0.path")
         if x0.shape != (n,):
             raise ConfigError(f"x0: vector has length {x0.size}, expected {n}")
         return x0
@@ -249,36 +248,26 @@ def _parse_config(cfg):
     return k_max, trials, seed, outputs
 
 
-def _validate_outputs(outputs, noise, resample, norm_proportional, warnings):
-    """Cross-check curve kinds against the noise descriptor.
-
-    Returns the effective list: with a non-norm-proportional distribution
-    the Strohmer-Vershynin / Zouzias-Freris forms are inapplicable, so they
-    are replaced by the p-general bound with a warning. floor goes last, so
-    that it reuses the floors exact and exact_avg solve for; it writes no
-    curve, so no column moves.
-    """
-    fixed = isinstance(noise, FixedNoise)
-    eta_known = fixed or not resample
-    for kind in outputs:
-        if kind in ("exact", "bound_zf", "bound_zf_general") and not eta_known:
-            raise ConfigError(
-                f"outputs: {kind} requires a realized noise vector "
-                "(fixed noise, or iid with resample=false)"
-            )
-        if kind in ("exact_avg", "bound_zf_avg") and fixed:
-            raise ConfigError(f"outputs: {kind} requires iid noise, not fixed")
+def _validate_outputs(outputs, specs, norm_proportional, warnings):
+    """The kinds to compute, each once, in the order asked for. With a
+    non-norm-proportional distribution bound_sv and bound_zf are replaced by
+    the p-general bound, with a warning; then the spec each kind reads
+    (CURVE_KINDS) must be in specs, or the kind as written is refused."""
     effective = []
     for kind in outputs:
+        used = kind
         if kind in ("bound_sv", "bound_zf") and not norm_proportional:
             warnings.append(
                 f"{kind} is stated for row-norm-proportional probabilities; "
                 "emitting bound_zf_general instead"
             )
-            kind = "bound_zf_general"
-        if kind not in effective:
-            effective.append(kind)
-    effective.sort(key=lambda kind: kind == "floor")   # stable: floor last
+            used = "bound_zf_general"
+        reads = CURVE_KINDS[used]
+        if reads is not None and specs[reads] is None:
+            via = f" (emitted as {used} for this distribution)" if used != kind else ""
+            raise ConfigError(f"outputs: {kind}{via} requires {SPEC_NEEDS[reads]}")
+        if used not in effective:
+            effective.append(used)
     return effective
 
 
@@ -317,21 +306,12 @@ def run_experiment(cfg, verbose=False):
     dist, norm_proportional = _build_distribution(cfg.get("distribution", "row_norm"), sys_obj)
     x0 = _build_x0(cfg.get("x0", "zero"), sys_obj)
     z0 = x0 - sys_obj.x_true
-    outputs = _validate_outputs(outputs, noise, resample, norm_proportional, warnings)
-
     iid = noise if isinstance(noise, IidNoise) else None
     if iid is not None and not resample:
         # one draw, shared by every trial and by the exact curve
         noise = FixedNoise(make_measurements(sys_obj, iid, trial_noise_seed(seed))[1])
-    fixed = noise if isinstance(noise, FixedNoise) else None
-    # the noise spec each analysis reads, the realized vector or the average
-    # over draws, and the scalar that takes its floor
-    analyses = {"exact": (fixed, "floor_exact"), "exact_avg": (iid, "floor_avg")}
-    bounded = {"bound_zf_general": "exact", "bound_zf_avg": "exact_avg"}
-
-    def log(msg):
-        if verbose:
-            print(msg, file=_sys.stderr)
+    specs = {"fixed": noise if isinstance(noise, FixedNoise) else None, "iid": iid}
+    outputs = _validate_outputs(outputs, specs, norm_proportional, warnings)
 
     model = build_model(sys_obj, dist)
 
@@ -340,30 +320,31 @@ def run_experiment(cfg, verbose=False):
         "m": m, "n": n, "sigma_min": sys_obj.sigma_min, "kappa": sys_obj.kappa,
         "lambda_max_p": lambda_max_P(model), "lambda_max_q": lambda_max_Q(model),
     }
-    if fixed is not None:
-        scalars["eta_sq_norm"] = float(fixed.eta @ fixed.eta)
+    if isinstance(noise, FixedNoise):
+        scalars["eta_sq_norm"] = float(noise.eta @ noise.eta)
 
     for kind in outputs:
-        log(f"computing {kind} ...")
+        if verbose:
+            print(f"computing {kind} ...", file=_sys.stderr)
+        spec = specs.get(CURVE_KINDS[kind])
         if kind == "empirical":
             emp = monte_carlo_mse(sys_obj, noise, dist, x0, k_max, trials, seed)
             curves["empirical"] = emp.mse_mean
             curves["empirical_stderr"] = emp.mse_stderr
-        elif kind in analyses:
-            spec, key = analyses[kind]
+        elif kind in ("exact", "exact_avg"):
             curve = exact_mse_curve(model, spec, z0, k_max)
-            curves[kind], scalars[key] = curve.values, curve.floor
-        elif kind in bounded:
-            curves[kind] = zf_general_bound_curve(model, analyses[bounded[kind]][0], z0, k_max)
+            curves[kind], scalars[FLOOR_KEYS[CURVE_KINDS[kind]]] = curve.values, curve.floor
         elif kind == "bound_sv":
-            curves["bound_sv"] = sv_bound_curve(sys_obj, z0, k_max)
+            curves[kind] = sv_bound_curve(sys_obj, z0, k_max)
         elif kind == "bound_zf":
-            curves["bound_zf"] = zf_bound_curve(sys_obj, fixed, z0, k_max)
-        elif kind == "floor":
-            # exact / exact_avg, computed before floor, already solved for it
-            for spec, key in analyses.values():
-                if spec is not None and key not in scalars:
-                    scalars[key] = limiting_mse(model, spec)
+            curves[kind] = zf_bound_curve(sys_obj, spec, z0, k_max)
+        elif kind != "floor":   # bound_zf_general, bound_zf_avg
+            curves[kind] = zf_general_bound_curve(model, spec, z0, k_max)
+    if "floor" in outputs:
+        # a floor that exact or exact_avg solved for already is not solved again
+        for reads, key in FLOOR_KEYS.items():
+            if specs[reads] is not None and key not in scalars:
+                scalars[key] = limiting_mse(model, specs[reads])
     return curves, scalars, warnings
 
 
@@ -398,6 +379,12 @@ def _write_outputs(out_dir, curves, scalars, warnings, raw_config, k_max):
 
 def cmd_run(cfg, raw_config, out_dir, verbose=False):
     curves, scalars, warnings = run_experiment(cfg, verbose=verbose)
+    for name, values in curves.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"curve {name} is not finite at k = {np.argmin(np.isfinite(values))}")
+    for key, value in scalars.items():
+        if not np.isfinite(value):
+            raise ValueError(f"scalar {key} is not finite: {value!r}")
     for w in warnings:
         print(f"warning: {w}", file=_sys.stderr)
     csv_path, json_path = _write_outputs(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import frob_dot, sq_norm
+from ._num import check_int, frob_dot, sq_norm
 from .noise_avg import g_apply
 from .problems import FixedNoise, IidNoise, LinearSystem
 from .rka import RowDistribution
@@ -119,13 +119,18 @@ def build_model(sys: LinearSystem, dist: RowDistribution):
     return LiftedModel(a_tilde, dist.p, sys.row_norms)
 
 
-def _scaled_eta(model, noise):
-    """eta~ = eta / ||a_i|| of a FixedNoise with one entry per row of the model."""
+def fixed_eta(noise, m):
+    """noise.eta, for a FixedNoise with m entries; any other spec is a TypeError."""
     if not isinstance(noise, FixedNoise):
         raise TypeError(f"unsupported noise spec: {noise!r}")
-    if noise.eta.shape != model.row_norms.shape:
-        raise ValueError(f"eta must have length {model.row_norms.size}, got {noise.eta.shape}")
-    return noise.eta / model.row_norms
+    if noise.eta.shape != (m,):
+        raise ValueError(f"eta must have length {m}, got {noise.eta.shape}")
+    return noise.eta
+
+
+def _scaled_eta(model, noise):
+    """eta~ = eta / ||a_i|| of a FixedNoise with one entry per row of the model."""
+    return fixed_eta(noise, model.row_norms.size) / model.row_norms
 
 
 def _q_half(at, pat, x):
@@ -255,8 +260,11 @@ def _solve_i_minus_q(model, rhs):
     I - Q is symmetric positive definite with spectrum in
     (1 - lambda_max(Q), 1], so plain CG applies; the operator side only
     ever calls apply_Q. Claimed convergence is verified against the true
-    residual before returning.
+    residual before returning. A right-hand side that is not finite is
+    refused before the first apply_Q: every iterate would be NaN.
     """
+    if not np.isfinite(rhs).all():
+        raise SolverError("(I - Q) CG right-hand side is not finite")
     n = rhs.shape[0]
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
@@ -414,15 +422,13 @@ def exact_mse_curve(model, noise, z0, k_max):
     n = model.a_tilde.shape[1]
     if z0.shape != (n,):
         raise ValueError(f"z0 must have length {n}, got {z0.shape}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = check_int(k_max, "k_max")
     return _lifted_curve(model, z0, *_noise_terms(model, noise, z0), k_max)
 
 
 def exact_mse_at(model, noise, z0, k):
     """MSE at a single iteration: exact_mse_curve(model, noise, z0, k).values[k]."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = check_int(k, "k")
     return float(exact_mse_curve(model, noise, z0, k).values[k])
 
 

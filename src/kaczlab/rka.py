@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import sq_norm
+from ._num import check_int, sq_norm
 from .problems import FixedNoise, make_measurements
 from .seeding import mix_seed
 
@@ -203,10 +203,8 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed):
     bitwise the same whatever STEP_CHUNK is. A run of k_max <= 2 STEP_CHUNK
     steps is one chunk and keeps no stream live.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    trials = check_int(trials, "trials", minimum=1)
+    k_max = check_int(k_max, "k_max")
     m, n = sys.a.shape
     x0 = np.ascontiguousarray(x0, dtype=float)
     if x0.shape != (n,):

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import kaczlab
 from kaczlab import (FixedNoise, build_model, dense_lift_oracle, gen_gaussian, lifted,
                      make_distribution)
 from kaczlab.seeding import rng_from
@@ -79,6 +82,16 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def fresh_python(args, cwd):
+    """python *args in a fresh process, on the kaczlab the suite imports, not
+    whichever one is installed. The suite's warning filters do not reach it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kaczlab.__file__)))
+    path = (src, os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True)
 
 
 @pytest.fixture

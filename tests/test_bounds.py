@@ -200,3 +200,13 @@ class TestArguments:
         for fn, args in curves:
             with pytest.raises(ValueError, match="k_max must be >= 0, got -1"):
                 fn(*args, -1)
+
+    def test_zf_bound_rejects_iid(self):
+        sys, _, _, z0 = random_instance(6, 3, 81)
+        with pytest.raises(TypeError, match="unsupported noise spec: IidNoise"):
+            zf_bound_curve(sys, IidNoise(0.1), z0, 5)
+
+    def test_zf_bound_rejects_wrong_length(self):
+        sys, _, _, z0 = random_instance(6, 3, 82)
+        with pytest.raises(ValueError, match=r"eta must have length 6, got \(4,\)"):
+            zf_bound_curve(sys, FixedNoise(np.ones(4)), z0, 5)

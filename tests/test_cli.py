@@ -21,6 +21,8 @@ from kaczlab import (
 from kaczlab.cli import main, run_experiment
 from kaczlab.rka import trial_noise_seed, trial_row_seed
 
+from conftest import fresh_python
+
 
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
@@ -584,6 +586,78 @@ class TestConfigErrors:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert "x0.random_seed: must be an integer" in capsys.readouterr().err
+
+
+SINGLE_NOISES = {
+    "fixed": {"kind": "fixed", "values": list(np.linspace(-0.1, 0.1, 12))},
+    "iid_resampled": {"kind": "iid", "sigma2": 1e-3, "resample": True},
+    "iid_shared": {"kind": "iid", "sigma2": 1e-3, "resample": False},
+}
+
+
+class TestEveryOutputAlone:
+    """Each output kind alone, under each noise and two distributions: a
+    config either runs or is refused as a config error naming the kind."""
+
+    @pytest.mark.parametrize("distribution", ["row_norm", "uniform"])
+    @pytest.mark.parametrize("noise", list(SINGLE_NOISES))
+    @pytest.mark.parametrize("kind", list(cli.CURVE_KINDS))
+    def test_exits_0_or_2(self, tmp_path, capsys, kind, noise, distribution):
+        cfg = {
+            "matrix": {"kind": "gaussian", "m": 12, "n": 4, "seed": 2},
+            "noise": SINGLE_NOISES[noise],
+            "distribution": distribution,
+            "k_max": 5,
+            "trials": 3,
+            "seed": 4,
+            "outputs": [kind],
+        }
+        code = main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert f"config error: outputs: {kind} " in capsys.readouterr().err
+
+    def test_substituted_bound_names_the_kind_written(self, tmp_path, capsys):
+        cfg = {
+            "matrix": {"kind": "gaussian", "m": 12, "n": 4, "seed": 2},
+            "noise": SINGLE_NOISES["iid_resampled"],
+            "distribution": "uniform",
+            "k_max": 5,
+            "seed": 4,
+            "outputs": ["bound_sv"],
+        }
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "outputs: bound_sv (emitted as bound_zf_general" in err
+        assert "realized noise vector" in err
+        assert not (tmp_path / "curves.csv").exists()
+
+
+class TestNonFinite:
+    # an iid variance near the float maximum: the draws overflow, and so do the
+    # averaged curve past k = 0, the bound's floor and floor_avg
+    @pytest.mark.parametrize("outputs, message", [
+        (["exact_avg", "bound_zf_avg"], "curve exact_avg is not finite at k = 1"),
+        (["bound_zf_avg"], "curve bound_zf_avg is not finite at k = 0"),
+        (["floor"], "scalar floor_avg is not finite: inf"),
+    ], ids=["exact_avg", "bound_zf_avg", "floor"])
+    def test_run_exits_1_and_writes_nothing(self, tmp_path, outputs, message):
+        # numpy's overflow warnings are errors under this suite's filters, so
+        # the run has a process of its own
+        cfg = {
+            "matrix": {"kind": "gaussian", "m": 12, "n": 4, "seed": 2},
+            "noise": {"kind": "iid", "sigma2": 1.7e308, "resample": True},
+            "k_max": 5,
+            "trials": 3,
+            "seed": 1,
+            "outputs": outputs,
+        }
+        write_config(tmp_path, cfg)
+        done = fresh_python(["-m", "kaczlab.cli", "run", "--config", "config.json", "--out",
+                             "out"], tmp_path)
+        assert done.returncode == 1, done.stderr
+        assert f"error: {message}" in done.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidate:

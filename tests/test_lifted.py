@@ -439,6 +439,15 @@ class TestFixedPoints:
         want = mat_of(np.linalg.solve(np.eye(9) - dense.Q, dense.e + dense.D @ v2), 3)
         assert np.allclose(solve_v1(model, noise), want, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cg_refuses_non_finite_rhs(self, bad, apply_q_calls):
+        model, _, _ = random_model(8, 3, 48)
+        rhs = np.eye(3)
+        rhs[1, 2] = rhs[2, 1] = bad
+        with pytest.raises(SolverError, match="right-hand side is not finite"):
+            lifted._solve_i_minus_q(model, rhs)
+        assert len(apply_q_calls) == 0
+
     def test_v1_symmetric_psd(self):
         model, noise, _ = random_model(12, 5, 25)
         v1 = solve_v1(model, noise)

@@ -1,28 +1,54 @@
-"""README's library quick start, run as written in a fresh process, so that
-a README that drifts from the API fails the suite."""
+"""README's library quick start and its CLI configs, run as written in a
+fresh process, so that a README that drifts from the API fails the suite."""
 
-import os
+import json
+import math
 import re
-import subprocess
-import sys
 from pathlib import Path
 
-import kaczlab
+import numpy as np
+import pytest
+
+from kaczlab import save_vector
+
+from conftest import fresh_python
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def section(heading):
+    """The README text from heading to the next level-2 heading."""
+    return README.read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def quick_start():
     """The first python block after the "Library quick start" heading."""
-    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    return re.search(r"```python\n(.*?)```", section("Library quick start"), re.DOTALL).group(1)
+
+
+def cli_configs():
+    """The json blocks of the "CLI" section, parsed."""
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section("CLI"),
+                                                      re.DOTALL)]
 
 
 def test_quick_start_runs(tmp_path):
-    # the kaczlab the suite imports, not whichever one is installed
-    src = str(Path(kaczlab.__file__).resolve().parents[1])
-    path = (src, os.environ.get("PYTHONPATH", ""))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    done = subprocess.run([sys.executable, "-c", quick_start()], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
+    done = fresh_python(["-c", quick_start()], tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_configs_found():
+    assert len(cli_configs()) == 2
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["fixed", "averaged"])
+def test_cli_config_runs(tmp_path, index):
+    # a short horizon and few trials; eta.txt is the vector the fixed config reads
+    cfg = dict(cli_configs()[index], k_max=5, trials=3)
+    (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    save_vector(np.random.default_rng(2).standard_normal(150) * 0.1, str(tmp_path / "eta.txt"))
+    done = fresh_python(["-m", "kaczlab.cli", "run", "--config", "config.json", "--out", "out"],
+                        tmp_path)
+    assert done.returncode == 0, done.stderr
+    scalars = json.loads((tmp_path / "out" / "result.json").read_text())["scalars"]
+    assert all(v is not None and math.isfinite(v) for v in scalars.values()), scalars
