@@ -37,7 +37,6 @@ from .problems import (
     IidNoise,
     LinearSystem,
     MatrixFileError,
-    NoiseSpec,
     gen_gaussian,
     gen_identity,
     gen_tomography,

@@ -1,4 +1,4 @@
-"""Tiny numeric helpers shared across modules."""
+"""Tiny numeric helpers, and the one check of each integer and vector argument."""
 
 import numpy as np
 
@@ -10,12 +10,22 @@ def sq_norm(v):
 
 
 def check_int(value, name, minimum=0):
-    """value as an int >= minimum: a bool or a non-integer is a TypeError."""
+    """value as an int >= minimum (None: any int): a bool or a non-integer is a TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_vector(value, length, name):
+    """value as a contiguous float vector of the given length, every entry finite."""
+    vec = np.ascontiguousarray(value, dtype=float)
+    if vec.shape != (length,):
+        raise ValueError(f"{name} must have length {length}, got {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} must be finite")
+    return vec
 
 
 def frob_dot(a, b):

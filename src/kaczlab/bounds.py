@@ -2,15 +2,16 @@
 
 import numpy as np
 
-from ._num import check_int, sq_norm
-from .lifted import fixed_eta, i_minus_p_eigvals, lambda_max_P, vec_e
-from .problems import IidNoise
+from ._num import check_int, check_vector, sq_norm
+from .lifted import i_minus_p_eigvals, lambda_max_P, vec_e
+from .problems import IidNoise, fixed_eta
 
 
 def _geometric_curve(z0, rate, k_max, floor=0.0):
-    """||z0||^2 rate^k + floor for k = 0..k_max, the shape of every bound here."""
+    """||z0||^2 rate^k + floor for k = 0..k_max, the shape of every bound here;
+    z0 is checked by the caller, which knows its length."""
     k_max = check_int(k_max, "k_max")
-    return sq_norm(np.asarray(z0, dtype=float)) * rate ** np.arange(k_max + 1) + floor
+    return sq_norm(z0) * rate ** np.arange(k_max + 1) + floor
 
 
 def sv_bound_curve(sys, z0, k_max):
@@ -18,12 +19,14 @@ def sv_bound_curve(sys, z0, k_max):
 
     Stated for row-norm-proportional selection probabilities.
     """
+    z0 = check_vector(z0, sys.a.shape[1], "z0")
     return _geometric_curve(z0, 1.0 - sys.kappa**-2, k_max)
 
 
 def zf_bound_curve(sys, noise, z0, k_max):
     """The noisy refinement for FixedNoise(eta): geometric term plus ||eta||^2 / sigma_min^2."""
     floor = sq_norm(fixed_eta(noise, sys.a.shape[0])) / sys.sigma_min**2
+    z0 = check_vector(z0, sys.a.shape[1], "z0")
     return _geometric_curve(z0, 1.0 - sys.kappa**-2, k_max, floor)
 
 
@@ -40,4 +43,5 @@ def zf_general_bound_curve(model, noise, z0, k_max):
     else:
         power = float(np.trace(vec_e(model, noise)))
     floor = power / i_minus_p_eigvals(model)[-1] if power else 0.0
+    z0 = check_vector(z0, model.a_tilde.shape[1], "z0")
     return _geometric_curve(z0, lambda_max_P(model), k_max, floor)

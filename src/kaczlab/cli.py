@@ -12,6 +12,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from ._num import check_int, check_vector
 from .bounds import sv_bound_curve, zf_bound_curve, zf_general_bound_curve
 from .lifted import (
     build_model,
@@ -72,12 +73,10 @@ def _require_keys(obj, allowed, required, where):
 
 def _int_value(obj, key, where, minimum=None):
     """obj[key] as an int; bools, floats and strings are config errors."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
-    return value
+    try:
+        return check_int(obj[key], f"{where}:", minimum)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _float_value(obj, key, where):
@@ -120,6 +119,16 @@ def _load_file(loader, desc, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _vector_value(desc, where, length):
+    """desc's "values" list, or the vector file at its "path", of the given length."""
+    vec = (_floats_value(desc, "values", f"{where}.values") if "values" in desc
+           else _load_file(load_vector, desc, f"{where}.path"))
+    try:
+        return check_vector(vec, length, "vector")
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -128,11 +137,19 @@ def load_config(path):
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except ValueError as exc:   # JSONDecodeError, or an integer past int's digit limit
+    except (ValueError, RecursionError) as exc:   # also an integer past int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg, raw
+
+
+def _generate(gen, *args):
+    """gen(*args); a size it refuses (m < n, too few rays) is a config error."""
+    try:
+        return gen(*args)
+    except ValueError as exc:
+        raise ConfigError(f"matrix: {exc}") from exc
 
 
 def _build_matrix(desc):
@@ -144,19 +161,14 @@ def _build_matrix(desc):
         m = _int_value(desc, "m", "matrix.m", minimum=1)
         n = _int_value(desc, "n", "matrix.n", minimum=1)
         seed = _int_value(desc, "seed", "matrix.seed")
-        if m < n:
-            raise ConfigError("matrix: m must be >= n")
         x_scale = _float_value(desc, "x_scale", "matrix.x_scale") if "x_scale" in desc else 1.0
-        return gen_gaussian(m, n, x_scale, seed)
+        return _generate(gen_gaussian, m, n, x_scale, seed)
     if kind == "tomography":
         _require_keys(desc, {"kind", "grid", "angles", "rays"}, {"grid", "angles", "rays"}, "matrix")
         sizes = [
             _int_value(desc, key, f"matrix.{key}", minimum=1) for key in ("grid", "angles", "rays")
         ]
-        try:
-            return gen_tomography(*sizes)
-        except ValueError as exc:
-            raise ConfigError(f"matrix: {exc}") from exc
+        return _generate(gen_tomography, *sizes)
     if kind == "identity":
         _require_keys(desc, {"kind", "n"}, {"n"}, "matrix")
         return gen_identity(_int_value(desc, "n", "matrix.n", minimum=1))
@@ -174,13 +186,7 @@ def _build_noise(desc, m):
         _require_keys(desc, {"kind", "values", "path"}, set(), "noise")
         if ("values" in desc) == ("path" in desc):
             raise ConfigError('noise: fixed needs exactly one of "values" or "path"')
-        if "values" in desc:
-            eta = _floats_value(desc, "values", "noise.values")
-        else:
-            eta = _load_file(load_vector, desc, "noise.path")
-        if eta.shape != (m,):
-            raise ConfigError(f"noise: fixed vector has length {eta.size}, expected {m}")
-        return FixedNoise(eta), False
+        return FixedNoise(_vector_value(desc, "noise", m)), False
     if kind == "iid":
         _require_keys(desc, {"kind", "sigma2", "resample"}, {"sigma2"}, "noise")
         sigma2 = _float_value(desc, "sigma2", "noise.sigma2")
@@ -216,13 +222,7 @@ def _build_x0(desc, sys):
     if desc == "zero":
         return np.zeros(n)
     if isinstance(desc, dict) and set(desc) in ({"values"}, {"path"}):
-        if "values" in desc:
-            x0 = _floats_value(desc, "values", "x0.values")
-        else:
-            x0 = _load_file(load_vector, desc, "x0.path")
-        if x0.shape != (n,):
-            raise ConfigError(f"x0: vector has length {x0.size}, expected {n}")
-        return x0
+        return _vector_value(desc, "x0", n)
     if isinstance(desc, dict) and set(desc) == {"random_seed"}:
         seed = _int_value(desc, "random_seed", "x0.random_seed")
         return rng_from(seed, 0x5D).standard_normal(n)
@@ -378,7 +378,9 @@ def _write_outputs(out_dir, curves, scalars, warnings, raw_config, k_max):
 
 
 def cmd_run(cfg, raw_config, out_dir, verbose=False):
-    curves, scalars, warnings = run_experiment(cfg, verbose=verbose)
+    # overflow and NaN surface as the non-finite errors below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        curves, scalars, warnings = run_experiment(cfg, verbose=verbose)
     for name, values in curves.items():
         if not np.isfinite(values).all():
             raise ValueError(f"curve {name} is not finite at k = {np.argmin(np.isfinite(values))}")

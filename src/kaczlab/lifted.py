@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import check_int, frob_dot, sq_norm
+from ._num import check_int, check_vector, frob_dot, sq_norm
 from .noise_avg import g_apply
-from .problems import FixedNoise, IidNoise, LinearSystem
+from .problems import IidNoise, LinearSystem, fixed_eta
 from .rka import RowDistribution
 
 DENSE_ORACLE_MAX_N = 12
@@ -117,15 +117,6 @@ def build_model(sys: LinearSystem, dist: RowDistribution):
     a_tilde = sys.a / sys.row_norms[:, None]
     a_tilde.setflags(write=False)
     return LiftedModel(a_tilde, dist.p, sys.row_norms)
-
-
-def fixed_eta(noise, m):
-    """noise.eta, for a FixedNoise with m entries; any other spec is a TypeError."""
-    if not isinstance(noise, FixedNoise):
-        raise TypeError(f"unsupported noise spec: {noise!r}")
-    if noise.eta.shape != (m,):
-        raise ValueError(f"eta must have length {m}, got {noise.eta.shape}")
-    return noise.eta
 
 
 def _scaled_eta(model, noise):
@@ -418,10 +409,7 @@ def exact_mse_curve(model, noise, z0, k_max):
     """values[k] = E ||x^(k) - x_true||^2 for k <= k_max, given a FixedNoise's
     vector or averaged over an IidNoise's draws: _lifted_curve around
     _noise_terms' fixed point, whose trace is the floor, with its drive."""
-    z0 = np.asarray(z0, dtype=float)
-    n = model.a_tilde.shape[1]
-    if z0.shape != (n,):
-        raise ValueError(f"z0 must have length {n}, got {z0.shape}")
+    z0 = check_vector(z0, model.a_tilde.shape[1], "z0")
     k_max = check_int(k_max, "k_max")
     return _lifted_curve(model, z0, *_noise_terms(model, noise, z0), k_max)
 

@@ -1,10 +1,10 @@
 """Test linear systems: generators, noise models, and text-file (de)serialization."""
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
+from ._num import check_vector
 from .seeding import rng_from
 
 # Full-column-rank gate: lambda_min(A^T A) must exceed this times lambda_max.
@@ -35,16 +35,12 @@ class LinearSystem:
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.a, dtype=float)
-        x = np.ascontiguousarray(self.x_true, dtype=float)
         m, n = a.shape
         if m < n:
             raise ValueError(f"m must be >= n, got {m} x {n}")
-        if x.shape != (n,):
-            raise ValueError(f"x_true must have length {n}, got {x.shape}")
+        x = check_vector(self.x_true, n, "x_true")
         if not np.all(np.isfinite(a)):
             raise ValueError("every entry of the matrix must be finite")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("every entry of x_true must be finite")
         norms = np.linalg.norm(a, axis=1)
         if not np.all(norms > 0.0):
             raise ValueError("every row must have strictly positive norm")
@@ -62,10 +58,6 @@ class LinearSystem:
         object.__setattr__(self, "row_norms", norms)
         object.__setattr__(self, "sigma_min", sigma_min)
         object.__setattr__(self, "kappa", float(np.linalg.norm(a)) / sigma_min)
-
-    @property
-    def shape(self):
-        return self.a.shape
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,11 @@ class IidNoise:
         object.__setattr__(self, "sigma2", s)
 
 
-NoiseSpec = Union[FixedNoise, IidNoise]
+def fixed_eta(noise, m):
+    """noise.eta, for a FixedNoise with m entries; any other spec is a TypeError."""
+    if not isinstance(noise, FixedNoise):
+        raise TypeError(f"unsupported noise spec: {noise!r}")
+    return check_vector(noise.eta, m, "eta")
 
 
 def gen_gaussian(m, n, x_scale=1.0, seed=0):
@@ -210,15 +206,11 @@ def make_measurements(sys, noise, seed=0):
     vector i.i.d. normal(0, sigma2) from the seed.
     """
     m = sys.a.shape[0]
-    if isinstance(noise, FixedNoise):
-        if noise.eta.shape != (m,):
-            raise ValueError(f"eta must have length {m}, got {noise.eta.shape}")
-        eta = noise.eta.copy()
-    elif isinstance(noise, IidNoise):
+    if isinstance(noise, IidNoise):
         rng = rng_from(seed, 0xE7A)
         eta = np.sqrt(noise.sigma2) * rng.standard_normal(m)
     else:
-        raise TypeError(f"unsupported noise spec: {noise!r}")
+        eta = fixed_eta(noise, m).copy()
     return sys.a @ sys.x_true + eta, eta
 
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import check_int, sq_norm
+from ._num import check_int, check_vector, sq_norm
 from .problems import FixedNoise, make_measurements
 from .seeding import mix_seed
 
@@ -159,10 +159,10 @@ def run_trial(sys, y, dist, x0, k_max, seed):
     is the one-run call of the kernel monte_carlo_mse runs all trials in.
     """
     m, n = sys.a.shape
-    y = np.ascontiguousarray(y, dtype=float)
-    x0 = np.ascontiguousarray(x0, dtype=float)
-    if y.shape != (m,) or x0.shape != (n,) or dist.m != m:
-        raise ValueError("dimension mismatch between system, y, dist and x0")
+    y, x0 = check_vector(y, m, "y"), check_vector(x0, n, "x0")
+    k_max = check_int(k_max, "k_max")
+    if dist.m != m:
+        raise ValueError(f"dist has {dist.m} rows, the system {m}")
     rows = sample_rows(dist, np.random.default_rng(seed).random(k_max))
     a_unit, eta_unit = _unit_rows(sys, y)
     z = (x0 - sys.x_true)[None, :]
@@ -206,9 +206,7 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed):
     trials = check_int(trials, "trials", minimum=1)
     k_max = check_int(k_max, "k_max")
     m, n = sys.a.shape
-    x0 = np.ascontiguousarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have length {n}")
+    x0 = check_vector(x0, n, "x0")
     if dist.m != m:
         raise ValueError(f"dist has {dist.m} rows, the system {m}")
 

@@ -378,6 +378,13 @@ class TestConfigErrors:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "config is not valid JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # json.loads raises RecursionError, not ValueError, past its nesting limit
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "config error: config is not valid JSON: " in capsys.readouterr().err
+
     def test_wrong_noise_length(self, tmp_path, eta8):
         cfg = base_config(eta8)
         cfg["noise"] = {"kind": "fixed", "values": [0.0, 1.0]}
@@ -418,6 +425,31 @@ class TestConfigErrors:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert f"{key}: must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("k_max", True, "k_max: must be an integer, got True"),
+        ("k_max", -1, "k_max: must be >= 0, got -1"),
+        ("trials", 0, "trials: must be >= 1, got 0"),
+        ("seed", "7", "seed: must be an integer, got '7'"),
+    ], ids=["bool", "negative", "zero_trials", "string"])
+    def test_integer_message_exact(self, tmp_path, eta8, capsys, key, value, message):
+        cfg = base_config(eta8)
+        cfg[key] = value
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("section, desc, message", [
+        ("noise", {"kind": "fixed", "values": [0.0, 1.0]},
+         "noise: vector must have length 8, got (2,)"),
+        ("x0", {"values": [0.0, 1.0, 2.0]}, "x0: vector must have length 4, got (3,)"),
+        ("matrix", {"kind": "gaussian", "m": 3, "n": 5, "seed": 1},
+         "matrix: m must be >= n, got 3 x 5"),
+    ], ids=["noise", "x0", "gaussian"])
+    def test_size_message_names_key(self, tmp_path, eta8, capsys, section, desc, message):
+        cfg = base_config(eta8)
+        cfg[section] = desc
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_string_matrix_size_rejected(self, tmp_path, eta8, capsys):
         cfg = base_config(eta8)
@@ -657,6 +689,28 @@ class TestNonFinite:
                              "out"], tmp_path)
         assert done.returncode == 1, done.stderr
         assert f"error: {message}" in done.stderr
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("matrix, noise, outputs, message", [
+        ({"kind": "gaussian", "m": 12, "n": 4, "seed": 1},
+         {"kind": "iid", "sigma2": 1.7e308, "resample": True},
+         ["empirical", "exact_avg", "bound_zf_avg", "floor"],
+         "curve empirical is not finite at k = 4"),
+        ({"kind": "gaussian", "m": 150, "n": 50, "seed": 1},
+         {"kind": "fixed", "values": [1e200] * 150},
+         ["exact", "bound_zf", "floor"],
+         "(I - Q) CG right-hand side is not finite"),
+    ], ids=["iid_resampled", "fixed"])
+    def test_one_error_line_and_no_numpy_warning(self, tmp_path, matrix, noise, outputs,
+                                                 message):
+        cfg = {"matrix": matrix, "noise": noise, "k_max": 5, "trials": 3, "seed": 0,
+               "outputs": outputs}
+        write_config(tmp_path, cfg)
+        done = fresh_python(["-m", "kaczlab.cli", "run", "--config", "config.json", "--out",
+                             "out"], tmp_path)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 

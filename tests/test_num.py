@@ -1,15 +1,21 @@
-"""Integer arguments (horizons, trial counts) are checked the same way by
-every entry point that takes one."""
+"""Integer arguments (horizons, trial counts), vector arguments (z0, x0, y)
+and noise specs are each checked the same way by every entry point that
+takes one."""
+
+import re
 
 import numpy as np
 import pytest
 
 from kaczlab import (
     FixedNoise,
+    apply_D,
     build_model,
     exact_mse_at,
     exact_mse_curve,
+    make_measurements,
     monte_carlo_mse,
+    run_trial,
     sv_bound_curve,
     zf_bound_curve,
     zf_general_bound_curve,
@@ -22,6 +28,7 @@ def entry_points():
     """{name: (one-argument call, argument name, its minimum)}."""
     sys, dist, eta, z0 = random_instance(8, 3, 90)
     model, noise, x0 = build_model(sys, dist), FixedNoise(eta), sys.x_true + z0
+    y, _ = make_measurements(sys, noise)
     return {
         "sv_bound_curve": (lambda k: sv_bound_curve(sys, z0, k), "k_max", 0),
         "zf_bound_curve": (lambda k: zf_bound_curve(sys, noise, z0, k), "k_max", 0),
@@ -33,6 +40,7 @@ def entry_points():
             lambda k: monte_carlo_mse(sys, noise, dist, x0, k, 2, seed=1).mse_mean, "k_max", 0),
         "monte_carlo_mse.trials": (
             lambda t: monte_carlo_mse(sys, noise, dist, x0, 4, t, seed=1).mse_mean, "trials", 1),
+        "run_trial": (lambda k: run_trial(sys, y, dist, x0, k, seed=1), "k_max", 0),
     }
 
 
@@ -55,3 +63,59 @@ def test_bad_integer_argument(entry, value):
 def test_numpy_integer_accepted(entry):
     call, _, _ = entry_points()[entry]
     assert np.array_equal(call(np.int64(3)), call(3))
+
+
+def vector_entry_points():
+    """{name: (call with the vector replaced, argument name, its length)}."""
+    sys, dist, eta, z0 = random_instance(8, 3, 91)
+    model, noise, x0 = build_model(sys, dist), FixedNoise(eta), sys.x_true + z0
+    y, _ = make_measurements(sys, noise)
+    return {
+        "exact_mse_curve": (lambda v: exact_mse_curve(model, noise, v, 4), "z0", 3),
+        "exact_mse_at": (lambda v: exact_mse_at(model, noise, v, 4), "z0", 3),
+        "sv_bound_curve": (lambda v: sv_bound_curve(sys, v, 4), "z0", 3),
+        "zf_bound_curve": (lambda v: zf_bound_curve(sys, noise, v, 4), "z0", 3),
+        "zf_general_bound_curve": (lambda v: zf_general_bound_curve(model, noise, v, 4),
+                                   "z0", 3),
+        "monte_carlo_mse": (lambda v: monte_carlo_mse(sys, noise, dist, v, 4, 2, seed=1),
+                            "x0", 3),
+        "run_trial.y": (lambda v: run_trial(sys, v, dist, x0, 4, seed=1), "y", 8),
+        "run_trial.x0": (lambda v: run_trial(sys, y, dist, v, 4, seed=1), "x0", 3),
+    }
+
+
+@pytest.mark.parametrize("bad", ["length", "nan", "inf"])
+@pytest.mark.parametrize("entry", list(vector_entry_points()))
+def test_bad_vector_argument(entry, bad):
+    call, name, length = vector_entry_points()[entry]
+    if bad == "length":
+        vec, message = np.zeros(length + 1), f"{name} must have length {length}, got ({length + 1},)"
+    else:
+        vec, message = np.ones(length), f"{name} must be finite"
+        vec[-1] = float(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(vec)
+
+
+def noise_readers():
+    """{name: call on a noise spec}, each reading a FixedNoise's vector on 8 rows."""
+    sys, dist, _, z0 = random_instance(8, 3, 92)
+    model, x0 = build_model(sys, dist), sys.x_true + z0
+    return {
+        "make_measurements": lambda noise: make_measurements(sys, noise),
+        "monte_carlo_mse": lambda noise: monte_carlo_mse(sys, noise, dist, x0, 4, 2, seed=1),
+        "exact_mse_curve": lambda noise: exact_mse_curve(model, noise, z0, 4),
+        "zf_bound_curve": lambda noise: zf_bound_curve(sys, noise, z0, 4),
+        "zf_general_bound_curve": lambda noise: zf_general_bound_curve(model, noise, z0, 4),
+        "apply_D": lambda noise: apply_D(model, noise, z0),
+    }
+
+
+@pytest.mark.parametrize("entry", list(noise_readers()))
+def test_bad_noise_spec(entry):
+    call = noise_readers()[entry]
+    with pytest.raises(ValueError, match=r"^eta must have length 8, got \(7,\)$"):
+        call(FixedNoise(np.zeros(7)))
+    for bad in (np.zeros(8), 0.1, None):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'unsupported noise spec: {bad!r}')}$"):
+            call(bad)

@@ -52,3 +52,10 @@ def test_cli_config_runs(tmp_path, index):
     assert done.returncode == 0, done.stderr
     scalars = json.loads((tmp_path / "out" / "result.json").read_text())["scalars"]
     assert all(v is not None and math.isfinite(v) for v in scalars.values()), scalars
+
+
+def test_layout_names_every_module():
+    layout = re.search(r"```\n(src/kaczlab/.*?)```", section("Layout"), re.DOTALL).group(1)
+    named = set(re.findall(r"^  (\w+\.py)\s", layout, re.MULTILINE))
+    modules = {p.name for p in (README.parent / "src" / "kaczlab").glob("*.py")}
+    assert modules - {"__init__.py"} <= named, sorted(modules - named - {"__init__.py"})
