@@ -1,4 +1,4 @@
-"""Tiny numeric helpers, and the one check of each integer and vector argument."""
+"""Tiny numeric helpers, the one check of each integer and vector argument, and set_fields."""
 
 import numpy as np
 
@@ -30,3 +30,18 @@ def check_vector(value, length, name):
 
 def frob_dot(a, b):
     return float(np.dot(a.ravel(), b.ravel()))
+
+
+def set_fields(obj, **fields):
+    """Store each field of obj, a frozen dataclass. Every array, alone or in a
+    tuple, is stored as a read-only copy: the caller's array stays writable,
+    and no later write to it reaches obj."""
+    def frozen(value):
+        if isinstance(value, tuple):
+            return tuple(map(frozen, value))
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.setflags(write=False)
+        return value
+    for name, value in fields.items():
+        object.__setattr__(obj, name, frozen(value))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import check_int, check_vector, frob_dot, sq_norm
+from ._num import check_int, check_vector, frob_dot, set_fields, sq_norm
 from .noise_avg import g_apply
 from .problems import IidNoise, LinearSystem, fixed_eta
 from .rka import RowDistribution
@@ -76,16 +76,11 @@ class LiftedModel:
     q_table: tuple = field(init=False)          # (table, upper, full) or None
 
     def __post_init__(self):
-        p_rows = self.p[:, None] * self.a_tilde
-        p_rows.setflags(write=False)
-        object.__setattr__(self, "p_rows", p_rows)
+        set_fields(self, a_tilde=self.a_tilde, p=self.p, row_norms=self.row_norms)
+        set_fields(self, p_rows=self.p[:, None] * self.a_tilde)
         lam, u = np.linalg.eigh(dense_p(self))
-        for arr in (lam, u):
-            arr.setflags(write=False)
-        object.__setattr__(self, "p_eigvals", lam)
-        object.__setattr__(self, "p_eigvecs", u)
         small = self.a_tilde.shape[1] <= DENSE_ORACLE_MAX_N
-        object.__setattr__(self, "q_table", _tabulate_q(self) if small else None)
+        set_fields(self, p_eigvals=lam, p_eigvecs=u, q_table=_tabulate_q(self) if small else None)
 
 
 @dataclass(frozen=True)
@@ -114,9 +109,7 @@ def build_model(sys: LinearSystem, dist: RowDistribution):
     m, _ = sys.a.shape
     if dist.m != m:
         raise ValueError(f"distribution has {dist.m} entries for {m} rows")
-    a_tilde = sys.a / sys.row_norms[:, None]
-    a_tilde.setflags(write=False)
-    return LiftedModel(a_tilde, dist.p, sys.row_norms)
+    return LiftedModel(sys.a / sys.row_norms[:, None], dist.p, sys.row_norms)
 
 
 def _scaled_eta(model, noise):
@@ -159,8 +152,6 @@ def _tabulate_q(model):
         basis = np.zeros((n, n))
         basis[k, l] = basis[l, k] = 1.0
         table[:, j] = _apply_q_implicit(model, basis).ravel()[upper]
-    for arr in (table, upper, full):
-        arr.setflags(write=False)
     return table, upper, full
 
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import check_vector
+from ._num import check_vector, set_fields
 from .seeding import rng_from
 
 # Full-column-rank gate: lambda_min(A^T A) must exceed this times lambda_max.
@@ -51,13 +51,8 @@ class LinearSystem:
                 f"matrix is rank deficient: sigma_min={sigma_min:.3e} "
                 f"(lambda ratio {evals[0] / evals[-1]:.3e} <= {RANK_RTOL})"
             )
-        for arr in (a, x, norms):
-            arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "x_true", x)
-        object.__setattr__(self, "row_norms", norms)
-        object.__setattr__(self, "sigma_min", sigma_min)
-        object.__setattr__(self, "kappa", float(np.linalg.norm(a)) / sigma_min)
+        set_fields(self, a=a, x_true=x, row_norms=norms, sigma_min=sigma_min,
+                   kappa=float(np.linalg.norm(a)) / sigma_min)
 
 
 @dataclass(frozen=True)
@@ -67,11 +62,10 @@ class FixedNoise:
     eta: np.ndarray
 
     def __post_init__(self):
-        eta = np.array(self.eta, dtype=float)   # a copy: the caller's array stays writable
+        eta = np.asarray(self.eta, dtype=float)
         if eta.ndim != 1 or not np.all(np.isfinite(eta)):
             raise ValueError("eta must be a finite 1-D vector")
-        eta.setflags(write=False)
-        object.__setattr__(self, "eta", eta)
+        set_fields(self, eta=eta)
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,7 @@ class IidNoise:
         s = float(self.sigma2)
         if not np.isfinite(s) or s < 0.0:
             raise ValueError(f"sigma2 must be finite and >= 0, got {s}")
-        object.__setattr__(self, "sigma2", s)
+        set_fields(self, sigma2=s)
 
 
 def fixed_eta(noise, m):

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import check_int, check_vector, sq_norm
+from ._num import check_int, check_vector, set_fields, sq_norm
 from .problems import FixedNoise, make_measurements
 from .seeding import mix_seed
 
@@ -31,10 +31,7 @@ class RowDistribution:
             raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
         cum = np.cumsum(p)
         cum[-1] = 1.0  # forced exact so u < 1 always lands in range
-        for arr in (p, cum):
-            arr.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "cum", cum)
+        set_fields(self, p=p, cum=cum)
 
     @property
     def m(self):
@@ -163,7 +160,7 @@ def run_trial(sys, y, dist, x0, k_max, seed):
     k_max = check_int(k_max, "k_max")
     if dist.m != m:
         raise ValueError(f"dist has {dist.m} rows, the system {m}")
-    rows = sample_rows(dist, np.random.default_rng(seed).random(k_max))
+    rows = sample_rows(dist, np.random.default_rng(check_int(seed, "seed")).random(k_max))
     a_unit, eta_unit = _unit_rows(sys, y)
     z = (x0 - sys.x_true)[None, :]
     errs = np.empty(k_max + 1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from ._num import check_int
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -11,7 +13,7 @@ def mix_seed(seed, *key):
     Trials keyed by index are mutually independent and can be generated in
     any order. Negative seeds are mapped to their 64-bit two's complement.
     """
-    entropy = [int(seed) & _MASK64] + [int(k) & _MASK64 for k in key]
+    entropy = [check_int(seed, "seed", minimum=None) & _MASK64] + [int(k) & _MASK64 for k in key]
     ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 

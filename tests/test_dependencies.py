@@ -30,3 +30,31 @@ def test_imports_only_stdlib_and_numpy(path):
     bad = [f"{path.name}:{line} imports {root}"
            for line, root in imported_roots(path) if root not in ALLOWED]
     assert not bad
+
+
+def is_frozen_store(node):
+    """node is a call of .setflags(...) or object.__setattr__(...)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    owner = node.func.value
+    return node.func.attr == "setflags" or (
+        node.func.attr == "__setattr__" and isinstance(owner, ast.Name) and owner.id == "object")
+
+
+def test_one_owner_per_rule():
+    """Only _num.set_fields freezes an array or stores a frozen field, and only
+    _num words an integer check or a vector length check."""
+    stores, messages = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        helper = {id(node) for func in ast.walk(tree) if path.name == "_num.py"
+                  and isinstance(func, ast.FunctionDef) and func.name == "set_fields"
+                  for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if is_frozen_store(node) and id(node) not in helper:
+                stores.append(f"{path.name}:{node.lineno}")
+            if (path.name != "_num.py" and isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and ("must have length" in node.value or "must be an integer" in node.value)):
+                messages.append(f"{path.name}:{node.lineno}")
+    assert stores == [] and messages == []

@@ -1,7 +1,8 @@
-"""Integer arguments (horizons, trial counts), vector arguments (z0, x0, y)
-and noise specs are each checked the same way by every entry point that
-takes one."""
+"""Integer arguments (horizons, trial counts, seeds), vector arguments (z0,
+x0, y) and noise specs are each checked the same way by every entry point
+that takes one, and every value object keeps its arrays the same way."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -9,10 +10,15 @@ import pytest
 
 from kaczlab import (
     FixedNoise,
+    IidNoise,
+    LiftedModel,
+    LinearSystem,
+    RowDistribution,
     apply_D,
     build_model,
     exact_mse_at,
     exact_mse_curve,
+    gen_gaussian,
     make_measurements,
     monte_carlo_mse,
     run_trial,
@@ -20,16 +26,24 @@ from kaczlab import (
     zf_bound_curve,
     zf_general_bound_curve,
 )
+from kaczlab.seeding import rng_from
 
 from conftest import random_instance
 
 
 def entry_points():
-    """{name: (one-argument call, argument name, its minimum)}."""
+    """{name: (one-argument call, argument name, its minimum or None for any int)}."""
     sys, dist, eta, z0 = random_instance(8, 3, 90)
     model, noise, x0 = build_model(sys, dist), FixedNoise(eta), sys.x_true + z0
     y, _ = make_measurements(sys, noise)
+    iid = IidNoise(0.1)
     return {
+        "gen_gaussian.seed": (lambda s: gen_gaussian(8, 3, seed=s).a, "seed", None),
+        "make_measurements.seed": (lambda s: make_measurements(sys, iid, seed=s)[0], "seed", None),
+        "monte_carlo_mse.seed": (
+            lambda s: monte_carlo_mse(sys, iid, dist, x0, 4, 2, seed=s).mse_mean, "seed", None),
+        "run_trial.seed": (lambda s: run_trial(sys, y, dist, x0, 4, seed=s), "seed", 0),
+        "rng_from.seed": (lambda s: rng_from(s, 1).random(4), "seed", None),
         "sv_bound_curve": (lambda k: sv_bound_curve(sys, z0, k), "k_max", 0),
         "zf_bound_curve": (lambda k: zf_bound_curve(sys, noise, z0, k), "k_max", 0),
         "zf_general_bound_curve": (lambda k: zf_general_bound_curve(model, noise, z0, k),
@@ -51,7 +65,9 @@ ENTRY_POINTS = list(entry_points())
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_bad_integer_argument(entry, value):
     call, name, minimum = entry_points()[entry]
-    if value == -1:
+    if value == -1 and minimum is None:   # any int: -1 keeps its two's-complement stream
+        assert call(value).tobytes() == call(2**64 - 1).tobytes()
+    elif value == -1:
         with pytest.raises(ValueError, match=f"^{name} must be >= {minimum}, got -1$"):
             call(value)
     else:
@@ -62,7 +78,7 @@ def test_bad_integer_argument(entry, value):
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_numpy_integer_accepted(entry):
     call, _, _ = entry_points()[entry]
-    assert np.array_equal(call(np.int64(3)), call(3))
+    assert np.asarray(call(np.int64(3))).tobytes() == np.asarray(call(3)).tobytes()
 
 
 def vector_entry_points():
@@ -119,3 +135,46 @@ def test_bad_noise_spec(entry):
     for bad in (np.zeros(8), 0.1, None):
         with pytest.raises(TypeError, match=f"^{re.escape(f'unsupported noise spec: {bad!r}')}$"):
             call(bad)
+
+
+def value_objects():
+    """{name: (constructor, its array arguments, the arrays it stores)}, every
+    argument the caller's own writable array."""
+    sys, dist, _, _ = random_instance(8, 3, 94)
+    a_tilde = sys.a / sys.row_norms[:, None]
+    model_fields = ["a_tilde", "p", "row_norms", "p_rows", "p_eigvals", "p_eigvecs",
+                    "q_table[0]", "q_table[1]", "q_table[2]"]
+    return {
+        "LinearSystem": (LinearSystem, [sys.a.copy(), sys.x_true.copy()],
+                         ["a", "x_true", "row_norms"]),
+        "RowDistribution": (RowDistribution, [dist.p.copy()], ["p", "cum"]),
+        "LiftedModel": (LiftedModel, [a_tilde, dist.p.copy(), sys.row_norms.copy()],
+                        model_fields),
+        "FixedNoise": (FixedNoise, [np.arange(8.0)], ["eta"]),
+    }
+
+
+def array_fields(obj):
+    """{field name, with [i] for a tuple's entries: array} of every array obj stores."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, tuple):
+            out.update({f"{f.name}[{i}]": v for i, v in enumerate(value)})
+        elif isinstance(value, np.ndarray):
+            out[f.name] = value
+    return out
+
+
+@pytest.mark.parametrize("name", list(value_objects()))
+def test_value_object_keeps_own_read_only_copies(name):
+    make, args, names = value_objects()[name]
+    obj = make(*args)
+    stored = {k: v.copy() for k, v in array_fields(obj).items()}
+    assert sorted(stored) == sorted(names)
+    assert [k for k, v in array_fields(obj).items() if v.flags.writeable] == []
+    for arr in args:
+        assert arr.flags.writeable
+        arr[...] = 0.5
+    for key, value in array_fields(obj).items():
+        assert np.array_equal(value, stored[key]), key
