@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import check_vector, set_fields
+from ._num import check_int, check_vector, set_fields
 from .seeding import rng_from
 
 # Full-column-rank gate: lambda_min(A^T A) must exceed this times lambda_max.
@@ -94,6 +94,7 @@ def gen_gaussian(m, n, x_scale=1.0, seed=0):
     x_true is i.i.d. normal scaled by x_scale. A draw that happens to be
     rank deficient (probability ~0) is redrawn, at most 3 times.
     """
+    m, n = check_int(m, "m", minimum=1), check_int(n, "n", minimum=1)
     if m < n:
         raise ValueError(f"m must be >= n, got {m} x {n}")
     rng = rng_from(seed, 0xA)
@@ -109,6 +110,7 @@ def gen_gaussian(m, n, x_scale=1.0, seed=0):
 
 def gen_identity(n):
     """The n x n identity system with x_true = 0 (analytic fixture)."""
+    n = check_int(n, "n", minimum=1)
     return LinearSystem(np.eye(n), np.zeros(n))
 
 
@@ -121,76 +123,49 @@ def _phantom(grid):
     return (img / img.max()).ravel()
 
 
-def _trace_ray(grid, p0, direction):
-    """Intersection lengths of one ray with every pixel of a grid x grid image.
-
-    The image occupies [0, grid]^2 with unit pixels; pixel (col i, row j)
-    maps to flat index j*grid + i. Lengths are measures of the ray inside
-    the open pixel interiors, so a ray riding a grid line contributes 0.
-    """
-    ts = []
-    lo, hi = -np.inf, np.inf
-    for axis in range(2):
-        d = direction[axis]
-        if d != 0.0:
-            crossings = (np.arange(grid + 1) - p0[axis]) / d
-            ts.append(crossings)
-            lo = max(lo, min(crossings[0], crossings[-1]))
-            hi = min(hi, max(crossings[0], crossings[-1]))
-        elif not 0.0 < p0[axis] < grid:
-            return np.zeros(grid * grid)
-    if hi <= lo:
-        return np.zeros(grid * grid)
-    ts = np.concatenate(ts)
-    ts = np.sort(np.clip(ts[(ts >= lo - 1e-12) & (ts <= hi + 1e-12)], lo, hi))
-    row = np.zeros(grid * grid)
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        if t1 - t0 <= 1e-12:
-            continue
-        mid = p0 + 0.5 * (t0 + t1) * direction
-        i, j = int(np.floor(mid[0])), int(np.floor(mid[1]))
-        if 0 <= i < grid and 0 <= j < grid:
-            row[j * grid + i] += t1 - t0
-    return row
-
-
 def gen_tomography(grid, num_angles, rays_per_angle):
     """A parallel-beam tomography system over a grid x grid pixel image.
 
     Projection angles sit at the midpoints of num_angles equal bins of
     [0, pi); ray offsets sit at the midpoints of rays_per_angle equal bins
     across the grid width, so no ray ever rides a grid line. Entries are
-    ray/pixel intersection lengths (all >= 0); zero rows are removed.
-    x_true is a smooth two-bump phantom with peak 1.0.
+    ray/pixel intersection lengths (all >= 0), one row per ray, angle by
+    angle. Every ray crosses the image: sin(theta) > 0, cos(theta) != 0 in
+    doubles, and |offset| <= grid/2 - grid/(2 rays_per_angle) is less than
+    the image's half-width (grid/2)(|cos| + |sin|) across the ray. x_true
+    is a smooth two-bump phantom with peak 1.0.
     """
+    grid = check_int(grid, "grid", minimum=1)
+    num_angles = check_int(num_angles, "num_angles", minimum=1)
+    rays_per_angle = check_int(rays_per_angle, "rays_per_angle", minimum=1)
     n = grid * grid
     m = num_angles * rays_per_angle
-    if grid < 1 or num_angles < 1 or rays_per_angle < 1:
-        raise ValueError("grid, num_angles and rays_per_angle must be positive")
     if m < n:
         raise ValueError(f"num_angles * rays_per_angle = {m} must be >= grid^2 = {n}")
-    center = np.array([grid / 2.0, grid / 2.0])
-    rows = []
-    for a in range(num_angles):
-        theta = (a + 0.5) * np.pi / num_angles
-        direction = np.array([np.cos(theta), np.sin(theta)])
-        perp = np.array([-np.sin(theta), np.cos(theta)])
-        for r in range(rays_per_angle):
-            offset = (r + 0.5) * grid / rays_per_angle - grid / 2.0
-            rows.append(_trace_ray(grid, center + offset * perp, direction))
-    a_mat = np.array(rows)
-    keep = np.any(a_mat != 0.0, axis=1)
-    a_mat = a_mat[keep]
-    if a_mat.shape[0] == 0:
-        raise ValueError("all rays missed the image: zero-row-only configuration")
-    if a_mat.shape[0] < n:
-        raise ValueError(
-            f"only {a_mat.shape[0]} nonzero rays for {n} pixels; increase angles/rays"
-        )
-    try:
-        return LinearSystem(a_mat, _phantom(grid))
-    except ValueError as exc:
-        raise ValueError(f"tomography configuration is rank deficient: {exc}") from exc
+    # Siddon's traversal, all rays at once: the image is [0, grid]^2 with
+    # unit pixels, pixel (col i, row j) is column j*grid + i, and ray k is
+    # p0[k] + t * direction[k]. Its crossings with the lines x = 0..grid and
+    # y = 0..grid that lie in the image's [lo, hi] cut it into segments;
+    # each segment's length goes to the pixel holding its midpoint.
+    theta = np.repeat((np.arange(num_angles) + 0.5) * np.pi / num_angles, rays_per_angle)
+    offset = np.tile((np.arange(rays_per_angle) + 0.5) * grid / rays_per_angle - grid / 2.0,
+                     num_angles)
+    direction = np.stack([np.cos(theta), np.sin(theta)], axis=1)[:, :, None]
+    perp = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, :, None]
+    p0 = grid / 2.0 + offset[:, None, None] * perp
+    ts = (np.arange(grid + 1) - p0) / direction   # (m, 2, grid + 1)
+    lo = np.minimum(ts[:, :, 0], ts[:, :, -1]).max(axis=1)[:, None]
+    hi = np.maximum(ts[:, :, 0], ts[:, :, -1]).min(axis=1)[:, None]
+    ts = ts.reshape(m, -1)
+    ts = np.sort(np.where((ts >= lo) & (ts <= hi), ts, np.nan), axis=1)   # NaN sorts last
+    length = ts[:, 1:] - ts[:, :-1]
+    cell = np.floor(p0 + 0.5 * (ts[:, None, :-1] + ts[:, None, 1:]) * direction)
+    keep = (length > 1e-12) & np.all((cell >= 0) & (cell < grid), axis=1)
+    ray, seg = np.nonzero(keep)
+    pixel = (cell[ray, 1, seg] * grid + cell[ray, 0, seg]).astype(int)
+    a_mat = np.zeros((m, n))
+    np.add.at(a_mat, (ray, pixel), length[ray, seg])
+    return LinearSystem(a_mat, _phantom(grid))
 
 
 def make_measurements(sys, noise, seed=0):

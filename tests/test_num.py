@@ -19,6 +19,8 @@ from kaczlab import (
     exact_mse_at,
     exact_mse_curve,
     gen_gaussian,
+    gen_identity,
+    gen_tomography,
     make_measurements,
     monte_carlo_mse,
     run_trial,
@@ -39,6 +41,13 @@ def entry_points():
     iid = IidNoise(0.1)
     return {
         "gen_gaussian.seed": (lambda s: gen_gaussian(8, 3, seed=s).a, "seed", None),
+        "gen_gaussian.m": (lambda k: gen_gaussian(k, 3).a, "m", 1),
+        "gen_gaussian.n": (lambda k: gen_gaussian(8, k).a, "n", 1),
+        "gen_tomography.grid": (lambda k: gen_tomography(k, 6, 5).a, "grid", 1),
+        "gen_tomography.num_angles": (lambda k: gen_tomography(3, k, 5).a, "num_angles", 1),
+        "gen_tomography.rays_per_angle": (lambda k: gen_tomography(3, 6, k).a,
+                                          "rays_per_angle", 1),
+        "gen_identity": (lambda k: gen_identity(k).a, "n", 1),
         "make_measurements.seed": (lambda s: make_measurements(sys, iid, seed=s)[0], "seed", None),
         "monte_carlo_mse.seed": (
             lambda s: monte_carlo_mse(sys, iid, dist, x0, 4, 2, seed=s).mse_mean, "seed", None),

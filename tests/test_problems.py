@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -64,7 +65,7 @@ class TestGenTomography:
         sys = gen_tomography(10, 15, 10)
         m, n = sys.a.shape
         assert n == 100
-        assert 148 <= m <= 150
+        assert m == 150
 
     def test_tiny_nonnegative(self):
         sys = gen_tomography(2, 2, 2)
@@ -77,8 +78,30 @@ class TestGenTomography:
         assert np.all(sys.row_norms <= grid * np.sqrt(2.0))
 
     def test_no_zero_rows(self):
-        sys = gen_tomography(5, 7, 5)
-        assert np.all(np.any(sys.a != 0.0, axis=1))
+        # every ray crosses the image, so each keeps its row
+        for grid in [1, 2, 3, 5, 8, 12]:
+            for angles, rays in [(grid + 3, grid), (grid + 2, grid + 1), (2 * grid + 1, grid + 1)]:
+                sys = gen_tomography(grid, angles, rays)
+                assert sys.a.shape[0] == angles * rays
+                assert np.all(sys.a.sum(axis=1) > 0.0)
+
+    @pytest.mark.parametrize("sizes, a_sha, x_sha", [
+        ((2, 2, 2), "030a1520bc022c6434d236ab09bcb664a86b47e6d521f2f8072997c7d2cb0385",
+         "c91937dc8f7327008f1ec12d687590bdb6d76344bed5aa5b5622bf6dc8362f39"),
+        ((4, 6, 5), "145aec9deb3398f5e02f0d731032c2657085f3bcabadea8b5798e69790146f22",
+         "277068766537bbdb6aeb4d55982cdb92476f3d005ead2bf2c9e65cad7a9d371e"),
+        ((5, 10, 5), "c3b57be13906e82e52021cfc88c794e96857939c378b7944e1175b0ada54a04f",
+         "f27c5fc561110df242752287c3742be749d9282745b25e57529b102bc3965bb7"),
+        ((10, 15, 10), "566d0311e9ac7018486594bd799d848a81f2ae551b0b86b838cc0f4ae6570298",
+         "daf76760935be1dd45caf44839ba20b333f77bd41981286e7f18de3afc49ee98"),
+        ((18, 25, 18), "d4cd7f7ab406b1a9c95942422a70f4d8d3a2b59e0f28769c93668b8ccc69b69b",
+         "589c4011a701c104d9ac234fc3e24413e476004532d9e4eec954ad09cfd1c50d"),
+    ], ids=["2-2-2", "4-6-5", "5-10-5", "10-15-10", "18-25-18"])
+    def test_bytes_pinned(self, sizes, a_sha, x_sha):
+        # any change to the ray tracing that moves a byte of a or x_true fails here
+        sys = gen_tomography(*sizes)
+        assert hashlib.sha256(sys.a.tobytes()).hexdigest() == a_sha
+        assert hashlib.sha256(sys.x_true.tobytes()).hexdigest() == x_sha
 
     def test_phantom_peak(self):
         sys = gen_tomography(10, 15, 10)
