@@ -23,6 +23,7 @@ from .lifted import (
     dense_lift_oracle,
     exact_mse_at,
     exact_mse_curve,
+    g_apply,
     lambda_max_P,
     lambda_max_Q,
     limiting_mse,
@@ -31,7 +32,6 @@ from .lifted import (
     vec_e,
     vec_f,
 )
-from .noise_avg import g_apply
 from .problems import (
     FixedNoise,
     IidNoise,

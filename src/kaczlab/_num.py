@@ -1,4 +1,5 @@
-"""Tiny numeric helpers, the one check of each integer and vector argument, and set_fields."""
+"""Tiny numeric helpers, the one check of each integer, vector and distribution
+argument, and set_fields."""
 
 import numpy as np
 
@@ -26,6 +27,12 @@ def check_vector(value, length, name):
     if not np.isfinite(vec).all():
         raise ValueError(f"{name} must be finite")
     return vec
+
+
+def check_dist(dist, m):
+    """Refuse a row distribution whose length is not the system's row count m."""
+    if dist.m != m:
+        raise ValueError(f"dist has {dist.m} rows, the system {m}")
 
 
 def frob_dot(a, b):

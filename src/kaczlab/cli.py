@@ -243,7 +243,7 @@ def _parse_config(cfg):
     if not isinstance(outputs, list) or not outputs:
         raise ConfigError("outputs must be a non-empty list of curve kinds")
     for kind in outputs:
-        if kind not in CURVE_KINDS:
+        if not isinstance(kind, str) or kind not in CURVE_KINDS:
             raise ConfigError(f"outputs: unknown curve kind {kind!r}")
     return k_max, trials, seed, outputs
 

@@ -8,10 +8,11 @@ probability-weighted projector moments
     Q.vec(S) = vec(sum_i p_i P_i S P_i)  (n^2 x n^2, implicit or tabulated)
     D.v = vec(sum_i p_i eta~_i (P_i v a~_i^T + a~_i v^T P_i))
     e = vec(sum_i p_i eta~_i^2 a~_i a~_i^T),   f = sum_i p_i eta~_i a~_i
+    g(M) = sum_i (p_i^2/||a_i||^2) (P_i M a~_i a~_i^T + a~_i (M a~_i)^T P_i)
 
-with P_i = I - a~_i a~_i^T and eta~_i = eta_i / ||a_i|| for a FixedNoise(eta).
-The model holds no noise: each analysis takes a FixedNoise or an IidNoise,
-and _noise_terms alone maps it to a curve's fixed point and drive.
+with P_i = I - a~_i a~_i^T, eta~_i = eta_i / ||a_i|| for a FixedNoise(eta), and
+E[D M f] = sigma^2 g(M) over the draws of an IidNoise(sigma^2). The model holds
+no noise: _noise_terms alone maps either spec to a curve's fixed point and drive.
 
 Everything n^2-dimensional is represented as an n x n matrix; vec/mat are
 implicit reshapes and never materialized. For n <= DENSE_ORACLE_MAX_N, Q is
@@ -28,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import check_int, check_vector, frob_dot, set_fields, sq_norm
-from .noise_avg import g_apply
+from ._num import check_dist, check_int, check_vector, frob_dot, set_fields, sq_norm
 from .problems import IidNoise, LinearSystem, fixed_eta
 from .rka import RowDistribution
 
@@ -101,14 +101,12 @@ class DenseLift:
     e: np.ndarray   # (n^2,)
     f: np.ndarray   # (n,)
     H: np.ndarray   # (n^2+n, n^2+n) block [[Q, D], [0, P]]
-    G: np.ndarray   # (n^2, n^2), vec(g(M)) = G vec(M), g as in noise_avg.g_apply
+    G: np.ndarray   # (n^2, n^2), vec(g(M)) = G vec(M), g as in g_apply
 
 
 def build_model(sys: LinearSystem, dist: RowDistribution):
     """Normalize the rows by their norms and pair them with dist's probabilities."""
-    m, _ = sys.a.shape
-    if dist.m != m:
-        raise ValueError(f"distribution has {dist.m} entries for {m} rows")
+    check_dist(dist, sys.a.shape[0])
     return LiftedModel(sys.a / sys.row_norms[:, None], dist.p, sys.row_norms)
 
 
@@ -180,6 +178,20 @@ def apply_D(model, noise, v):
     at = model.a_tilde
     c = model.p * _scaled_eta(model, noise)
     half = np.outer(v, at.T @ c) - at.T @ ((c * (at @ v))[:, None] * at)
+    return half + half.T
+
+
+def g_apply(model, mmat):
+    """mat(g(M)) = sum_i (p_i^2/||a_i||^2) (P_i M a~_i a~_i^T + a~_i (M a~_i)^T P_i).
+
+    This is the noise-covariance contraction of D against itself: for i.i.d.
+    noise, E[D M f] = sigma^2 g(M). Output is symmetric; cost O(mn^2).
+    """
+    at = model.a_tilde
+    k = model.p**2 / model.row_norms**2
+    w = at @ mmat.T                              # rows (M a~_i)^T
+    quad = np.einsum("ij,ij->i", at, w)          # a~_i^T M a~_i
+    half = (k[:, None] * w).T @ at - at.T @ ((k * quad)[:, None] * at)
     return half + half.T
 
 

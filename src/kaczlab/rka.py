@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import check_int, check_vector, set_fields, sq_norm
+from ._num import check_dist, check_int, check_vector, set_fields, sq_norm
 from .problems import FixedNoise, make_measurements
 from .seeding import mix_seed
 
@@ -158,8 +158,7 @@ def run_trial(sys, y, dist, x0, k_max, seed):
     m, n = sys.a.shape
     y, x0 = check_vector(y, m, "y"), check_vector(x0, n, "x0")
     k_max = check_int(k_max, "k_max")
-    if dist.m != m:
-        raise ValueError(f"dist has {dist.m} rows, the system {m}")
+    check_dist(dist, m)
     rows = sample_rows(dist, np.random.default_rng(check_int(seed, "seed")).random(k_max))
     a_unit, eta_unit = _unit_rows(sys, y)
     z = (x0 - sys.x_true)[None, :]
@@ -204,8 +203,7 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed):
     k_max = check_int(k_max, "k_max")
     m, n = sys.a.shape
     x0 = check_vector(x0, n, "x0")
-    if dist.m != m:
-        raise ValueError(f"dist has {dist.m} rows, the system {m}")
+    check_dist(dist, m)
 
     if isinstance(noise, FixedNoise):
         y, _ = make_measurements(sys, noise)

@@ -17,13 +17,13 @@ from .lifted import (
     dense_p,
     exact_mse_at,
     exact_mse_curve,
+    g_apply,
     lambda_max_P,
     lambda_max_Q,
     limiting_mse,
     solve_v1,
     solve_v2,
 )
-from .noise_avg import g_apply
 from .problems import FixedNoise, gen_gaussian
 from .rka import make_distribution, row_norm_distribution
 from .seeding import rng_from

@@ -354,11 +354,63 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
-    def test_unknown_curve_kind(self, tmp_path, eta8):
+    @pytest.mark.parametrize("kind", ["nope", ["exact"], {"kind": "exact"}],
+                             ids=["string", "list", "object"])
+    def test_unknown_curve_kind(self, tmp_path, eta8, capsys, kind):
         cfg = base_config(eta8)
-        cfg["outputs"] = ["exacts"]
+        cfg["outputs"] = ["exact", kind]
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: outputs: unknown curve kind {kind!r}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: {k: v for k, v in c.items() if k != "k_max"},
+         "config: missing keys ['k_max']"),
+        (lambda c: [c], "config must be a JSON object"),
+        (lambda c: dict(c, noise={"kind": "iid", "sigma2": float("nan")}),
+         "noise.sigma2: must be a finite number, got nan"),
+        (lambda c: dict(c, noise={"kind": "iid", "sigma2": float("inf")}),
+         "noise.sigma2: must be a finite number, got inf"),
+        (lambda c: dict(c, matrix=dict(c["matrix"], x_scale=float("nan"))),
+         "matrix.x_scale: must be a finite number, got nan"),
+        (lambda c: dict(c, matrix=dict(c["matrix"], x_scale=float("-inf"))),
+         "matrix.x_scale: must be a finite number, got -inf"),
+        (lambda c: dict(c, matrix={"m": 8, "n": 4, "seed": 5}),
+         'matrix: expected an object with a "kind" key'),
+        (lambda c: dict(c, matrix={"kind": "sparse"}), "matrix: unknown kind 'sparse'"),
+        (lambda c: dict(c, noise={"values": c["noise"]["values"]}),
+         'noise: expected an object with a "kind" key'),
+        (lambda c: dict(c, noise={"kind": "laplace"}), "noise: unknown kind 'laplace'"),
+        (lambda c: dict(c, noise=dict(c["noise"], path="eta.txt")),
+         'noise: fixed needs exactly one of "values" or "path"'),
+        (lambda c: dict(c, noise={"kind": "fixed"}),
+         'noise: fixed needs exactly one of "values" or "path"'),
+        (lambda c: dict(c, distribution={"weights": 3}),
+         "distribution.weights: must be a list of numbers, got 3"),
+        (lambda c: dict(c, distribution={"weights": [1, 2, 3]}),
+         "distribution: 3 weights for 8 rows"),
+        (lambda c: dict(c, distribution={"weights": [1, 2, 3, 0, 5, 6, 7, 8]}),
+         "distribution: all weights must be finite and > 0 (every row needs nonzero "
+         "selection probability)"),
+        (lambda c: dict(c, distribution={"weights": [1, 2, 3, -4, 5, 6, 7, 8]}),
+         "distribution: all weights must be finite and > 0 (every row needs nonzero "
+         "selection probability)"),
+        (lambda c: dict(c, distribution="sqrt"),
+         "distribution: expected row_norm | uniform | {weights}, got 'sqrt'"),
+        (lambda c: dict(c, x0="ones"),
+         "x0: expected zero | {values} | {path} | {random_seed}, got 'ones'"),
+        (lambda c: dict(c, outputs=[]), "outputs must be a non-empty list of curve kinds"),
+        (lambda c: dict(c, outputs="exact"), "outputs must be a non-empty list of curve kinds"),
+    ], ids=["missing_key", "json_array", "sigma2_nan", "sigma2_infinity", "x_scale_nan",
+            "x_scale_minus_infinity", "matrix_no_kind", "matrix_unknown_kind", "noise_no_kind",
+            "noise_unknown_kind", "fixed_values_and_path", "fixed_neither", "weights_not_list",
+            "weights_count", "weights_zero", "weights_negative", "distribution_unknown",
+            "x0_unknown", "outputs_empty", "outputs_not_list"])
+    def test_config_error_exits_2_naming_key(self, tmp_path, eta8, capsys, edit, message):
+        cfg_path = write_config(tmp_path, edit(base_config(eta8)))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "result.json").exists()
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"

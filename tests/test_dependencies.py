@@ -32,6 +32,10 @@ def test_imports_only_stdlib_and_numpy(path):
     assert not bad
 
 
+# words of the argument checks that only _num may raise
+OWNED_MESSAGES = ("must have length", "must be an integer", "rows, the system")
+
+
 def is_frozen_store(node):
     """node is a call of .setflags(...) or object.__setattr__(...)."""
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
@@ -43,7 +47,7 @@ def is_frozen_store(node):
 
 def test_one_owner_per_rule():
     """Only _num.set_fields freezes an array or stores a frozen field, and only
-    _num words an integer check or a vector length check."""
+    _num words an integer check, a vector length check or a distribution length check."""
     stores, messages = [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -55,6 +59,6 @@ def test_one_owner_per_rule():
                 stores.append(f"{path.name}:{node.lineno}")
             if (path.name != "_num.py" and isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
-                    and ("must have length" in node.value or "must be an integer" in node.value)):
+                    and any(words in node.value for words in OWNED_MESSAGES)):
                 messages.append(f"{path.name}:{node.lineno}")
     assert stores == [] and messages == []

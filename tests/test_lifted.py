@@ -448,6 +448,33 @@ class TestFixedPoints:
             lifted._solve_i_minus_q(model, rhs)
         assert len(apply_q_calls) == 0
 
+    def test_cg_zero_rhs_returns_zero(self, apply_q_calls):
+        # eta~^2 underflows, so e + D v2 is exactly 0 and CG would divide 0 by 0
+        sys = gen_gaussian(8, 3, 1.0, 49)
+        model = build_model(sys, row_norm_distribution(sys))
+        assert limiting_mse(model, FixedNoise(np.full(8, 1e-200))) == 0.0
+        assert len(apply_q_calls) == 0
+
+    def test_cg_fails_loudly_when_residual_unreachable(self, monkeypatch):
+        # an apply_Q with relative error 1e-9 cannot bring the true residual to 1e-11:
+        # each claimed convergence fails the check and restarts, until the cap
+        sys = gen_gaussian(8, 3, 1.0, 49)
+        model = build_model(sys, row_norm_distribution(sys))
+        rng, real, calls = np.random.default_rng(50), lifted.apply_Q, []
+
+        def noisy(model, s):
+            calls.append(None)
+            out = real(model, s)
+            err = rng.standard_normal(out.shape)
+            err += err.T
+            return out + 1e-9 * np.linalg.norm(out) / np.linalg.norm(err) * err
+
+        monkeypatch.setattr(lifted, "apply_Q", noisy)
+        with pytest.raises(SolverError, match=r"^\(I - Q\) CG did not reach 1e-11 in 90 "
+                                              r"iterations \(relative residual \d\.\d{3}e-\d\d\)$"):
+            limiting_mse(model, IidNoise(1e-3))
+        assert len(calls) > 90 + 1   # the cap's steps, restarts' true residuals, the final one
+
     def test_v1_symmetric_psd(self):
         model, noise, _ = random_model(12, 5, 25)
         v1 = solve_v1(model, noise)

@@ -1,6 +1,7 @@
 """Integer arguments (horizons, trial counts, seeds), vector arguments (z0,
-x0, y) and noise specs are each checked the same way by every entry point
-that takes one, and every value object keeps its arrays the same way."""
+x0, y), row distributions and noise specs are each checked the same way by
+every entry point that takes one, and every value object keeps its arrays the
+same way."""
 
 import dataclasses
 import re
@@ -25,6 +26,7 @@ from kaczlab import (
     monte_carlo_mse,
     run_trial,
     sv_bound_curve,
+    uniform_distribution,
     zf_bound_curve,
     zf_general_bound_curve,
 )
@@ -120,6 +122,26 @@ def test_bad_vector_argument(entry, bad):
         vec[-1] = float(bad)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(vec)
+
+
+def distribution_readers():
+    """{name: call on a row distribution}, each on a system of 8 rows."""
+    sys, _, eta, z0 = random_instance(8, 3, 93)
+    noise, x0 = FixedNoise(eta), sys.x_true + z0
+    y, _ = make_measurements(sys, noise)
+    return {
+        "build_model": lambda dist: build_model(sys, dist),
+        "run_trial": lambda dist: run_trial(sys, y, dist, x0, 4, seed=1),
+        "monte_carlo_mse": lambda dist: monte_carlo_mse(sys, noise, dist, x0, 4, 2, seed=1),
+    }
+
+
+@pytest.mark.parametrize("entry", list(distribution_readers()))
+def test_distribution_of_wrong_length(entry):
+    call = distribution_readers()[entry]
+    with pytest.raises(ValueError, match=r"^dist has 7 rows, the system 8$"):
+        call(uniform_distribution(7))
+    call(uniform_distribution(8))
 
 
 def noise_readers():
