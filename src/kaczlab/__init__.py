@@ -7,11 +7,7 @@ upper bounds, and a reproducible Monte Carlo harness to verify them all.
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    sv_bound_curve,
-    zf_bound_curve,
-    zf_general_bound_curve,
-)
+from .bounds import zf_general_bound_curve
 from .lifted import (
     DenseLift,
     LiftedModel,

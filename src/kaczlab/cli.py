@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from ._num import check_int, check_vector
-from .bounds import sv_bound_curve, zf_bound_curve, zf_general_bound_curve
+from .bounds import zf_general_bound_curve
 from .lifted import (
     build_model,
     exact_mse_curve,
@@ -334,12 +334,8 @@ def run_experiment(cfg, verbose=False):
         elif kind in ("exact", "exact_avg"):
             curve = exact_mse_curve(model, spec, z0, k_max)
             curves[kind], scalars[FLOOR_KEYS[CURVE_KINDS[kind]]] = curve.values, curve.floor
-        elif kind == "bound_sv":
-            curves[kind] = sv_bound_curve(sys_obj, z0, k_max)
-        elif kind == "bound_zf":
-            curves[kind] = zf_bound_curve(sys_obj, spec, z0, k_max)
-        elif kind != "floor":   # bound_zf_general, bound_zf_avg
-            curves[kind] = zf_general_bound_curve(model, spec, z0, k_max)
+        elif kind != "floor":   # every bound kind; bound_sv reads no noise and gets zero
+            curves[kind] = zf_general_bound_curve(model, spec or IidNoise(0.0), z0, k_max)
     if "floor" in outputs:
         # a floor that exact or exact_avg solved for already is not solved again
         for reads, key in FLOOR_KEYS.items():

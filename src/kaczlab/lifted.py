@@ -100,7 +100,6 @@ class DenseLift:
     D: np.ndarray   # (n^2, n)
     e: np.ndarray   # (n^2,)
     f: np.ndarray   # (n,)
-    H: np.ndarray   # (n^2+n, n^2+n) block [[Q, D], [0, P]]
     G: np.ndarray   # (n^2, n^2), vec(g(M)) = G vec(M), g as in g_apply
 
 
@@ -488,7 +487,7 @@ def lambda_max_Q(model):
 
 
 def dense_lift_oracle(model, noise):
-    """Assemble P, Q, D, e, f, H = [[Q, D], [0, P]] and g's matrix G explicitly.
+    """Assemble P, Q, D, e, f and g's matrix G explicitly.
 
     D, e and f are those of the FixedNoise noise. G = sum_i (p_i^2/||a_i||^2)
     D_i (I (x) a~_i^T), with D_i the noise-free part of D's i-th term, does
@@ -520,8 +519,4 @@ def dense_lift_oracle(model, noise):
         d_mat += model.p[i] * etai * d_i
         e_v += model.p[i] * etai**2 * np.kron(at, at)
         f_v += model.p[i] * etai * at
-    h = np.zeros((n * n + n, n * n + n))
-    h[: n * n, : n * n] = q_mat
-    h[: n * n, n * n :] = d_mat
-    h[n * n :, n * n :] = p_mat
-    return DenseLift(p_mat, q_mat, d_mat, e_v, f_v, h, g_mat)
+    return DenseLift(p_mat, q_mat, d_mat, e_v, f_v, g_mat)

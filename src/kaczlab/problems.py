@@ -24,7 +24,8 @@ class LinearSystem:
         x_true: length-n signal the measurements are generated from.
         row_norms: Euclidean norm of each row, all strictly positive.
         sigma_min: smallest singular value of a.
-        kappa: ||a||_F / sigma_min, the rate constant of the classical bounds.
+        kappa: ||a||_F / sigma_min, reported only: the bounds read lambda_max(P),
+            which is 1 - kappa^-2 for row-norm probabilities.
     """
 
     a: np.ndarray
@@ -35,6 +36,8 @@ class LinearSystem:
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.a, dtype=float)
+        if a.ndim != 2:
+            raise ValueError(f"a must be a 2-D matrix, got shape {np.shape(self.a)}")
         m, n = a.shape
         if m < n:
             raise ValueError(f"m must be >= n, got {m} x {n}")
@@ -75,6 +78,8 @@ class IidNoise:
     sigma2: float
 
     def __post_init__(self):
+        if isinstance(self.sigma2, (bool, np.bool_, str, bytes)):
+            raise TypeError(f"sigma2 must be a number, got {self.sigma2!r}")
         s = float(self.sigma2)
         if not np.isfinite(s) or s < 0.0:
             raise ValueError(f"sigma2 must be finite and >= 0, got {s}")
@@ -97,6 +102,8 @@ def gen_gaussian(m, n, x_scale=1.0, seed=0):
     m, n = check_int(m, "m", minimum=1), check_int(n, "n", minimum=1)
     if m < n:
         raise ValueError(f"m must be >= n, got {m} x {n}")
+    if not np.isfinite(x_scale):
+        raise ValueError(f"x_scale must be finite, got {x_scale!r}")
     rng = rng_from(seed, 0xA)
     for _ in range(4):
         a = rng.standard_normal((m, n))

@@ -15,9 +15,7 @@ from kaczlab import (
     limiting_mse,
     load_system,
     row_norm_distribution,
-    sv_bound_curve,
     uniform_distribution,
-    zf_bound_curve,
     zf_general_bound_curve,
 )
 from kaczlab.problems import LinearSystem
@@ -52,54 +50,60 @@ class TestConditionNumbers:
             assert 0.0 < lambda_max_P(build_model(sys, dist)) < 1.0
 
 
+def row_norm_model(sys):
+    return build_model(sys, row_norm_distribution(sys))
+
+
 class TestSvBound:
+    """The Strohmer-Vershynin bound: the general bound's row-norm, zero-noise case."""
+
     def test_k0(self):
         sys, _, _, z0 = random_instance(6, 3, 1)
-        curve = sv_bound_curve(sys, z0, 10)
+        curve = zf_general_bound_curve(row_norm_model(sys), IidNoise(0.0), z0, 10)
         assert curve[0] == float(np.dot(z0, z0))
 
     def test_identity_tight(self):
         n = 4
-        sys = gen_identity(n)
-        dist = row_norm_distribution(sys)
+        model = row_norm_model(gen_identity(n))
         z0 = np.array([1.0, -2.0, 0.5, 3.0])
         k_max = 40
-        bound = sv_bound_curve(sys, z0, k_max)
+        bound = zf_general_bound_curve(model, IidNoise(0.0), z0, k_max)
         want = float(z0 @ z0) * (1 - 1 / n) ** np.arange(k_max + 1)
         assert np.allclose(bound, want, rtol=1e-12)
-        model = build_model(sys, dist)
         exact = exact_mse_curve(model, FixedNoise(np.zeros(n)), z0, k_max)
         assert np.allclose(exact.values, want, rtol=1e-12)
 
     def test_dominates_noiseless_exact(self):
         for seed in range(4):
             sys, _, _, z0 = random_instance(10, 4, seed + 10)
-            dist = row_norm_distribution(sys)  # bound stated for this p
-            bound = sv_bound_curve(sys, z0, 80)
-            exact = exact_mse_curve(build_model(sys, dist), IidNoise(0.0), z0, 80)
+            model = row_norm_model(sys)  # the classical bound is stated for this p
+            bound = zf_general_bound_curve(model, IidNoise(0.0), z0, 80)
+            exact = exact_mse_curve(model, IidNoise(0.0), z0, 80)
             assert np.all(bound >= exact.values - 1e-12 * exact.values[0])
 
 
 class TestZfBound:
+    """The Zouzias-Freris bound: the general bound's row-norm case for a FixedNoise."""
+
     def test_reduces_to_sv_without_noise(self):
         sys, _, _, z0 = random_instance(8, 3, 20)
-        zf = zf_bound_curve(sys, FixedNoise(np.zeros(8)), z0, 30)
-        sv = sv_bound_curve(sys, z0, 30)
+        model = row_norm_model(sys)
+        zf = zf_general_bound_curve(model, FixedNoise(np.zeros(8)), z0, 30)
+        sv = zf_general_bound_curve(model, IidNoise(0.0), z0, 30)
         assert np.array_equal(zf, sv)
 
     def test_floor(self):
         sys, _, eta, z0 = random_instance(8, 3, 21)
-        zf = zf_bound_curve(sys, FixedNoise(eta), z0, 5000)
+        zf = zf_general_bound_curve(row_norm_model(sys), FixedNoise(eta), z0, 5000)
         want_floor = float(eta @ eta) / sys.sigma_min**2
         assert zf[-1] == pytest.approx(want_floor, rel=1e-9)
 
     def test_dominates_exact(self):
         for seed in range(4):
             sys, _, eta, z0 = random_instance(12, 4, seed + 30)
-            dist = row_norm_distribution(sys)
-            noise = FixedNoise(eta)
-            zf = zf_bound_curve(sys, noise, z0, 100)
-            exact = exact_mse_curve(build_model(sys, dist), noise, z0, 100)
+            model, noise = row_norm_model(sys), FixedNoise(eta)
+            zf = zf_general_bound_curve(model, noise, z0, 100)
+            exact = exact_mse_curve(model, noise, z0, 100)
             assert np.all(zf >= exact.values - 1e-12 * exact.values[0])
 
 
@@ -172,7 +176,8 @@ class TestZfAvgBound:
 class TestRowNormBoundsAgree:
     """With p_i ~ ||a_i||^2, P = I - A^T A / ||A||_F^2: lambda_max(P) = 1 - kappa^-2
     and tr(e) / (1 - lambda_max(P)) = ||eta||^2 / sigma_min^2, so the classical
-    bounds, built from eigvalsh(A^T A), are the p-general one, built from eigh(P)."""
+    bounds, written here from kappa and sigma_min (eigvalsh(A^T A)), are the
+    p-general one, built from eigh(P)."""
 
     @pytest.mark.parametrize("m,n,seed", [(60, 20, 0), (150, 50, 1), (24, 8, 3)])
     def test_classical_equal_general(self, m, n, seed):
@@ -184,29 +189,18 @@ class TestRowNormBoundsAgree:
         eta, z0 = 0.1 * rng.standard_normal(m), rng.standard_normal(n)
         k_max = 500
         model, noise = build_model(sys, dist), FixedNoise(eta)
+        sv = float(z0 @ z0) * (1.0 - sys.kappa**-2) ** np.arange(k_max + 1)
+        zf = sv + float(eta @ eta) / sys.sigma_min**2
         general = zf_general_bound_curve(model, noise, z0, k_max)
-        assert np.allclose(zf_bound_curve(sys, noise, z0, k_max), general, rtol=1e-12, atol=0)
+        assert np.allclose(zf, general, rtol=1e-12, atol=0)
         noise_free = zf_general_bound_curve(model, IidNoise(0.0), z0, k_max)
-        assert np.allclose(sv_bound_curve(sys, z0, k_max), noise_free, rtol=1e-12, atol=0)
+        assert np.allclose(sv, noise_free, rtol=1e-12, atol=0)
 
 
 class TestArguments:
     def test_negative_k_max(self):
         sys, dist, eta, z0 = random_instance(8, 3, 80)
-        model, noise = build_model(sys, dist), FixedNoise(eta)
-        curves = ((sv_bound_curve, (sys, z0)), (zf_bound_curve, (sys, noise, z0)),
-                  (zf_general_bound_curve, (model, noise, z0)),
-                  (zf_general_bound_curve, (model, IidNoise(0.1), z0)))
-        for fn, args in curves:
+        model = build_model(sys, dist)
+        for noise in (FixedNoise(eta), IidNoise(0.1), IidNoise(0.0)):
             with pytest.raises(ValueError, match="k_max must be >= 0, got -1"):
-                fn(*args, -1)
-
-    def test_zf_bound_rejects_iid(self):
-        sys, _, _, z0 = random_instance(6, 3, 81)
-        with pytest.raises(TypeError, match="unsupported noise spec: IidNoise"):
-            zf_bound_curve(sys, IidNoise(0.1), z0, 5)
-
-    def test_zf_bound_rejects_wrong_length(self):
-        sys, _, _, z0 = random_instance(6, 3, 82)
-        with pytest.raises(ValueError, match=r"eta must have length 6, got \(4,\)"):
-            zf_bound_curve(sys, FixedNoise(np.ones(4)), z0, 5)
+                zf_general_bound_curve(model, noise, z0, -1)

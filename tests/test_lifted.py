@@ -372,7 +372,7 @@ class TestNoiseFree:
             assert curve.values.tobytes() == undriven.values.tobytes()
             assert curve.floor == 0.0 and limiting_mse(model, noise) == 0.0
             bound = zf_general_bound_curve(model, noise, z0, 300)
-            flat = bounds._geometric_curve(z0, lambda_max_P(model), 300)
+            flat = float(np.dot(z0, z0)) * lambda_max_P(model) ** np.arange(301)
             assert bound.tobytes() == flat.tobytes()
 
     def test_operators_match_zero_noise(self):
@@ -742,35 +742,6 @@ class TestTomographySpectra:
 
 
 class TestDenseLiftOracle:
-    def test_block_structure(self):
-        model, noise, _ = random_model(5, 3, 40)
-        dense = dense_lift_oracle(model, noise)
-        n = 3
-        assert np.all(dense.H[n * n :, : n * n] == 0.0)
-        assert np.array_equal(dense.H[: n * n, : n * n], dense.Q)
-        assert np.array_equal(dense.H[: n * n, n * n :], dense.D)
-        assert np.array_equal(dense.H[n * n :, n * n :], dense.P)
-
-    def test_spectrum_union(self):
-        for seed in range(5):
-            model, noise, _ = random_model(5, 3, seed + 200)
-            dense = dense_lift_oracle(model, noise)
-            h_eigs = np.sort(np.linalg.eigvals(dense.H).real)
-            pq = np.sort(
-                np.concatenate(
-                    [np.linalg.eigvalsh(dense.Q), np.linalg.eigvalsh(dense.P)]
-                )
-            )
-            assert np.allclose(h_eigs, pq, rtol=0, atol=1e-8)
-
-    def test_contraction(self):
-        model, noise, _ = random_model(5, 3, 41)
-        dense = dense_lift_oracle(model, noise)
-        rho = np.max(np.abs(np.linalg.eigvals(dense.H)))
-        assert rho < 1.0
-        hk = np.linalg.matrix_power(dense.H, 500)
-        assert np.linalg.norm(hk, 2) <= 1e-6
-
     def test_size_guard(self):
         sys = gen_gaussian(200, 14, 1.0, 42)
         model = build_model(sys, row_norm_distribution(sys))

@@ -36,6 +36,17 @@ class TestModel:
         with pytest.raises(ValueError, match="sigma2"):
             IidNoise(-1.0)
 
+    @pytest.mark.parametrize("sigma2", [True, False, np.True_, "0.1"],
+                             ids=["True", "False", "numpy_bool", "str"])
+    def test_rejects_bool_and_string(self, sigma2):
+        with pytest.raises(TypeError, match=f"^sigma2 must be a number, got {sigma2!r}$"):
+            IidNoise(sigma2)
+
+    @pytest.mark.parametrize("sigma2", [1, np.int64(2), np.float32(0.5), 0.25],
+                             ids=["int", "numpy_int", "numpy_float", "float"])
+    def test_accepts_numbers(self, sigma2):
+        assert IidNoise(sigma2).sigma2 == float(sigma2)
+
 
 class TestGApply:
     def test_zero(self):

@@ -25,9 +25,7 @@ from kaczlab import (
     make_measurements,
     monte_carlo_mse,
     run_trial,
-    sv_bound_curve,
     uniform_distribution,
-    zf_bound_curve,
     zf_general_bound_curve,
 )
 from kaczlab.seeding import rng_from
@@ -55,10 +53,10 @@ def entry_points():
             lambda s: monte_carlo_mse(sys, iid, dist, x0, 4, 2, seed=s).mse_mean, "seed", None),
         "run_trial.seed": (lambda s: run_trial(sys, y, dist, x0, 4, seed=s), "seed", 0),
         "rng_from.seed": (lambda s: rng_from(s, 1).random(4), "seed", None),
-        "sv_bound_curve": (lambda k: sv_bound_curve(sys, z0, k), "k_max", 0),
-        "zf_bound_curve": (lambda k: zf_bound_curve(sys, noise, z0, k), "k_max", 0),
         "zf_general_bound_curve": (lambda k: zf_general_bound_curve(model, noise, z0, k),
                                    "k_max", 0),
+        "zf_general_bound_curve.noise_free": (
+            lambda k: zf_general_bound_curve(model, IidNoise(0.0), z0, k), "k_max", 0),
         "exact_mse_curve": (lambda k: exact_mse_curve(model, noise, z0, k).values, "k_max", 0),
         "exact_mse_at": (lambda k: exact_mse_at(model, noise, z0, k), "k", 0),
         "monte_carlo_mse.k_max": (
@@ -100,10 +98,10 @@ def vector_entry_points():
     return {
         "exact_mse_curve": (lambda v: exact_mse_curve(model, noise, v, 4), "z0", 3),
         "exact_mse_at": (lambda v: exact_mse_at(model, noise, v, 4), "z0", 3),
-        "sv_bound_curve": (lambda v: sv_bound_curve(sys, v, 4), "z0", 3),
-        "zf_bound_curve": (lambda v: zf_bound_curve(sys, noise, v, 4), "z0", 3),
         "zf_general_bound_curve": (lambda v: zf_general_bound_curve(model, noise, v, 4),
                                    "z0", 3),
+        "zf_general_bound_curve.noise_free": (
+            lambda v: zf_general_bound_curve(model, IidNoise(0.0), v, 4), "z0", 3),
         "monte_carlo_mse": (lambda v: monte_carlo_mse(sys, noise, dist, v, 4, 2, seed=1),
                             "x0", 3),
         "run_trial.y": (lambda v: run_trial(sys, v, dist, x0, 4, seed=1), "y", 8),
@@ -152,7 +150,6 @@ def noise_readers():
         "make_measurements": lambda noise: make_measurements(sys, noise),
         "monte_carlo_mse": lambda noise: monte_carlo_mse(sys, noise, dist, x0, 4, 2, seed=1),
         "exact_mse_curve": lambda noise: exact_mse_curve(model, noise, z0, 4),
-        "zf_bound_curve": lambda noise: zf_bound_curve(sys, noise, z0, 4),
         "zf_general_bound_curve": lambda noise: zf_general_bound_curve(model, noise, z0, 4),
         "apply_D": lambda noise: apply_D(model, noise, z0),
     }

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,11 @@ class TestGenGaussian:
     def test_rejects_underdetermined(self):
         with pytest.raises(ValueError, match="m must be >= n"):
             gen_gaussian(3, 5, 1.0, 1)
+
+    @pytest.mark.parametrize("x_scale", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_x_scale(self, x_scale):
+        with pytest.raises(ValueError, match=f"^x_scale must be finite, got {x_scale!r}$"):
+            gen_gaussian(8, 3, x_scale=x_scale)
 
 
 class TestGenIdentity:
@@ -220,6 +226,12 @@ class TestLinearSystemInvariants:
         a = np.array([[1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]])
         with pytest.raises(ValueError, match="matrix must be finite"):
             LinearSystem(a, np.zeros(2))
+
+    @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 2, 2)), 1.0], ids=["1d", "3d", "scalar"])
+    def test_rejects_non_matrix(self, a):
+        message = f"a must be a 2-D matrix, got shape {np.shape(a)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LinearSystem(a, np.zeros(1))
 
     def test_rejects_non_finite_x_true(self):
         with pytest.raises(ValueError, match="x_true must be finite"):
