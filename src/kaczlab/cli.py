@@ -203,15 +203,15 @@ def _build_noise(desc, m):
 
 def _build_distribution(desc, sys):
     if desc == "row_norm":
-        return row_norm_distribution(sys), True
+        return row_norm_distribution(sys)
     if desc == "uniform":
-        return uniform_distribution(sys.a.shape[0]), False
+        return uniform_distribution(sys.a.shape[0])
     if isinstance(desc, dict) and set(desc) == {"weights"}:
         w = _floats_value(desc, "weights", "distribution.weights")
         if w.size != sys.a.shape[0]:
             raise ConfigError(f"distribution: {w.size} weights for {sys.a.shape[0]} rows")
         try:
-            return make_distribution(w), False
+            return make_distribution(w)
         except ValueError as exc:
             raise ConfigError(f"distribution: {exc}") from exc
     raise ConfigError(f"distribution: expected row_norm | uniform | {{weights}}, got {desc!r}")
@@ -248,27 +248,16 @@ def _parse_config(cfg):
     return k_max, trials, seed, outputs
 
 
-def _validate_outputs(outputs, specs, norm_proportional, warnings):
-    """The kinds to compute, each once, in the order asked for. With a
-    non-norm-proportional distribution bound_sv and bound_zf are replaced by
-    the p-general bound, with a warning; then the spec each kind reads
-    (CURVE_KINDS) must be in specs, or the kind as written is refused."""
-    effective = []
+def _validate_outputs(outputs, specs):
+    """The kinds to compute, each once, in the order asked for. A kind whose
+    spec (CURVE_KINDS) the config lacks is refused; every bound_* kind is the
+    p-general bound with its own spec, so it is written under its own name
+    for any distribution."""
     for kind in outputs:
-        used = kind
-        if kind in ("bound_sv", "bound_zf") and not norm_proportional:
-            warnings.append(
-                f"{kind} is stated for row-norm-proportional probabilities; "
-                "emitting bound_zf_general instead"
-            )
-            used = "bound_zf_general"
-        reads = CURVE_KINDS[used]
+        reads = CURVE_KINDS[kind]
         if reads is not None and specs[reads] is None:
-            via = f" (emitted as {used} for this distribution)" if used != kind else ""
-            raise ConfigError(f"outputs: {kind}{via} requires {SPEC_NEEDS[reads]}")
-        if used not in effective:
-            effective.append(used)
-    return effective
+            raise ConfigError(f"outputs: {kind} requires {SPEC_NEEDS[reads]}")
+    return list(dict.fromkeys(outputs))
 
 
 def cmd_generate(cfg, out_dir, verbose=False):
@@ -303,7 +292,7 @@ def run_experiment(cfg, verbose=False):
     sys_obj = _build_matrix(cfg["matrix"])
     m, n = sys_obj.a.shape
     noise, resample = _build_noise(cfg["noise"], m)
-    dist, norm_proportional = _build_distribution(cfg.get("distribution", "row_norm"), sys_obj)
+    dist = _build_distribution(cfg.get("distribution", "row_norm"), sys_obj)
     x0 = _build_x0(cfg.get("x0", "zero"), sys_obj)
     z0 = x0 - sys_obj.x_true
     iid = noise if isinstance(noise, IidNoise) else None
@@ -311,7 +300,7 @@ def run_experiment(cfg, verbose=False):
         # one draw, shared by every trial and by the exact curve
         noise = FixedNoise(make_measurements(sys_obj, iid, trial_noise_seed(seed))[1])
     specs = {"fixed": noise if isinstance(noise, FixedNoise) else None, "iid": iid}
-    outputs = _validate_outputs(outputs, specs, norm_proportional, warnings)
+    outputs = _validate_outputs(outputs, specs)
 
     model = build_model(sys_obj, dist)
 

@@ -241,6 +241,15 @@ def _read_lines(lines, first, count, width, item):
     return out
 
 
+def _check_end(lines, last):
+    """Lines after line last (1-based) may only be blank: data past what the
+    header declared is an error naming its line, never silently dropped."""
+    for lineno, line in enumerate(lines[last:], last + 1):
+        if line.strip():
+            raise MatrixFileError(
+                f"line {lineno}: data after the last declared value, on line {last}")
+
+
 def load_system(path):
     """Read a system saved by save_system.  Errors name the offending line."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -261,6 +270,7 @@ def load_system(path):
     if marker_lineno > len(lines) or lines[marker_lineno - 1].strip() != "x_true":
         raise MatrixFileError(f'line {marker_lineno}: expected "x_true" marker')
     x = _read_lines(lines, marker_lineno + 1, n, 1, "x_true entry")[:, 0]
+    _check_end(lines, marker_lineno + n)
     return LinearSystem(a, x)
 
 
@@ -284,4 +294,6 @@ def load_vector(path):
         raise MatrixFileError(f"line 1: non-integer length ({exc})") from exc
     if size < 0:
         raise MatrixFileError(f"line 1: length must be >= 0, got {size}")
-    return _read_lines(lines, 2, size, 1, "entry")[:, 0]
+    vec = _read_lines(lines, 2, size, 1, "entry")[:, 0]
+    _check_end(lines, size + 1)
+    return vec

@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from kaczlab import (
+    FixedNoise,
     IidNoise,
     bounds,
     cli,
     gen_gaussian,
     lifted,
     load_system,
+    make_distribution,
     make_measurements,
     row_norm_distribution,
     run_trial,
     save_vector,
+    uniform_distribution,
     validate,
 )
 from kaczlab.cli import main, run_experiment
@@ -91,23 +94,31 @@ class TestRun:
         for key in ("sigma_min", "kappa", "lambda_max_p", "lambda_max_q", "floor_exact"):
             assert key in result["scalars"]
 
-    def test_row_norm_bounds_are_the_general_bound(self, tmp_path, eta8):
-        # with row-norm p the classical bounds are the general one's row-norm
-        # cases, written from the same computation
+    @pytest.mark.parametrize("distribution", [
+        "row_norm", "uniform", {"weights": [1, 2, 3, 4, 5, 6, 7, 8]}],
+        ids=["row_norm", "uniform", "weights"])
+    def test_bounds_are_the_general_bound(self, tmp_path, eta8, distribution):
+        # every bound kind is the p-general bound with the spec CURVE_KINDS
+        # names, written under its own name for any distribution
         sys_obj = gen_gaussian(8, 4, 1.0, 5)
         x0 = sys_obj.x_true + np.random.default_rng(4).standard_normal(4)
         cfg = base_config(eta8)
-        cfg.update(x0={"values": x0.tolist()}, k_max=300,
+        cfg.update(x0={"values": x0.tolist()}, k_max=300, distribution=distribution,
                    outputs=["bound_sv", "bound_zf", "bound_zf_general"])
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out",
                      str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "curves.csv")
         assert header == ["k", "bound_sv", "bound_zf", "bound_zf_general"]
-        columns = list(zip(*rows))
-        assert columns[2] == columns[3]
-        model = lifted.build_model(sys_obj, row_norm_distribution(sys_obj))
-        noise_free = bounds.zf_general_bound_curve(model, IidNoise(0.0), x0 - sys_obj.x_true, 300)
-        assert np.array(columns[1], dtype=float).tobytes() == noise_free.tobytes()
+        assert json.loads((tmp_path / "result.json").read_text())["warnings"] == []
+        dist = (row_norm_distribution(sys_obj) if distribution == "row_norm"
+                else make_distribution(distribution["weights"]) if isinstance(distribution, dict)
+                else uniform_distribution(8))
+        model = lifted.build_model(sys_obj, dist)
+        specs = {"fixed": FixedNoise(eta8), None: IidNoise(0.0)}
+        for j, kind in enumerate(header[1:], 1):
+            want = bounds.zf_general_bound_curve(model, specs[cli.CURVE_KINDS[kind]],
+                                                 x0 - sys_obj.x_true, 300)
+            assert np.array([r[j] for r in rows], dtype=float).tobytes() == want.tobytes(), kind
 
     def test_config_echo_byte_for_byte(self, tmp_path, eta8):
         cfg_path = write_config(tmp_path, base_config(eta8))
@@ -329,7 +340,7 @@ class TestSingularIMinusP:
         )
 
     @pytest.mark.parametrize(
-        "kind", ["exact", "exact_avg", "floor", "bound_zf_general", "bound_zf_avg"]
+        "kind", ["exact", "exact_avg", "floor", "bound_zf", "bound_zf_general", "bound_zf_avg"]
     )
     def test_outputs_needing_the_inverse_exit_1(self, tmp_path, capsys, kind):
         cfg_path = write_config(tmp_path, self.config([kind]))
@@ -343,6 +354,19 @@ class TestSingularIMinusP:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
         result = json.loads((tmp_path / "result.json").read_text())
         assert result["scalars"]["lambda_max_p"] == 1.0
+
+    def test_bound_sv_runs(self, tmp_path):
+        # the zero-noise bound lambda_max(P)^k ||z0||^2 never reads (I - P)^-1
+        cfg_path = write_config(tmp_path, self.config(["bound_sv"]))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        lam = json.loads((tmp_path / "result.json").read_text())["scalars"]["lambda_max_p"]
+        assert lam == 1.0
+        sys_obj = gen_gaussian(4, 2, 1.0, 2)
+        z0 = cli._build_x0({"random_seed": 3}, sys_obj) - sys_obj.x_true
+        header, rows = read_csv(tmp_path / "curves.csv")
+        assert header == ["k", "bound_sv"]
+        np.testing.assert_allclose(np.array([r[1] for r in rows], dtype=float),
+                                   lam ** np.arange(11) * (z0 @ z0), rtol=1e-15)
 
 
 class TestConfigErrors:
@@ -477,17 +501,6 @@ class TestConfigErrors:
         assert "error:" in err and "did not certify" in err
         assert not (tmp_path / "result.json").exists()
 
-    def test_custom_weights_substitute_general_bound(self, tmp_path, eta8, capsys):
-        cfg = base_config(eta8)
-        cfg["distribution"] = {"weights": [1, 2, 3, 4, 5, 6, 7, 8]}
-        cfg["outputs"] = ["exact", "bound_zf"]
-        cfg_path = write_config(tmp_path, cfg)
-        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
-        err = capsys.readouterr().err
-        assert "bound_zf_general" in err
-        header, _ = read_csv(tmp_path / "curves.csv")
-        assert header == ["k", "exact", "bound_zf_general"]
-
     @pytest.mark.parametrize("key, value", [("k_max", True), ("trials", True), ("seed", 1.7)])
     def test_non_integer_rejected(self, tmp_path, eta8, capsys, key, value):
         cfg = base_config(eta8)
@@ -595,11 +608,21 @@ class TestConfigErrors:
          "entry 2 of 1000000000000000 missing: file ends before line 3"),
         ("noise", {"kind": "fixed"}, "noise.path", "-3\n0.1\n",
          "line 1: length must be >= 0, got -3"),
-    ], ids=["matrix_rows", "matrix_width", "noise_length", "noise_negative"])
+        ("matrix", {"kind": "file"}, "matrix.path",
+         "8 4\n" + "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n" * 2 + "x_true\n0\n0\n0\n0\n1\n",
+         "line 15: data after the last declared value, on line 14"),
+        ("noise", {"kind": "fixed"}, "noise.path", "8\n" + "0.1\n" * 9,
+         "line 10: data after the last declared value, on line 9"),
+        ("x0", {}, "x0.path", "4\n0\n0\n0\n0\n\n0\n",
+         "line 7: data after the last declared value, on line 5"),
+    ], ids=["matrix_rows", "matrix_width", "noise_length", "noise_negative",
+            "matrix_trailing", "noise_trailing", "x0_trailing"])
     def test_header_past_file_rejected(
         self, tmp_path, eta8, capsys, section, desc, key, text, message
     ):
-        # a PiB-sized header is refused by the line count, not by numpy's allocator
+        # a file must hold exactly what its header declares: a PiB-sized header
+        # is refused by the line count, not by numpy's allocator, and data past
+        # the declared end is refused, not dropped
         path = tmp_path / "input.txt"
         path.write_text(text)
         cfg = base_config(eta8)
@@ -695,11 +718,16 @@ SINGLE_NOISES = {
     "iid_resampled": {"kind": "iid", "sigma2": 1e-3, "resample": True},
     "iid_shared": {"kind": "iid", "sigma2": 1e-3, "resample": False},
 }
+# the specs each of SINGLE_NOISES gives: a realized vector ("fixed"), iid
+# noise ("iid"), or both
+SINGLE_NOISE_SPECS = {"fixed": {"fixed"}, "iid_resampled": {"iid"},
+                      "iid_shared": {"fixed", "iid"}}
 
 
 class TestEveryOutputAlone:
     """Each output kind alone, under each noise and two distributions: a
-    config either runs or is refused as a config error naming the kind."""
+    config is refused as a config error naming the kind exactly when the spec
+    CURVE_KINDS names for it is missing, and otherwise writes the kind."""
 
     @pytest.mark.parametrize("distribution", ["row_norm", "uniform"])
     @pytest.mark.parametrize("noise", list(SINGLE_NOISES))
@@ -715,24 +743,44 @@ class TestEveryOutputAlone:
             "outputs": [kind],
         }
         code = main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
-        assert code in (0, 2)
-        if code == 2:
+        given = SINGLE_NOISE_SPECS[noise]
+        reads = cli.CURVE_KINDS[kind]
+        if reads is not None and reads not in given:
+            assert code == 2
             assert f"config error: outputs: {kind} " in capsys.readouterr().err
+            assert not (tmp_path / "curves.csv").exists()
+            return
+        assert code == 0
+        header, _ = read_csv(tmp_path / "curves.csv")
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["warnings"] == []
+        if kind == "floor":
+            assert header == ["k"]
+            floors = {key for key in result["scalars"] if key.startswith("floor_")}
+            assert floors == {cli.FLOOR_KEYS[spec] for spec in given}
+        else:
+            assert header[1] == kind
 
-    def test_substituted_bound_names_the_kind_written(self, tmp_path, capsys):
+    def test_bound_sv_reads_no_noise(self, tmp_path):
+        # with noise redrawn per trial and uniform p, bound_sv is still the
+        # noise-free general bound, under its own name
+        sys_obj = gen_gaussian(12, 4, 1.0, 1)
+        x0 = np.random.default_rng(3).standard_normal(4)
         cfg = {
-            "matrix": {"kind": "gaussian", "m": 12, "n": 4, "seed": 2},
-            "noise": SINGLE_NOISES["iid_resampled"],
+            "matrix": {"kind": "gaussian", "m": 12, "n": 4, "seed": 1},
+            "noise": {"kind": "iid", "sigma2": 1e-2, "resample": True},
             "distribution": "uniform",
-            "k_max": 5,
-            "seed": 4,
+            "x0": {"values": x0.tolist()},
+            "k_max": 3,
+            "seed": 2,
             "outputs": ["bound_sv"],
         }
-        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "outputs: bound_sv (emitted as bound_zf_general" in err
-        assert "realized noise vector" in err
-        assert not (tmp_path / "curves.csv").exists()
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "curves.csv")
+        assert header == ["k", "bound_sv"]
+        model = lifted.build_model(sys_obj, uniform_distribution(12))
+        want = bounds.zf_general_bound_curve(model, IidNoise(0.0), x0 - sys_obj.x_true, 3)
+        assert np.array([r[1] for r in rows], dtype=float).tobytes() == want.tobytes()
 
 
 class TestNonFinite:

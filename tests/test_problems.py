@@ -201,6 +201,25 @@ class TestFileFormat:
         save_vector(v, path)
         assert np.array_equal(load_vector(path), v)
 
+    def test_vector_data_past_length_refused(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("3\n1\n2\n3\n4\n5\n")
+        with pytest.raises(MatrixFileError, match="^line 5: data after the last declared value"):
+            load_vector(path)
+
+    def test_system_data_past_x_true_refused(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 1\n1\n2\nx_true\n3\n\n4\n")
+        with pytest.raises(MatrixFileError, match="^line 7: data after the last declared value"):
+            load_system(path)
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2\n1\n2\n\n  \n")
+        assert load_vector(path).tolist() == [1.0, 2.0]
+        path.write_text("2 1\n1\n2\nx_true\n3\n\n\t\n")
+        assert load_system(path).x_true.tolist() == [3.0]
+
     def test_shipped_fixture_loads(self, fixture_dir):
         sys = load_system(os.path.join(fixture_dir, "gaussian_150x50.txt"))
         assert sys.a.shape == (150, 50)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kaczlab import save_vector
+from kaczlab import cli, save_vector
 
 from conftest import fresh_python
 
@@ -59,3 +59,13 @@ def test_layout_names_every_module():
     named = set(re.findall(r"^  (\w+\.py)\s", layout, re.MULTILINE))
     modules = {p.name for p in (README.parent / "src" / "kaczlab").glob("*.py")}
     assert modules - {"__init__.py"} <= named, sorted(modules - named - {"__init__.py"})
+
+
+def test_output_table_matches_curve_kinds():
+    # each row is "| `kind` | spec it reads ... |", the spec cell starting with
+    # "realized vector" ("fixed"), "iid", or "none" (None)
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*)\|", section("CLI"), re.MULTILINE)
+    words = {"realized vector": "fixed", "iid": "iid", "none": None}
+    table = [(kind, next((spec for word, spec in words.items() if cell.startswith(word)), "?"))
+             for kind, cell in rows]
+    assert table == list(cli.CURVE_KINDS.items())
