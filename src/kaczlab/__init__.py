@@ -49,7 +49,6 @@ from .rka import (
     monte_carlo_mse,
     rka_step,
     row_norm_distribution,
-    run_trial,
     sample_row,
     uniform_distribution,
 )

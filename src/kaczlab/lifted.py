@@ -255,9 +255,17 @@ def _solve_i_minus_q(model, rhs):
     ever calls apply_Q. Claimed convergence is verified against the true
     residual before returning. A right-hand side that is not finite is
     refused before the first apply_Q: every iterate would be NaN.
+
+    CG solves for rhs scaled by 2^-e, e = np.frexp(max|rhs|)[1], and scales
+    the solution back by 2^e. That is exact, so no bit changes where the
+    norms fit in doubles, but ||rhs||^2 and CG's inner products cannot
+    underflow to a zero solution (||rhs|| < ~1e-162) or overflow to NaN
+    iterates (||rhs|| > ~1e154).
     """
     if not np.isfinite(rhs).all():
         raise SolverError("(I - Q) CG right-hand side is not finite")
+    exp = np.frexp(np.abs(rhs).max())[1]
+    rhs = np.ldexp(rhs, -exp)
     n = rhs.shape[0]
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
@@ -277,7 +285,7 @@ def _solve_i_minus_q(model, rhs):
             true_r = rhs - (x - apply_Q(model, x))
             tn = np.linalg.norm(true_r)
             if tn <= CG_REL_TOL * b_norm:
-                return 0.5 * (x + x.T)
+                return np.ldexp(0.5 * (x + x.T), exp)
             # recursive residual drifted; restart from the true one
             r = 0.5 * (true_r + true_r.T)
             rs_new = frob_dot(r, r)

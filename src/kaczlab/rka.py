@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._num import check_dist, check_int, check_vector, set_fields, sq_norm
-from .problems import FixedNoise, make_measurements
+from .problems import FixedNoise, fixed_eta, make_measurements
 from .seeding import mix_seed
 
 # tags separating the row-choice and noise-draw streams of one experiment seed
@@ -109,8 +109,8 @@ def _batched_errors(a_unit, eta_unit, rows, z, out):
     """Advance many Kaczmarz runs together, recording their squared errors.
 
     The runs step in error space z = x - x_true with unit rows
-    a~_i = a_i / ||a_i|| and scaled noise eta~_i = eta_i / ||a_i||, where
-    eta = y - A x_true; one step on row i is
+    a~_i = a_i / ||a_i|| and scaled noise eta~_i = eta_i / ||a_i||, the
+    eta~ the lifted model reads; one step on row i is
     z <- z + (eta~_i - a~_i^T z) a~_i.
 
     Args:
@@ -141,33 +141,6 @@ def _batched_errors(a_unit, eta_unit, rows, z, out):
         np.vecdot(z, z, out=out[k])
 
 
-def _unit_rows(sys, y):
-    """(a~, eta~) of _batched_errors for measurements y of shape (m,) or (trials, m)."""
-    norms = sys.row_norms
-    eta = y - sys.a @ sys.x_true
-    return sys.a / norms[:, None], eta / norms
-
-
-def run_trial(sys, y, dist, x0, k_max, seed):
-    """One Kaczmarz run; returns ||x^(k) - x_true||^2 for k = 0..k_max.
-
-    Row choices come from the generator seeded by `seed` (one uniform per
-    iteration through sample_rows), so the trajectory is reproducible. This
-    is the one-run call of the kernel monte_carlo_mse runs all trials in.
-    """
-    m, n = sys.a.shape
-    y, x0 = check_vector(y, m, "y"), check_vector(x0, n, "x0")
-    k_max = check_int(k_max, "k_max")
-    check_dist(dist, m)
-    rows = sample_rows(dist, np.random.default_rng(check_int(seed, "seed")).random(k_max))
-    a_unit, eta_unit = _unit_rows(sys, y)
-    z = (x0 - sys.x_true)[None, :]
-    errs = np.empty(k_max + 1)
-    errs[0] = sq_norm(z[0])
-    _batched_errors(a_unit, eta_unit, rows[:, None], z, errs[1:, None])
-    return errs
-
-
 def trial_row_seed(seed, trial):
     """Seed of the row-choice stream of one Monte Carlo trial."""
     return mix_seed(seed, _ROWS_TAG, trial)
@@ -187,6 +160,8 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed):
     (seed, trial), so results depend only on (seed, trial), not on how many
     trials run together. FixedNoise is one eta shared by all trials;
     IidNoise is redrawn per trial, from trial_noise_seed(seed, trial).
+    trials=1 is the one-run call. The runs read the spec's eta itself, as
+    the exact curve does, so x_true enters only through z0 = x0 - x_true.
 
     All trials advance together in one batched kernel, STEP_CHUNK steps at a
     time: each chunk draws the next uniforms of every trial's stream, samples
@@ -206,11 +181,12 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed):
     check_dist(dist, m)
 
     if isinstance(noise, FixedNoise):
-        y, _ = make_measurements(sys, noise)
+        eta = fixed_eta(noise, m)
     else:
-        y = np.stack([make_measurements(sys, noise, trial_noise_seed(seed, t))[0]
-                      for t in range(trials)])
-    a_unit, eta_unit = _unit_rows(sys, y)
+        eta = np.stack([make_measurements(sys, noise, trial_noise_seed(seed, t))[1]
+                        for t in range(trials)])
+    norms = sys.row_norms
+    a_unit, eta_unit = sys.a / norms[:, None], eta / norms
     z0 = x0 - sys.x_true
     z = np.tile(z0, (trials, 1))
     mean = np.empty(k_max + 1)

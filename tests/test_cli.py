@@ -15,14 +15,14 @@ from kaczlab import (
     load_system,
     make_distribution,
     make_measurements,
+    monte_carlo_mse,
     row_norm_distribution,
-    run_trial,
     save_vector,
     uniform_distribution,
     validate,
 )
 from kaczlab.cli import main, run_experiment
-from kaczlab.rka import trial_noise_seed, trial_row_seed
+from kaczlab.rka import trial_noise_seed
 
 from conftest import fresh_python
 
@@ -197,11 +197,11 @@ class TestRun:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
         sys_obj = gen_gaussian(10, 3, 1.0, 2)
-        y, eta = make_measurements(sys_obj, IidNoise(1e-3), trial_noise_seed(4))
+        _, eta = make_measurements(sys_obj, IidNoise(1e-3), trial_noise_seed(4))
         result = json.loads((tmp_path / "result.json").read_text())
         assert result["scalars"]["eta_sq_norm"] == float(eta @ eta)
-        want = run_trial(sys_obj, y, row_norm_distribution(sys_obj), np.zeros(3), 30,
-                         trial_row_seed(4, 0))
+        want = monte_carlo_mse(sys_obj, FixedNoise(eta), row_norm_distribution(sys_obj),
+                               np.zeros(3), 30, trials=1, seed=4).mse_mean
         header, rows = read_csv(tmp_path / "curves.csv")
         got = np.array([float(r[header.index("empirical")]) for r in rows])
         assert np.array_equal(got, want)

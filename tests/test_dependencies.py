@@ -69,3 +69,25 @@ def test_one_owner_per_rule():
                     and node.attr in REPORTED_ONLY):
                 reads.append(f"{path.name}:{node.lineno}")
     assert stores == [] and messages == [] and reads == []
+
+
+# the modules that may form A x_true: make_measurements, and the x-space
+# enumeration oracle in validate
+FORMS_A_X_TRUE = {"problems.py", "validate.py"}
+
+
+def test_only_measurements_form_a_x_true():
+    """No other module computes ... @ x_true: the Monte Carlo and the lifted
+    model read the noise spec's eta itself, never y - A x_true."""
+    found = []
+    for path in SOURCES:
+        if path.name in FORMS_A_X_TRUE:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+                continue
+            right = node.right
+            if (isinstance(right, ast.Attribute) and right.attr == "x_true") or (
+                    isinstance(right, ast.Name) and right.id == "x_true"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

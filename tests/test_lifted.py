@@ -37,6 +37,7 @@ from kaczlab.problems import LinearSystem
 from kaczlab.seeding import rng_from
 
 from conftest import dense_avg_curve, dense_exact_curve, random_instance, random_model, traced_peak
+from exact_oracle import fixed_floors, iid_floor
 
 
 def mat_of(vec, n):
@@ -455,6 +456,14 @@ class TestFixedPoints:
         assert limiting_mse(model, FixedNoise(np.full(8, 1e-200))) == 0.0
         assert len(apply_q_calls) == 0
 
+    @pytest.mark.parametrize("k", [-330, 300])
+    def test_floor_scales_exactly_with_the_noise(self, k):
+        # e + D v2 scales by exactly 4^k; unscaled CG norms would underflow
+        # to a zero floor at k = -330 and overflow to NaN at k = 300
+        model, noise, _ = random_model(60, 20, 1)
+        floor = limiting_mse(model, noise)
+        assert limiting_mse(model, FixedNoise(np.ldexp(noise.eta, k))) == np.ldexp(floor, 2 * k)
+
     def test_cg_fails_loudly_when_residual_unreachable(self, monkeypatch):
         # an apply_Q with relative error 1e-9 cannot bring the true residual to 1e-11:
         # each claimed convergence fails the check and restarts, until the cap
@@ -480,6 +489,40 @@ class TestFixedPoints:
         v1 = solve_v1(model, noise)
         assert np.array_equal(v1, v1.T)
         assert np.linalg.eigvalsh(v1)[0] >= -1e-12
+
+
+def near_collinear(d):
+    """A 6 x 3 system whose rows spread apart with d; kappa_2(A) ~ 4.6 / d."""
+    rows = [[1, 1, 1], [1, 1 + d, 1], [1, 1, 1 + d], [1, 1 + d, 1 + d], [1 + d, 1, 1],
+            [2, 1, 1 + 2 * d]]
+    return LinearSystem(np.array(rows, dtype=float), np.zeros(3))
+
+
+class TestExactFloors:
+    """Floors against exact rational arithmetic on the doubles the code reads,
+    at dense_v1's tolerance of 1e-9."""
+
+    @pytest.mark.parametrize("d", [1e-1, 1e-2])
+    def test_iid_floor_near_collinear(self, d):
+        sys = near_collinear(d)
+        model = build_model(sys, row_norm_distribution(sys))
+        want = float(iid_floor(sys.a, model.p, 1.0))
+        assert limiting_mse(model, IidNoise(1.0)) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gaussian_floors(self, seed):
+        sys, dist, eta, _ = random_instance(6, 3, seed)
+        model = build_model(sys, dist)
+        want = float(iid_floor(sys.a, model.p, 1.0))
+        assert limiting_mse(model, IidNoise(1.0)) == pytest.approx(want, rel=1e-9)
+        want = float(fixed_floors(sys.a, model.p, [eta])[0])
+        assert limiting_mse(model, FixedNoise(eta)) == pytest.approx(want, rel=1e-9)
+
+    def test_oracle_matches_dense_lift(self):
+        sys = near_collinear(1e-1)
+        model = build_model(sys, row_norm_distribution(sys))
+        _, lu_floor = dense_avg_curve(model, IidNoise(1.0), np.zeros(3), 0)
+        assert float(iid_floor(sys.a, model.p, 1.0)) == pytest.approx(lu_floor, rel=1e-9)
 
 
 class TestExactCurves:

@@ -1,5 +1,5 @@
 """Integer arguments (horizons, trial counts, seeds), vector arguments (z0,
-x0, y), row distributions and noise specs are each checked the same way by
+x0), row distributions and noise specs are each checked the same way by
 every entry point that takes one, and every value object keeps its arrays the
 same way."""
 
@@ -24,7 +24,6 @@ from kaczlab import (
     gen_tomography,
     make_measurements,
     monte_carlo_mse,
-    run_trial,
     uniform_distribution,
     zf_general_bound_curve,
 )
@@ -37,7 +36,6 @@ def entry_points():
     """{name: (one-argument call, argument name, its minimum or None for any int)}."""
     sys, dist, eta, z0 = random_instance(8, 3, 90)
     model, noise, x0 = build_model(sys, dist), FixedNoise(eta), sys.x_true + z0
-    y, _ = make_measurements(sys, noise)
     iid = IidNoise(0.1)
     return {
         "gen_gaussian.seed": (lambda s: gen_gaussian(8, 3, seed=s).a, "seed", None),
@@ -51,7 +49,6 @@ def entry_points():
         "make_measurements.seed": (lambda s: make_measurements(sys, iid, seed=s)[0], "seed", None),
         "monte_carlo_mse.seed": (
             lambda s: monte_carlo_mse(sys, iid, dist, x0, 4, 2, seed=s).mse_mean, "seed", None),
-        "run_trial.seed": (lambda s: run_trial(sys, y, dist, x0, 4, seed=s), "seed", 0),
         "rng_from.seed": (lambda s: rng_from(s, 1).random(4), "seed", None),
         "zf_general_bound_curve": (lambda k: zf_general_bound_curve(model, noise, z0, k),
                                    "k_max", 0),
@@ -63,7 +60,6 @@ def entry_points():
             lambda k: monte_carlo_mse(sys, noise, dist, x0, k, 2, seed=1).mse_mean, "k_max", 0),
         "monte_carlo_mse.trials": (
             lambda t: monte_carlo_mse(sys, noise, dist, x0, 4, t, seed=1).mse_mean, "trials", 1),
-        "run_trial": (lambda k: run_trial(sys, y, dist, x0, k, seed=1), "k_max", 0),
     }
 
 
@@ -94,7 +90,6 @@ def vector_entry_points():
     """{name: (call with the vector replaced, argument name, its length)}."""
     sys, dist, eta, z0 = random_instance(8, 3, 91)
     model, noise, x0 = build_model(sys, dist), FixedNoise(eta), sys.x_true + z0
-    y, _ = make_measurements(sys, noise)
     return {
         "exact_mse_curve": (lambda v: exact_mse_curve(model, noise, v, 4), "z0", 3),
         "exact_mse_at": (lambda v: exact_mse_at(model, noise, v, 4), "z0", 3),
@@ -104,8 +99,6 @@ def vector_entry_points():
             lambda v: zf_general_bound_curve(model, IidNoise(0.0), v, 4), "z0", 3),
         "monte_carlo_mse": (lambda v: monte_carlo_mse(sys, noise, dist, v, 4, 2, seed=1),
                             "x0", 3),
-        "run_trial.y": (lambda v: run_trial(sys, v, dist, x0, 4, seed=1), "y", 8),
-        "run_trial.x0": (lambda v: run_trial(sys, y, dist, v, 4, seed=1), "x0", 3),
     }
 
 
@@ -126,10 +119,8 @@ def distribution_readers():
     """{name: call on a row distribution}, each on a system of 8 rows."""
     sys, _, eta, z0 = random_instance(8, 3, 93)
     noise, x0 = FixedNoise(eta), sys.x_true + z0
-    y, _ = make_measurements(sys, noise)
     return {
         "build_model": lambda dist: build_model(sys, dist),
-        "run_trial": lambda dist: run_trial(sys, y, dist, x0, 4, seed=1),
         "monte_carlo_mse": lambda dist: monte_carlo_mse(sys, noise, dist, x0, 4, 2, seed=1),
     }
 

@@ -13,16 +13,14 @@ from kaczlab import (
     monte_carlo_mse,
     rka_step,
     row_norm_distribution,
-    run_trial,
     sample_row,
     uniform_distribution,
 )
-from kaczlab import rka
+from kaczlab import lifted, rka
 from kaczlab._num import sq_norm
 from kaczlab.problems import LinearSystem
 from kaczlab.rka import (
     _batched_errors,
-    _unit_rows,
     sample_rows,
     trial_noise_seed,
     trial_row_seed,
@@ -156,80 +154,100 @@ class TestRkaStep:
         assert np.allclose(scaled, base, rtol=1e-12)
 
 
+def one_run(sys, noise, dist, x0, k_max, seed):
+    """||x^(k) - x_true||^2 for k = 0..k_max of the one-run call."""
+    return monte_carlo_mse(sys, noise, dist, x0, k_max, trials=1, seed=seed).mse_mean
+
+
 class TestRunTrial:
+    """Single runs, through monte_carlo_mse(..., trials=1, seed)."""
+
     def test_fixed_point(self):
         sys = gen_gaussian(6, 3, 1.0, 8)
-        y, _ = make_measurements(sys, FixedNoise(np.zeros(6)))
         dist = row_norm_distribution(sys)
-        errs = run_trial(sys, y, dist, sys.x_true, 50, seed=1)
-        # y comes from a BLAS matmul, the kernel re-dots each row: the fixed
-        # point holds to one ulp of x per step, i.e. ~1e-32 in squared error
-        assert np.all(errs <= 1e-28)
+        errs = one_run(sys, FixedNoise(np.zeros(6)), dist, sys.x_true, 50, seed=1)
+        # z0 = 0 and eta~ = 0: every step adds an exact 0
+        assert np.all(errs == 0.0)
 
     def test_identity_coordinate_zeroing(self):
         sys = gen_identity(3)
         x0 = np.ones(3)  # z0 = (1,1,1) since x_true = 0
-        y = np.zeros(3)
         dist = uniform_distribution(3)
-        errs = run_trial(sys, y, dist, x0, 30, seed=2)
+        errs = one_run(sys, FixedNoise(np.zeros(3)), dist, x0, 30, seed=2)
         assert np.all(np.diff(errs) <= 0.0)
         assert set(np.round(errs).astype(int)) <= {3, 2, 1, 0}
         assert np.allclose(errs, np.round(errs), atol=1e-12)
 
     def test_reproducible(self):
         sys, dist, eta, z0 = random_instance(8, 4, 3)
-        y, _ = make_measurements(sys, FixedNoise(eta))
         x0 = sys.x_true + z0
-        e1 = run_trial(sys, y, dist, x0, 100, seed=77)
-        e2 = run_trial(sys, y, dist, x0, 100, seed=77)
+        e1 = one_run(sys, FixedNoise(eta), dist, x0, 100, seed=77)
+        e2 = one_run(sys, FixedNoise(eta), dist, x0, 100, seed=77)
         assert np.array_equal(e1, e2)
 
     def test_trajectory_scale_invariance(self):
         sys, dist, eta, z0 = random_instance(6, 3, 9)
-        y, _ = make_measurements(sys, FixedNoise(eta))
         x0 = sys.x_true + z0
-        base = run_trial(sys, y, dist, x0, 200, seed=5)
+        base = one_run(sys, FixedNoise(eta), dist, x0, 200, seed=5)
         a2 = sys.a.copy()
         a2[2] *= 10.0
-        y2 = y.copy()
-        y2[2] *= 10.0
-        scaled = run_trial(LinearSystem(a2, sys.x_true), y2, dist, x0, 200, seed=5)
+        eta2 = eta.copy()
+        eta2[2] *= 10.0
+        scaled = one_run(LinearSystem(a2, sys.x_true), FixedNoise(eta2), dist, x0, 200, seed=5)
         assert np.allclose(scaled, base, rtol=1e-12, atol=1e-14)
 
     def test_noiseless_monotone(self):
         sys, dist, _, z0 = random_instance(10, 4, 11)
-        y, _ = make_measurements(sys, FixedNoise(np.zeros(10)))
-        errs = run_trial(sys, y, dist, sys.x_true + z0, 500, seed=3)
-        # each step injects an absolute iterate perturbation ~eps*|y_i|/||a_i||
-        # through the cancellation in (y_i - a_i.x), so monotonicity holds up
-        # to an additive term far below any meaningful error scale
+        errs = one_run(sys, FixedNoise(np.zeros(10)), dist, sys.x_true + z0, 500, seed=3)
+        # each step's rounding perturbs z by ~eps ||z||, so monotonicity holds
+        # up to an additive term far below any meaningful error scale
         atol = 1e-18 * max(1.0, errs[0])
         assert np.all(errs[1:] <= errs[:-1] * (1 + 1e-15) + atol)
 
     def test_consistent_converges_inconsistent_floors(self):
         sys, dist, eta, z0 = random_instance(12, 4, 13)
         x0 = sys.x_true + z0
-        y0, _ = make_measurements(sys, FixedNoise(np.zeros(12)))
-        clean = run_trial(sys, y0, dist, x0, 2000, seed=4)
+        clean = one_run(sys, FixedNoise(np.zeros(12)), dist, x0, 2000, seed=4)
         assert clean[-1] < 1e-12 * clean[0]
-        y1, _ = make_measurements(sys, FixedNoise(eta))
-        noisy = run_trial(sys, y1, dist, x0, 2000, seed=4)
+        noisy = one_run(sys, FixedNoise(eta), dist, x0, 2000, seed=4)
         floor = limiting_mse(build_model(sys, dist), FixedNoise(eta))
         tail = noisy[1500:].mean()
         assert tail > 100 * clean[-1]
         assert 0.1 * floor <= tail <= 10 * floor
 
 
+def unit(m, seed):
+    """A seeded random unit vector of length m."""
+    v = np.random.default_rng(seed).standard_normal(m)
+    return v / np.linalg.norm(v)
+
+
 class TestMonteCarlo:
-    def test_single_trial_matches_run_trial(self):
+    def test_single_trial_is_one_kernel_run(self):
+        # the run reads the lifted model's own a~ and eta~, and trial 0's rows
         sys, dist, eta, z0 = random_instance(7, 3, 15)
         x0 = sys.x_true + z0
         noise = FixedNoise(eta)
         curve = monte_carlo_mse(sys, noise, dist, x0, 40, trials=1, seed=99)
-        y, _ = make_measurements(sys, noise)
-        direct = run_trial(sys, y, dist, x0, 40, seed=trial_row_seed(99, 0))
-        assert np.array_equal(curve.mse_mean, direct)
+        model = build_model(sys, dist)
+        rng = np.random.default_rng(trial_row_seed(99, 0))
+        rows = sample_rows(dist, rng.random(40))[:, None]
+        direct = _errors(model.a_tilde, lifted._scaled_eta(model, noise), rows, z0)
+        assert np.array_equal(curve.mse_mean, direct[:, 0])
         assert np.all(curve.mse_stderr == 0.0)
+
+    @pytest.mark.parametrize("noise", [FixedNoise(0.8 * unit(60, 4)), IidNoise(1e-2)],
+                             ids=["fixed", "iid"])
+    def test_does_not_depend_on_x_true(self, noise):
+        # from x0 = x_true, x_true enters nowhere: a y - A x_true round trip
+        # would err by ~eps ||A x_true||, 1e13 times more at x_scale 1e13
+        curves = []
+        for x_scale in (1.0, 1e13):
+            sys = gen_gaussian(60, 20, x_scale, 1)
+            curves.append(monte_carlo_mse(sys, noise, row_norm_distribution(sys), sys.x_true,
+                                          300, trials=50, seed=3))
+        assert np.array_equal(curves[0].mse_mean, curves[1].mse_mean)
+        assert np.array_equal(curves[0].mse_stderr, curves[1].mse_stderr)
 
     def test_noiseless_at_solution(self):
         sys = gen_gaussian(6, 3, 1.0, 16)
@@ -295,17 +313,17 @@ def one_shot_mse(sys, noise, dist, x0, k_max, trials, seed):
     at once, then one kernel call over all k_max steps into a
     (k_max+1, trials) error table."""
     if isinstance(noise, FixedNoise):
-        y, _ = make_measurements(sys, noise)
+        eta = noise.eta
     else:
-        y = np.stack([make_measurements(sys, noise, trial_noise_seed(seed, t))[0]
-                      for t in range(trials)])
+        eta = np.stack([make_measurements(sys, noise, trial_noise_seed(seed, t))[1]
+                        for t in range(trials)])
     u = np.empty((trials, k_max))
     for t in range(trials):
         np.random.default_rng(trial_row_seed(seed, t)).random(out=u[t])
     rows = sample_rows(dist, u)
     del u
     rows = np.ascontiguousarray(rows.T)
-    a_unit, eta_unit = _unit_rows(sys, y)
+    a_unit, eta_unit = unit_rows(sys, eta)
     z0 = x0 - sys.x_true
     errs = np.empty((k_max + 1, trials))
     errs[0] = sq_norm(z0)
@@ -385,14 +403,21 @@ class TestMonteCarloMemory:
 K_MAX = 2000
 
 
+def unit_rows(sys_, eta):
+    """(a~, eta~) of _batched_errors for noise eta of shape (m,) or (trials, m)."""
+    norms = sys_.row_norms
+    return sys_.a / norms[:, None], eta / norms
+
+
 def _trial_inputs(seed, m=12, n=5, trials=1):
-    """Unit rows, scaled noise, per-trial rows and z0 of a seeded instance."""
+    """Noise, measurements, unit rows, scaled noise, per-trial rows and z0
+    of a seeded instance."""
     sys_, dist, eta, z0 = random_instance(m, n, seed, noise_scale=0.2)
     y, _ = make_measurements(sys_, FixedNoise(eta))
     rng = np.random.default_rng(seed)
     rows = sample_rows(dist, rng.random((K_MAX, trials)))
-    a_unit, eta_unit = _unit_rows(sys_, y)
-    return sys_, y, a_unit, eta_unit, rows, z0
+    a_unit, eta_unit = unit_rows(sys_, eta)
+    return sys_, eta, y, a_unit, eta_unit, rows, z0
 
 
 def _errors(a_unit, eta_unit, rows, z0):
@@ -415,7 +440,7 @@ def _reference_errors(sys_, y, rows, z0):
 
 
 def test_kernel_deterministic():
-    _, _, a_unit, eta_unit, rows, z0 = _trial_inputs(7, trials=4)
+    _, _, _, a_unit, eta_unit, rows, z0 = _trial_inputs(7, trials=4)
     e1 = _errors(a_unit, eta_unit, rows, z0)
     e2 = _errors(a_unit, eta_unit, rows, z0)
     assert np.array_equal(e1, e2)
@@ -426,7 +451,7 @@ def test_matches_rka_step_shared_noise():
     # space; on a contractive iteration the trajectories stay together to
     # ~1e-12 relative
     for seed in range(3):
-        sys_, y, a_unit, eta_unit, rows, z0 = _trial_inputs(seed, trials=3)
+        sys_, _, y, a_unit, eta_unit, rows, z0 = _trial_inputs(seed, trials=3)
         errs = _errors(a_unit, eta_unit, rows, z0)
         for t in range(rows.shape[1]):
             ref = _reference_errors(sys_, y, rows[:, t], z0)
@@ -436,10 +461,10 @@ def test_matches_rka_step_shared_noise():
 
 def test_matches_rka_step_noise_per_trial():
     for seed in range(3):
-        sys_, y, a_unit, eta_unit, rows, z0 = _trial_inputs(seed, trials=3)
+        sys_, eta, y, a_unit, _, rows, z0 = _trial_inputs(seed, trials=3)
         noise = np.random.default_rng(100 + seed).standard_normal((3, y.size)) * 0.2
         ys = y + noise
-        _, eta_trials = _unit_rows(sys_, ys)
+        _, eta_trials = unit_rows(sys_, eta + noise)
         errs = _errors(a_unit, eta_trials, rows, z0)
         for t in range(rows.shape[1]):
             ref = _reference_errors(sys_, ys[t], rows[:, t], z0)
@@ -449,10 +474,9 @@ def test_matches_rka_step_noise_per_trial():
 
 @pytest.mark.parametrize("m, n", [(12, 5), (60, 20), (150, 50)])
 def test_batch_column_equals_single_run(m, n):
-    sys_, y, a_unit, eta_unit, rows, z0 = _trial_inputs(11, m, n, trials=9)
+    sys_, eta, _, a_unit, eta_unit, rows, z0 = _trial_inputs(11, m, n, trials=9)
     rows = rows[:300]
-    ys = y + np.random.default_rng(5).standard_normal((9, m)) * 0.2
-    _, eta_trials = _unit_rows(sys_, ys)
+    _, eta_trials = unit_rows(sys_, eta + np.random.default_rng(5).standard_normal((9, m)) * 0.2)
     for eta in (eta_unit, eta_trials):
         batch = _errors(a_unit, eta, rows, z0)
         for t in range(rows.shape[1]):
