@@ -20,11 +20,11 @@ def zf_general_bound_curve(model, noise, z0, k_max):
     ||eta||^2 / sigma_min^2: the Strohmer-Vershynin bound for zero noise and
     the Zouzias-Freris bound for a FixedNoise(eta).
     """
+    z0 = check_vector(z0, model.a_tilde.shape[1], "z0")
+    k_max = check_int(k_max, "k_max")
     if isinstance(noise, IidNoise):
         power = noise.sigma2 * float(np.sum(model.p / model.row_norms**2))
     else:
         power = float(np.trace(vec_e(model, noise)))
     floor = power / i_minus_p_eigvals(model)[-1] if power else 0.0
-    z0 = check_vector(z0, model.a_tilde.shape[1], "z0")
-    k_max = check_int(k_max, "k_max")
     return sq_norm(z0) * lambda_max_P(model) ** np.arange(k_max + 1) + floor

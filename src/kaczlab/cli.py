@@ -24,12 +24,12 @@ from .lifted import (
 from .problems import (
     FixedNoise,
     IidNoise,
+    draw_eta,
     gen_gaussian,
     gen_identity,
     gen_tomography,
     load_system,
     load_vector,
-    make_measurements,
     save_system,
 )
 from .rka import (
@@ -283,22 +283,20 @@ def cmd_generate(cfg, out_dir, verbose=False):
 
 
 def run_experiment(cfg, verbose=False):
-    """Compute every requested curve; returns (curves, scalars, warnings).
+    """Compute every requested curve; returns (curves, scalars).
 
     curves is an ordered {name: vector} dict, all of length k_max+1.
     """
-    warnings = []
     k_max, trials, seed, outputs = _parse_config(cfg)
     sys_obj = _build_matrix(cfg["matrix"])
     m, n = sys_obj.a.shape
     noise, resample = _build_noise(cfg["noise"], m)
     dist = _build_distribution(cfg.get("distribution", "row_norm"), sys_obj)
-    x0 = _build_x0(cfg.get("x0", "zero"), sys_obj)
-    z0 = x0 - sys_obj.x_true
+    z0 = _build_x0(cfg.get("x0", "zero"), sys_obj) - sys_obj.x_true
     iid = noise if isinstance(noise, IidNoise) else None
     if iid is not None and not resample:
         # one draw, shared by every trial and by the exact curve
-        noise = FixedNoise(make_measurements(sys_obj, iid, trial_noise_seed(seed))[1])
+        noise = FixedNoise(draw_eta(iid, m, trial_noise_seed(seed)))
     specs = {"fixed": noise if isinstance(noise, FixedNoise) else None, "iid": iid}
     outputs = _validate_outputs(outputs, specs)
 
@@ -317,7 +315,7 @@ def run_experiment(cfg, verbose=False):
             print(f"computing {kind} ...", file=_sys.stderr)
         spec = specs.get(CURVE_KINDS[kind])
         if kind == "empirical":
-            emp = monte_carlo_mse(sys_obj, noise, dist, x0, k_max, trials, seed)
+            emp = monte_carlo_mse(model, noise, z0, k_max, trials, seed)
             curves["empirical"] = emp.mse_mean
             curves["empirical_stderr"] = emp.mse_stderr
         elif kind in ("exact", "exact_avg"):
@@ -330,10 +328,10 @@ def run_experiment(cfg, verbose=False):
         for reads, key in FLOOR_KEYS.items():
             if specs[reads] is not None and key not in scalars:
                 scalars[key] = limiting_mse(model, specs[reads])
-    return curves, scalars, warnings
+    return curves, scalars
 
 
-def _write_outputs(out_dir, curves, scalars, warnings, raw_config, k_max):
+def _write_outputs(out_dir, curves, scalars, raw_config, k_max):
     names = list(curves)
     for name in names:
         if len(curves[name]) != k_max + 1:
@@ -353,7 +351,6 @@ def _write_outputs(out_dir, curves, scalars, warnings, raw_config, k_max):
         "generated_utc": datetime.now(timezone.utc).isoformat(),
         "config": raw_config,
         "scalars": scalars,
-        "warnings": warnings,
         "csv": "curves.csv",
     }
     json_path = os.path.join(out_dir, "result.json")
@@ -365,18 +362,14 @@ def _write_outputs(out_dir, curves, scalars, warnings, raw_config, k_max):
 def cmd_run(cfg, raw_config, out_dir, verbose=False):
     # overflow and NaN surface as the non-finite errors below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        curves, scalars, warnings = run_experiment(cfg, verbose=verbose)
+        curves, scalars = run_experiment(cfg, verbose=verbose)
     for name, values in curves.items():
         if not np.isfinite(values).all():
             raise ValueError(f"curve {name} is not finite at k = {np.argmin(np.isfinite(values))}")
     for key, value in scalars.items():
         if not np.isfinite(value):
             raise ValueError(f"scalar {key} is not finite: {value!r}")
-    for w in warnings:
-        print(f"warning: {w}", file=_sys.stderr)
-    csv_path, json_path = _write_outputs(
-        out_dir, curves, scalars, warnings, raw_config, cfg["k_max"]
-    )
+    csv_path, json_path = _write_outputs(out_dir, curves, scalars, raw_config, cfg["k_max"])
     print(f"wrote {csv_path} and {json_path}")
     return 0
 

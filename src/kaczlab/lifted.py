@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._num import check_dist, check_int, check_vector, frob_dot, set_fields, sq_norm
-from .problems import IidNoise, LinearSystem, fixed_eta
-from .rka import RowDistribution
+from .problems import IidNoise, fixed_eta
 
 DENSE_ORACLE_MAX_N = 12
 CG_REL_TOL = 1e-11
@@ -103,8 +102,9 @@ class DenseLift:
     G: np.ndarray   # (n^2, n^2), vec(g(M)) = G vec(M), g as in g_apply
 
 
-def build_model(sys: LinearSystem, dist: RowDistribution):
-    """Normalize the rows by their norms and pair them with dist's probabilities."""
+def build_model(sys, dist):
+    """Normalize a LinearSystem's rows by their norms and pair them with a
+    RowDistribution's probabilities."""
     check_dist(dist, sys.a.shape[0])
     return LiftedModel(sys.a / sys.row_norms[:, None], dist.p, sys.row_norms)
 

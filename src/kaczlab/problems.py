@@ -96,8 +96,8 @@ def fixed_eta(noise, m):
 def gen_gaussian(m, n, x_scale=1.0, seed=0):
     """An m x n system with i.i.d. standard normal entries.
 
-    x_true is i.i.d. normal scaled by x_scale. A draw that happens to be
-    rank deficient (probability ~0) is redrawn, at most 3 times.
+    x_true is i.i.d. normal scaled by x_scale, which must not overflow it. A
+    rank-deficient draw (probability ~0) is redrawn, at most 3 times.
     """
     m, n = check_int(m, "m", minimum=1), check_int(n, "n", minimum=1)
     if m < n:
@@ -107,7 +107,10 @@ def gen_gaussian(m, n, x_scale=1.0, seed=0):
     rng = rng_from(seed, 0xA)
     for _ in range(4):
         a = rng.standard_normal((m, n))
-        x = x_scale * rng.standard_normal(n)
+        with np.errstate(over="ignore"):
+            x = x_scale * rng.standard_normal(n)
+        if not np.isfinite(x).all():
+            raise ValueError(f"x_scale {x_scale!r} overflows x_true")
         try:
             return LinearSystem(a, x)
         except ValueError:
@@ -175,18 +178,17 @@ def gen_tomography(grid, num_angles, rays_per_angle):
     return LinearSystem(a_mat, _phantom(grid))
 
 
-def make_measurements(sys, noise, seed=0):
-    """y = A x_true + eta.  Returns (y, eta_realized).
-
-    FixedNoise uses the stored vector (seed unused); IidNoise draws the
-    vector i.i.d. normal(0, sigma2) from the seed.
-    """
-    m = sys.a.shape[0]
+def draw_eta(noise, m, seed=0):
+    """The one noise draw of m entries: a FixedNoise's checked vector (seed
+    unused), or i.i.d. normal(0, sigma2) drawn from the seed for an IidNoise."""
     if isinstance(noise, IidNoise):
-        rng = rng_from(seed, 0xE7A)
-        eta = np.sqrt(noise.sigma2) * rng.standard_normal(m)
-    else:
-        eta = fixed_eta(noise, m).copy()
+        return np.sqrt(noise.sigma2) * rng_from(seed, 0xE7A).standard_normal(m)
+    return fixed_eta(noise, m)
+
+
+def make_measurements(sys, noise, seed=0):
+    """y = A x_true + eta.  Returns (y, eta_realized), eta from draw_eta."""
+    eta = draw_eta(noise, sys.a.shape[0], seed)
     return sys.a @ sys.x_true + eta, eta
 
 

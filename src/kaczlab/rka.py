@@ -4,8 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import check_dist, check_int, check_vector, set_fields, sq_norm
-from .problems import FixedNoise, fixed_eta, make_measurements
+from ._num import check_int, check_vector, set_fields, sq_norm
+from .problems import IidNoise, draw_eta
 from .seeding import mix_seed
 
 # tags separating the row-choice and noise-draw streams of one experiment seed
@@ -44,7 +44,6 @@ class EmpiricalCurve:
 
     mse_mean: np.ndarray
     mse_stderr: np.ndarray
-    trials: int
 
 
 def make_distribution(weights):
@@ -153,15 +152,16 @@ def trial_noise_seed(seed, trial=None):
     return mix_seed(seed, _NOISE_TAG, trial)
 
 
-def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed):
+def monte_carlo_mse(model, noise, z0, k_max, trials, seed):
     """Sample mean/standard error of the squared-error trajectory over trials.
 
-    Each trial draws rows from an independent stream hashed from
-    (seed, trial), so results depend only on (seed, trial), not on how many
-    trials run together. FixedNoise is one eta shared by all trials;
-    IidNoise is redrawn per trial, from trial_noise_seed(seed, trial).
-    trials=1 is the one-run call. The runs read the spec's eta itself, as
-    the exact curve does, so x_true enters only through z0 = x0 - x_true.
+    The runs step the model's own unit rows a~ with eta~ = eta / ||a_i||
+    from z0 and sample the model's p, as the exact curve reads them. Each
+    trial draws rows from an independent stream hashed from (seed, trial),
+    so results depend only on (seed, trial), not on how many trials run
+    together. FixedNoise is one eta shared by all trials; IidNoise is
+    redrawn per trial, draw_eta(noise, m, trial_noise_seed(seed, trial)).
+    trials=1 is the one-run call.
 
     All trials advance together in one batched kernel, STEP_CHUNK steps at a
     time: each chunk draws the next uniforms of every trial's stream, samples
@@ -176,18 +176,15 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed):
     """
     trials = check_int(trials, "trials", minimum=1)
     k_max = check_int(k_max, "k_max")
-    m, n = sys.a.shape
-    x0 = check_vector(x0, n, "x0")
-    check_dist(dist, m)
+    m, n = model.a_tilde.shape
+    z0 = check_vector(z0, n, "z0")
 
-    if isinstance(noise, FixedNoise):
-        eta = fixed_eta(noise, m)
+    if isinstance(noise, IidNoise):
+        eta = np.stack([draw_eta(noise, m, trial_noise_seed(seed, t)) for t in range(trials)])
     else:
-        eta = np.stack([make_measurements(sys, noise, trial_noise_seed(seed, t))[1]
-                        for t in range(trials)])
-    norms = sys.row_norms
-    a_unit, eta_unit = sys.a / norms[:, None], eta / norms
-    z0 = x0 - sys.x_true
+        eta = draw_eta(noise, m)
+    eta_unit = eta / model.row_norms
+    dist = RowDistribution(model.p)
     z = np.tile(z0, (trials, 1))
     mean = np.empty(k_max + 1)
     stderr = np.zeros(k_max + 1)
@@ -209,9 +206,9 @@ def monte_carlo_mse(sys, noise, dist, x0, k_max, trials, seed):
         del u
         rows = np.ascontiguousarray(rows.T)
         errs = np.empty((stop - start, trials))
-        _batched_errors(a_unit, eta_unit, rows, z, errs)
+        _batched_errors(model.a_tilde, eta_unit, rows, z, errs)
         del rows
         mean[start + 1:stop + 1] = errs.mean(axis=1)
         if trials > 1:
             stderr[start + 1:stop + 1] = errs.std(axis=1, ddof=1) / np.sqrt(trials)
-    return EmpiricalCurve(mean, stderr, trials)
+    return EmpiricalCurve(mean, stderr)

@@ -80,7 +80,7 @@ def test_criterion_3_fixed_noise_experiment():
     z0 = x0 - sys.x_true
     model, noise = build_model(sys, dist), FixedNoise(eta)
     exact = exact_mse_curve(model, noise, z0, 2000)
-    emp = monte_carlo_mse(sys, noise, dist, x0, 2000, 1007, seed=606)
+    emp = monte_carlo_mse(model, noise, z0, 2000, 1007, seed=606)
     rows = []
     ok = True
     for k in (0, 1, 10, 100, 500, 1000, 2000):
@@ -108,7 +108,7 @@ def test_criterion_4_noise_averaged_experiment():
     x0 = np.zeros(n)
     z0 = x0 - sys.x_true
     theory = exact_mse_curve(model, noise, z0, 3000)
-    emp = monte_carlo_mse(sys, noise, dist, x0, 3000, 1007, seed=707)
+    emp = monte_carlo_mse(model, noise, z0, 3000, 1007, seed=707)
     rows = []
     ok = True
     for k in (0, 500, 1500, 3000):

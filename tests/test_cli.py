@@ -9,6 +9,7 @@ from kaczlab import (
     FixedNoise,
     IidNoise,
     bounds,
+    build_model,
     cli,
     gen_gaussian,
     lifted,
@@ -109,7 +110,7 @@ class TestRun:
                      str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "curves.csv")
         assert header == ["k", "bound_sv", "bound_zf", "bound_zf_general"]
-        assert json.loads((tmp_path / "result.json").read_text())["warnings"] == []
+        assert "warnings" not in json.loads((tmp_path / "result.json").read_text())
         dist = (row_norm_distribution(sys_obj) if distribution == "row_norm"
                 else make_distribution(distribution["weights"]) if isinstance(distribution, dict)
                 else uniform_distribution(8))
@@ -200,8 +201,9 @@ class TestRun:
         _, eta = make_measurements(sys_obj, IidNoise(1e-3), trial_noise_seed(4))
         result = json.loads((tmp_path / "result.json").read_text())
         assert result["scalars"]["eta_sq_norm"] == float(eta @ eta)
-        want = monte_carlo_mse(sys_obj, FixedNoise(eta), row_norm_distribution(sys_obj),
-                               np.zeros(3), 30, trials=1, seed=4).mse_mean
+        model = build_model(sys_obj, row_norm_distribution(sys_obj))
+        want = monte_carlo_mse(model, FixedNoise(eta), np.zeros(3) - sys_obj.x_true, 30,
+                               trials=1, seed=4).mse_mean
         header, rows = read_csv(tmp_path / "curves.csv")
         got = np.array([float(r[header.index("empirical")]) for r in rows])
         assert np.array_equal(got, want)
@@ -255,8 +257,7 @@ class TestWriteOutputs:
     def test_csv_bytes_match_reference(self, tmp_path):
         curves = self.curves()
         csv_path, json_path = cli._write_outputs(
-            str(tmp_path), curves, {"floor_exact": 0.25}, ["w"], {"k_max": self.K_MAX},
-            self.K_MAX)
+            str(tmp_path), curves, {"floor_exact": 0.25}, {"k_max": self.K_MAX}, self.K_MAX)
         with open(csv_path, encoding="utf-8", newline="") as fh:
             assert fh.read() == reference_csv(curves, self.K_MAX)
         text = Path(json_path).read_text(encoding="utf-8")
@@ -267,7 +268,7 @@ class TestWriteOutputs:
         curves = self.curves()
         curves["short"] = curves["normal"][:-1]
         with pytest.raises(ValueError, match="short"):
-            cli._write_outputs(str(tmp_path), curves, {}, [], {}, self.K_MAX)
+            cli._write_outputs(str(tmp_path), curves, {}, {}, self.K_MAX)
         assert not (tmp_path / "curves.csv").exists()
 
 
@@ -301,7 +302,7 @@ class TestComputeOnce:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        curves, scalars, _ = run_experiment(shared_iid_config())
+        curves, scalars = run_experiment(shared_iid_config())
         assert set(curves) >= set(cli.CURVE_KINDS) - {"floor"}
         assert "floor_exact" in scalars and "floor_avg" in scalars
         assert calls["build_model"] == 1
@@ -323,7 +324,7 @@ class TestComputeOnce:
             monkeypatch.setattr(lifted, "_solve_i_minus_q", counted)
             cfg = shared_iid_config(matrix={"kind": "gaussian", "m": 24, "n": 8, "seed": 3},
                                     outputs=outputs)
-            _, scalars, _ = run_experiment(cfg)
+            _, scalars = run_experiment(cfg)
             assert len(calls) == 2, outputs
             results.append(scalars)
         assert results[0] == results[1]
@@ -417,6 +418,8 @@ class TestConfigErrors:
          "matrix.x_scale: must be a finite number, got nan"),
         (lambda c: dict(c, matrix=dict(c["matrix"], x_scale=float("-inf"))),
          "matrix.x_scale: must be a finite number, got -inf"),
+        (lambda c: dict(c, matrix=dict(c["matrix"], x_scale=1.7e308)),
+         "matrix: x_scale 1.7e+308 overflows x_true"),
         (lambda c: dict(c, matrix={"m": 8, "n": 4, "seed": 5}),
          'matrix: expected an object with a "kind" key'),
         (lambda c: dict(c, matrix={"kind": "sparse"}), "matrix: unknown kind 'sparse'"),
@@ -444,7 +447,8 @@ class TestConfigErrors:
         (lambda c: dict(c, outputs=[]), "outputs must be a non-empty list of curve kinds"),
         (lambda c: dict(c, outputs="exact"), "outputs must be a non-empty list of curve kinds"),
     ], ids=["missing_key", "json_array", "sigma2_nan", "sigma2_infinity", "x_scale_nan",
-            "x_scale_minus_infinity", "matrix_no_kind", "matrix_unknown_kind", "noise_no_kind",
+            "x_scale_minus_infinity", "x_scale_overflows", "matrix_no_kind",
+            "matrix_unknown_kind", "noise_no_kind",
             "noise_unknown_kind", "fixed_values_and_path", "fixed_neither", "weights_not_list",
             "weights_count", "weights_zero", "weights_negative", "distribution_unknown",
             "x0_unknown", "outputs_empty", "outputs_not_list"])
@@ -753,7 +757,7 @@ class TestEveryOutputAlone:
         assert code == 0
         header, _ = read_csv(tmp_path / "curves.csv")
         result = json.loads((tmp_path / "result.json").read_text())
-        assert result["warnings"] == []
+        assert "warnings" not in result
         if kind == "floor":
             assert header == ["k"]
             floors = {key for key in result["scalars"] if key.startswith("floor_")}

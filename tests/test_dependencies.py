@@ -91,3 +91,17 @@ def test_only_measurements_form_a_x_true():
                     isinstance(right, ast.Name) and right.id == "x_true"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# the modules that may read .x_true: the generators and files of problems, the
+# enumeration oracle of validate, and the CLI's z0 = x0 - x_true
+READS_X_TRUE = {"problems.py", "validate.py", "cli.py"}
+
+
+def test_only_problems_validate_and_cli_read_x_true():
+    """Every curve, bound and Monte Carlo run takes z0 with the model, so no
+    other module reads a system's x_true."""
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name not in READS_X_TRUE
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "x_true"]
+    assert found == []

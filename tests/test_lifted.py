@@ -603,7 +603,7 @@ class TestExactCurves:
         x0 = sys.x_true + z0
         z0_eff = x0 - sys.x_true
         curve = exact_mse_curve(model, noise, z0_eff, 300)
-        emp = monte_carlo_mse(sys, FixedNoise(eta), dist, x0, 300, 1500, seed=4)
+        emp = monte_carlo_mse(model, FixedNoise(eta), z0_eff, 300, 1500, seed=4)
         for k in (0, 1, 5, 20, 100, 300):
             diff = abs(emp.mse_mean[k] - curve.values[k])
             assert diff <= 4 * emp.mse_stderr[k]

@@ -1,5 +1,5 @@
-"""Integer arguments (horizons, trial counts, seeds), vector arguments (z0,
-x0), row distributions and noise specs are each checked the same way by
+"""Integer arguments (horizons, trial counts, seeds), vector arguments (z0),
+row distributions and noise specs are each checked the same way by
 every entry point that takes one, and every value object keeps its arrays the
 same way."""
 
@@ -22,11 +22,13 @@ from kaczlab import (
     gen_gaussian,
     gen_identity,
     gen_tomography,
+    make_distribution,
     make_measurements,
     monte_carlo_mse,
     uniform_distribution,
     zf_general_bound_curve,
 )
+from kaczlab.problems import draw_eta
 from kaczlab.seeding import rng_from
 
 from conftest import random_instance
@@ -35,7 +37,7 @@ from conftest import random_instance
 def entry_points():
     """{name: (one-argument call, argument name, its minimum or None for any int)}."""
     sys, dist, eta, z0 = random_instance(8, 3, 90)
-    model, noise, x0 = build_model(sys, dist), FixedNoise(eta), sys.x_true + z0
+    model, noise = build_model(sys, dist), FixedNoise(eta)
     iid = IidNoise(0.1)
     return {
         "gen_gaussian.seed": (lambda s: gen_gaussian(8, 3, seed=s).a, "seed", None),
@@ -48,7 +50,7 @@ def entry_points():
         "gen_identity": (lambda k: gen_identity(k).a, "n", 1),
         "make_measurements.seed": (lambda s: make_measurements(sys, iid, seed=s)[0], "seed", None),
         "monte_carlo_mse.seed": (
-            lambda s: monte_carlo_mse(sys, iid, dist, x0, 4, 2, seed=s).mse_mean, "seed", None),
+            lambda s: monte_carlo_mse(model, iid, z0, 4, 2, seed=s).mse_mean, "seed", None),
         "rng_from.seed": (lambda s: rng_from(s, 1).random(4), "seed", None),
         "zf_general_bound_curve": (lambda k: zf_general_bound_curve(model, noise, z0, k),
                                    "k_max", 0),
@@ -57,9 +59,9 @@ def entry_points():
         "exact_mse_curve": (lambda k: exact_mse_curve(model, noise, z0, k).values, "k_max", 0),
         "exact_mse_at": (lambda k: exact_mse_at(model, noise, z0, k), "k", 0),
         "monte_carlo_mse.k_max": (
-            lambda k: monte_carlo_mse(sys, noise, dist, x0, k, 2, seed=1).mse_mean, "k_max", 0),
+            lambda k: monte_carlo_mse(model, noise, z0, k, 2, seed=1).mse_mean, "k_max", 0),
         "monte_carlo_mse.trials": (
-            lambda t: monte_carlo_mse(sys, noise, dist, x0, 4, t, seed=1).mse_mean, "trials", 1),
+            lambda t: monte_carlo_mse(model, noise, z0, 4, t, seed=1).mse_mean, "trials", 1),
     }
 
 
@@ -87,9 +89,13 @@ def test_numpy_integer_accepted(entry):
 
 
 def vector_entry_points():
-    """{name: (call with the vector replaced, argument name, its length)}."""
-    sys, dist, eta, z0 = random_instance(8, 3, 91)
-    model, noise, x0 = build_model(sys, dist), FixedNoise(eta), sys.x_true + z0
+    """{name: (call with the vector replaced, argument name, its length)}; the
+    .singular calls are on a model whose I - P is singular, so that a solve
+    made before the check would raise SolverError instead."""
+    sys, dist, eta, _ = random_instance(8, 3, 91)
+    model, noise = build_model(sys, dist), FixedNoise(eta)
+    singular = build_model(gen_gaussian(4, 2, seed=2), make_distribution([1e300, 1, 1, 1]))
+    noise4 = FixedNoise(np.full(4, 0.1))
     return {
         "exact_mse_curve": (lambda v: exact_mse_curve(model, noise, v, 4), "z0", 3),
         "exact_mse_at": (lambda v: exact_mse_at(model, noise, v, 4), "z0", 3),
@@ -97,8 +103,12 @@ def vector_entry_points():
                                    "z0", 3),
         "zf_general_bound_curve.noise_free": (
             lambda v: zf_general_bound_curve(model, IidNoise(0.0), v, 4), "z0", 3),
-        "monte_carlo_mse": (lambda v: monte_carlo_mse(sys, noise, dist, v, 4, 2, seed=1),
-                            "x0", 3),
+        "monte_carlo_mse": (lambda v: monte_carlo_mse(model, noise, v, 4, 2, seed=1), "z0", 3),
+        "exact_mse_curve.singular": (lambda v: exact_mse_curve(singular, noise4, v, 4), "z0", 2),
+        "zf_general_bound_curve.singular": (
+            lambda v: zf_general_bound_curve(singular, noise4, v, 4), "z0", 2),
+        "monte_carlo_mse.singular": (
+            lambda v: monte_carlo_mse(singular, noise4, v, 4, 2, seed=1), "z0", 2),
     }
 
 
@@ -117,11 +127,9 @@ def test_bad_vector_argument(entry, bad):
 
 def distribution_readers():
     """{name: call on a row distribution}, each on a system of 8 rows."""
-    sys, _, eta, z0 = random_instance(8, 3, 93)
-    noise, x0 = FixedNoise(eta), sys.x_true + z0
+    sys, _, _, _ = random_instance(8, 3, 93)
     return {
         "build_model": lambda dist: build_model(sys, dist),
-        "monte_carlo_mse": lambda dist: monte_carlo_mse(sys, noise, dist, x0, 4, 2, seed=1),
     }
 
 
@@ -136,10 +144,11 @@ def test_distribution_of_wrong_length(entry):
 def noise_readers():
     """{name: call on a noise spec}, each reading a FixedNoise's vector on 8 rows."""
     sys, dist, _, z0 = random_instance(8, 3, 92)
-    model, x0 = build_model(sys, dist), sys.x_true + z0
+    model = build_model(sys, dist)
     return {
+        "draw_eta": lambda noise: draw_eta(noise, 8),
         "make_measurements": lambda noise: make_measurements(sys, noise),
-        "monte_carlo_mse": lambda noise: monte_carlo_mse(sys, noise, dist, x0, 4, 2, seed=1),
+        "monte_carlo_mse": lambda noise: monte_carlo_mse(model, noise, z0, 4, 2, seed=1),
         "exact_mse_curve": lambda noise: exact_mse_curve(model, noise, z0, 4),
         "zf_general_bound_curve": lambda noise: zf_general_bound_curve(model, noise, z0, 4),
         "apply_D": lambda noise: apply_D(model, noise, z0),

@@ -53,6 +53,12 @@ class TestGenGaussian:
         with pytest.raises(ValueError, match=f"^x_scale must be finite, got {x_scale!r}$"):
             gen_gaussian(8, 3, x_scale=x_scale)
 
+    def test_rejects_overflowing_x_scale(self):
+        # named at once and without a numpy warning (an error under this
+        # suite's filters), not retried as if the matrix were rank deficient
+        with pytest.raises(ValueError, match=r"^x_scale 1\.7e\+308 overflows x_true$"):
+            gen_gaussian(6, 3, 1.7e308, seed=10)
+
 
 class TestGenIdentity:
     def test_n1(self):

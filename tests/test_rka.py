@@ -156,7 +156,8 @@ class TestRkaStep:
 
 def one_run(sys, noise, dist, x0, k_max, seed):
     """||x^(k) - x_true||^2 for k = 0..k_max of the one-run call."""
-    return monte_carlo_mse(sys, noise, dist, x0, k_max, trials=1, seed=seed).mse_mean
+    return monte_carlo_mse(build_model(sys, dist), noise, x0 - sys.x_true, k_max,
+                           trials=1, seed=seed).mse_mean
 
 
 class TestRunTrial:
@@ -226,34 +227,47 @@ class TestMonteCarlo:
     def test_single_trial_is_one_kernel_run(self):
         # the run reads the lifted model's own a~ and eta~, and trial 0's rows
         sys, dist, eta, z0 = random_instance(7, 3, 15)
-        x0 = sys.x_true + z0
-        noise = FixedNoise(eta)
-        curve = monte_carlo_mse(sys, noise, dist, x0, 40, trials=1, seed=99)
-        model = build_model(sys, dist)
+        model, noise = build_model(sys, dist), FixedNoise(eta)
+        curve = monte_carlo_mse(model, noise, z0, 40, trials=1, seed=99)
         rng = np.random.default_rng(trial_row_seed(99, 0))
         rows = sample_rows(dist, rng.random(40))[:, None]
         direct = _errors(model.a_tilde, lifted._scaled_eta(model, noise), rows, z0)
         assert np.array_equal(curve.mse_mean, direct[:, 0])
         assert np.all(curve.mse_stderr == 0.0)
 
+    def test_steps_the_models_own_rows(self, monkeypatch):
+        # the simulation and the exact curve read one array of unit rows
+        seen = []
+
+        def spy(a_unit, *args):
+            seen.append(a_unit)
+            return _batched_errors(a_unit, *args)
+
+        monkeypatch.setattr(rka, "_batched_errors", spy)
+        sys, dist, eta, z0 = random_instance(7, 3, 15)
+        model = build_model(sys, dist)
+        for noise in (FixedNoise(eta), IidNoise(0.1)):
+            monte_carlo_mse(model, noise, z0, 3 * C, trials=3, seed=2)
+        assert len(seen) == 6 and all(a is model.a_tilde for a in seen)
+
     @pytest.mark.parametrize("noise", [FixedNoise(0.8 * unit(60, 4)), IidNoise(1e-2)],
                              ids=["fixed", "iid"])
     def test_does_not_depend_on_x_true(self, noise):
-        # from x0 = x_true, x_true enters nowhere: a y - A x_true round trip
-        # would err by ~eps ||A x_true||, 1e13 times more at x_scale 1e13
+        # x_scale moves only x_true, which the model does not hold: from
+        # x0 = x_true (z0 = 0) the runs are bitwise the same at every scale
         curves = []
         for x_scale in (1.0, 1e13):
             sys = gen_gaussian(60, 20, x_scale, 1)
-            curves.append(monte_carlo_mse(sys, noise, row_norm_distribution(sys), sys.x_true,
-                                          300, trials=50, seed=3))
+            curves.append(monte_carlo_mse(build_model(sys, row_norm_distribution(sys)), noise,
+                                          np.zeros(20), 300, trials=50, seed=3))
         assert np.array_equal(curves[0].mse_mean, curves[1].mse_mean)
         assert np.array_equal(curves[0].mse_stderr, curves[1].mse_stderr)
 
     def test_noiseless_at_solution(self):
         sys = gen_gaussian(6, 3, 1.0, 16)
         curve = monte_carlo_mse(
-            sys, FixedNoise(np.zeros(6)), row_norm_distribution(sys),
-            sys.x_true, 30, trials=20, seed=1,
+            build_model(sys, row_norm_distribution(sys)), FixedNoise(np.zeros(6)),
+            np.zeros(3), 30, trials=20, seed=1,
         )
         assert np.all(curve.mse_mean <= 1e-28)
         assert np.all(curve.mse_stderr <= 1e-28)
@@ -262,8 +276,8 @@ class TestMonteCarlo:
         sys = gen_identity(3)
         x0 = np.array([1.0, 1.0, 1.0])
         curve = monte_carlo_mse(
-            sys, FixedNoise(np.zeros(3)), uniform_distribution(3),
-            x0, 10, trials=2000, seed=7,
+            build_model(sys, uniform_distribution(3)), FixedNoise(np.zeros(3)),
+            x0 - sys.x_true, 10, trials=2000, seed=7,
         )
         for k in (1, 5, 10):
             expected = (2 / 3) ** k * 3.0
@@ -272,35 +286,38 @@ class TestMonteCarlo:
     def test_index0_exact(self):
         sys, dist, eta, z0 = random_instance(6, 3, 17)
         x0 = sys.x_true + z0
-        curve = monte_carlo_mse(sys, FixedNoise(eta), dist, x0, 5, trials=50, seed=3)
         d = x0 - sys.x_true
+        curve = monte_carlo_mse(build_model(sys, dist), FixedNoise(eta), d, 5, trials=50, seed=3)
         assert curve.mse_mean[0] == float(np.dot(d, d))
         assert curve.mse_stderr[0] == 0.0
 
     def test_resample_false_shares_noise(self):
         sys, dist, _, z0 = random_instance(6, 3, 19)
-        x0 = sys.x_true + z0
+        model = build_model(sys, dist)
         shared = shared_draw(sys, IidNoise(0.05), 11)
-        fixed = monte_carlo_mse(sys, shared, dist, x0, 30, trials=8, seed=11)
-        redrawn = monte_carlo_mse(sys, IidNoise(0.05), dist, x0, 30, trials=8, seed=11)
+        fixed = monte_carlo_mse(model, shared, z0, 30, trials=8, seed=11)
+        redrawn = monte_carlo_mse(model, IidNoise(0.05), z0, 30, trials=8, seed=11)
         assert not np.array_equal(fixed.mse_mean, redrawn.mse_mean)
 
     def test_rejects_bad_trials(self):
         sys, dist, eta, _ = random_instance(6, 3, 20)
         with pytest.raises(ValueError, match="trials"):
-            monte_carlo_mse(sys, FixedNoise(eta), dist, np.zeros(3), 5, 0, seed=1)
+            monte_carlo_mse(build_model(sys, dist), FixedNoise(eta), np.zeros(3), 5, 0, seed=1)
 
     @pytest.mark.parametrize("noise", [FixedNoise(np.zeros(6)), IidNoise(0.1)], ids=["fixed", "iid"])
     def test_rejects_negative_k_max(self, noise):
         sys, dist, _, _ = random_instance(6, 3, 20)
+        model = build_model(sys, dist)
         for k_max in (-1, -3):
             with pytest.raises(ValueError, match=f"k_max must be >= 0, got {k_max}"):
-                monte_carlo_mse(sys, noise, dist, np.zeros(3), k_max, 2, seed=1)
+                monte_carlo_mse(model, noise, np.zeros(3), k_max, 2, seed=1)
 
     def test_rejects_distribution_size_mismatch(self):
+        # the runs sample the model's own p, so build_model's is the one check
         sys, _, eta, _ = random_instance(6, 3, 20)
         with pytest.raises(ValueError, match="rows"):
-            monte_carlo_mse(sys, FixedNoise(eta), uniform_distribution(5), np.zeros(3), 5, 2, seed=1)
+            monte_carlo_mse(build_model(sys, uniform_distribution(5)), FixedNoise(eta),
+                            np.zeros(3), 5, 2, seed=1)
 
 
 def shared_draw(sys, noise, seed):
@@ -338,6 +355,11 @@ def one_shot_mse(sys, noise, dist, x0, k_max, trials, seed):
     return mean, stderr
 
 
+def model_args(sys, noise, dist, x0, k_max, trials, seed):
+    """monte_carlo_mse's arguments for one_shot_mse's."""
+    return build_model(sys, dist), noise, x0 - sys.x_true, k_max, trials, seed
+
+
 NOISES = {
     "fixed": lambda sys, eta, seed: FixedNoise(eta),
     "iid_shared": lambda sys, eta, seed: shared_draw(sys, IidNoise(0.04), seed),
@@ -348,7 +370,7 @@ NOISES = {
 def _streamed_and_one_shot(k_max, trials, noise_kind):
     sys, dist, eta, z0 = random_instance(30, 8, 23, noise_scale=0.2)
     args = (sys, NOISES[noise_kind](sys, eta, 31), dist, sys.x_true + z0, k_max, trials, 31)
-    return monte_carlo_mse(*args), one_shot_mse(*args)
+    return monte_carlo_mse(*model_args(*args)), one_shot_mse(*args)
 
 
 class TestStreamedMonteCarlo:
@@ -381,7 +403,7 @@ class TestMonteCarloMemory:
     def test_peak_does_not_grow_with_k_max(self):
         # one-shot, 256 trials x 4096 steps hold ~25 MiB of uniforms, rows,
         # noise and errors; streamed, only one chunk of them is alive
-        _, peak = traced_peak(monte_carlo_mse, *self._args(4096, 256))
+        _, peak = traced_peak(monte_carlo_mse, *model_args(*self._args(4096, 256)))
         assert peak <= 4 * MiB
 
     @pytest.mark.parametrize("k_max", [4, 128, 300])
@@ -389,7 +411,7 @@ class TestMonteCarloMemory:
         # the streams kept live between chunks cost about 1 KiB per trial
         trials = 4096
         (mean, stderr), ref_peak = traced_peak(one_shot_mse, *self._args(k_max, trials))
-        curve, peak = traced_peak(monte_carlo_mse, *self._args(k_max, trials))
+        curve, peak = traced_peak(monte_carlo_mse, *model_args(*self._args(k_max, trials)))
         assert peak <= ref_peak + 1024 * trials
         if k_max <= 2 * C:
             # one chunk: no stream outlives its draw, no array its use
