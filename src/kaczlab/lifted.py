@@ -195,9 +195,13 @@ def g_apply(model, mmat):
 
 
 def vec_e(model, noise):
-    """mat(e) = sum_i p_i eta~_i^2 a~_i a~_i^T for a FixedNoise (symmetric PSD)."""
+    """mat(e) = sum_i p_i eta~_i^2 a~_i a~_i^T for a FixedNoise, and its mean
+    sum_i sigma2 (p_i / ||a_i||^2) a~_i a~_i^T over an IidNoise's draws (symmetric PSD)."""
     at = model.a_tilde
-    w = model.p * _scaled_eta(model, noise)**2
+    if isinstance(noise, IidNoise):
+        w = noise.sigma2 * model.p / model.row_norms**2
+    else:
+        w = model.p * _scaled_eta(model, noise)**2
     return at.T @ (w[:, None] * at)
 
 
@@ -266,14 +270,14 @@ def _solve_i_minus_q(model, rhs):
         raise SolverError("(I - Q) CG right-hand side is not finite")
     exp = np.frexp(np.abs(rhs).max())[1]
     rhs = np.ldexp(rhs, -exp)
+    rhs = 0.5 * (rhs + rhs.T)   # the true rhs is symmetric; drop ulp asymmetry
     n = rhs.shape[0]
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
         return np.zeros_like(rhs)
     max_iter = 10 * n * n
     x = np.zeros_like(rhs)
-    r = 0.5 * (rhs + rhs.T)   # the true rhs is symmetric; drop ulp asymmetry
-    d = r.copy()
+    r, d = rhs.copy(), rhs.copy()
     rs = frob_dot(r, r)
     for _ in range(max_iter):
         ad = d - apply_Q(model, d)   # exactly symmetric, as d is
@@ -308,7 +312,7 @@ def _noise_terms(model, noise, z0):
     fixed point (v1, v2), v1 = (I - Q)^{-1} [e + D v2]; around it the drive
     is D P^l (z0 - v2), so c = U^T (z0 - v2) and R_i = D u_i. IidNoise: the
     average, with E[D M f] = sigma2 g(M), has the fixed point E v1 = sigma2
-    (I-Q)^{-1} [sum_i p_i a~_i a~_i^T / ||a_i||^2 + g((I-P)^{-1})] and the
+    (I-Q)^{-1} [vec_e(IidNoise(1)) + g((I-P)^{-1})] and the
     drive -sigma2 g(P^l (I-P)^{-1}): c_i = -sigma2 / (1 - lam_i), R_i =
     g(u_i u_i^T). Zero noise of either kind is (None, None), the undriven
     curve, with no (I - P) or (I - Q) solve. Anything else is a TypeError.
@@ -316,9 +320,8 @@ def _noise_terms(model, noise, z0):
     if isinstance(noise, IidNoise):
         if noise.sigma2 == 0.0:
             return None, None
-        at, gap, u = model.a_tilde, i_minus_p_eigvals(model), model.p_eigvecs
-        weights = model.p / model.row_norms**2
-        rhs = at.T @ (weights[:, None] * at) + g_apply(model, (u / gap) @ u.T)
+        gap, u = i_minus_p_eigvals(model), model.p_eigvecs
+        rhs = vec_e(model, IidNoise(1.0)) + g_apply(model, (u / gap) @ u.T)
         return noise.sigma2 * _solve_i_minus_q(model, rhs), (
             -noise.sigma2 / gap, lambda model, u: g_apply(model, np.outer(u, u)))
     if not _scaled_eta(model, noise).any():

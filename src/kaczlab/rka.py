@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._num import check_int, check_vector, set_fields, sq_norm
-from .problems import IidNoise, draw_eta
+from .problems import FixedNoise, draw_eta
 from .seeding import mix_seed
 
 # tags separating the row-choice and noise-draw streams of one experiment seed
@@ -114,8 +114,8 @@ def _batched_errors(a_unit, eta_unit, rows, z, out):
 
     Args:
         a_unit: (m, n) rows of A scaled to unit norm.
-        eta_unit: (m,) scaled noise shared by every run, or (trials, m) with
-            one noise vector per run.
+        eta_unit: scaled noise that broadcasts to (trials, m): an (m,) vector
+            shared by every run, or one (m,) row per run.
         rows: (k, trials) int64 row index per step and run.
         z: (trials, n) C-contiguous error of each run, advanced in place by
             the k steps, so consecutive calls continue the same runs.
@@ -125,10 +125,8 @@ def _batched_errors(a_unit, eta_unit, rows, z, out):
     bitwise the same whichever other runs share the batch, and a run split
     over several calls is bitwise the run made in one.
     """
-    if eta_unit.ndim == 1:
-        eta_rows = eta_unit[rows]
-    else:
-        eta_rows = eta_unit[np.arange(rows.shape[1]), rows]
+    trials = rows.shape[1]
+    eta_rows = np.broadcast_to(eta_unit, (trials, a_unit.shape[0]))[np.arange(trials), rows]
     u = np.empty_like(z)
     c = np.empty(z.shape[0])
     for k in range(rows.shape[0]):
@@ -159,8 +157,8 @@ def monte_carlo_mse(model, noise, z0, k_max, trials, seed):
     from z0 and sample the model's p, as the exact curve reads them. Each
     trial draws rows from an independent stream hashed from (seed, trial),
     so results depend only on (seed, trial), not on how many trials run
-    together. FixedNoise is one eta shared by all trials; IidNoise is
-    redrawn per trial, draw_eta(noise, m, trial_noise_seed(seed, trial)).
+    together. A FixedNoise is one eta shared by all trials; any other spec
+    is redrawn per trial, draw_eta(noise, m, trial_noise_seed(seed, trial)).
     trials=1 is the one-run call.
 
     All trials advance together in one batched kernel, STEP_CHUNK steps at a
@@ -179,10 +177,10 @@ def monte_carlo_mse(model, noise, z0, k_max, trials, seed):
     m, n = model.a_tilde.shape
     z0 = check_vector(z0, n, "z0")
 
-    if isinstance(noise, IidNoise):
-        eta = np.stack([draw_eta(noise, m, trial_noise_seed(seed, t)) for t in range(trials)])
-    else:
+    if isinstance(noise, FixedNoise):
         eta = draw_eta(noise, m)
+    else:
+        eta = np.stack([draw_eta(noise, m, trial_noise_seed(seed, t)) for t in range(trials)])
     eta_unit = eta / model.row_norms
     dist = RowDistribution(model.p)
     z = np.tile(z0, (trials, 1))

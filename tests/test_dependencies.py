@@ -105,3 +105,19 @@ def test_only_problems_validate_and_cli_read_x_true():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "x_true"]
     assert found == []
+
+
+# the modules that may name IidNoise: its definition and draw in problems, its
+# second moment and averaged curve in lifted, the config's noise kind in cli,
+# and the export in __init__
+NAMES_IID_NOISE = {"__init__.py", "problems.py", "lifted.py", "cli.py"}
+
+
+def test_only_noise_owners_name_iid_noise():
+    """bounds and rka read every spec through lifted.vec_e and
+    problems.draw_eta, so a new noise spec needs no edit there."""
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name not in NAMES_IID_NOISE
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if (isinstance(node, ast.Name) and node.id == "IidNoise")
+             or (isinstance(node, ast.alias) and node.name == "IidNoise")]
+    assert found == []

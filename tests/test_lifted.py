@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ from kaczlab.problems import LinearSystem
 from kaczlab.seeding import rng_from
 
 from conftest import dense_avg_curve, dense_exact_curve, random_instance, random_model, traced_peak
-from exact_oracle import fixed_floors, iid_floor
+from exact_oracle import fixed_curve, fixed_floors, iid_curve, iid_floor
 
 
 def mat_of(vec, n):
@@ -291,14 +293,26 @@ class TestMoments:
         assert np.all(vec_f(model, noise) == 0.0)
 
     def test_requires_noise(self):
-        # e and f are stated for a noise vector: a FixedNoise with one entry per row
+        # f is stated for a noise vector: a FixedNoise with one entry per row;
+        # e is its second moment, which an IidNoise has too
         sys, dist, _, _ = random_instance(4, 3, 15)
         model = build_model(sys, dist)
-        for fn in (vec_e, vec_f, solve_v2):
+        for fn in (vec_f, solve_v2):
             with pytest.raises(TypeError, match="unsupported noise spec"):
                 fn(model, IidNoise(0.1))
+        for fn in (vec_e, vec_f, solve_v2):
             with pytest.raises(ValueError, match="length 4"):
                 fn(model, FixedNoise(np.zeros(5)))
+
+    def test_iid_e_is_the_mean_over_draws(self):
+        # E eta~_i^2 = sigma2 / ||a_i||^2, so e = sigma2 A~^T diag(p / ||a||^2) A~,
+        # whose trace is the averaged bound's sigma2 sum_i p_i / ||a_i||^2
+        model, _, _ = random_model(10, 4, 18)
+        weights = model.p / model.row_norms**2
+        got = vec_e(model, IidNoise(0.3))
+        want = 0.3 * model.a_tilde.T @ np.diag(weights) @ model.a_tilde
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+        assert np.trace(got) == pytest.approx(0.3 * np.sum(weights), rel=1e-14)
 
     def test_scalar_formulas(self):
         sys = gen_gaussian(3, 1, 1.0, 16)
@@ -464,6 +478,17 @@ class TestFixedPoints:
         floor = limiting_mse(model, noise)
         assert limiting_mse(model, FixedNoise(np.ldexp(noise.eta, k))) == np.ldexp(floor, 2 * k)
 
+    def test_cg_solves_a_subnormal_rhs(self):
+        # e + D v2 built from subnormals is asymmetric past CG's 1e-11 target:
+        # CG must check the symmetric rhs it iterates on, not the raw one
+        sys = gen_gaussian(8, 3, 1.0, 49)
+        model = build_model(sys, row_norm_distribution(sys))
+        eta = np.random.default_rng(0).standard_normal(8)
+        floor = Fraction(limiting_mse(model, FixedNoise(eta)))
+        for scale in (1e-160, 1e-158):
+            got = Fraction(limiting_mse(model, FixedNoise(eta * scale)))
+            assert abs(got - Fraction(scale)**2 * floor) <= 64 * Fraction(2)**-1074
+
     def test_cg_fails_loudly_when_residual_unreachable(self, monkeypatch):
         # an apply_Q with relative error 1e-9 cannot bring the true residual to 1e-11:
         # each claimed convergence fails the check and restarts, until the cap
@@ -523,6 +548,37 @@ class TestExactFloors:
         model = build_model(sys, row_norm_distribution(sys))
         _, lu_floor = dense_avg_curve(model, IidNoise(1.0), np.zeros(3), 0)
         assert float(iid_floor(sys.a, model.p, 1.0)) == pytest.approx(lu_floor, rel=1e-9)
+
+
+def exact_curve_instances():
+    """(system, distribution, eta, z0) of the near-collinear family at d = 1e-1
+    and 1e-2 with row-norm p, and of two gaussian 6 x 3 instances."""
+    out = []
+    for d in (1e-1, 1e-2):
+        sys = near_collinear(d)
+        rng = np.random.default_rng(61)
+        out.append((sys, row_norm_distribution(sys), rng.standard_normal(6), rng.standard_normal(3)))
+    return out + [random_instance(6, 3, seed) for seed in (0, 1)]
+
+
+class TestExactOracleCurves:
+    """Curves against the 50-digit stepping of z's own moments, for k <= 200,
+    at the curves' 1e-10."""
+
+    @pytest.mark.parametrize("case", range(4), ids=["d1e-1", "d1e-2", "gaussian0", "gaussian1"])
+    def test_fixed_curve(self, case):
+        sys, dist, eta, z0 = exact_curve_instances()[case]
+        model = build_model(sys, dist)
+        want = [float(v) for v in fixed_curve(sys.a, model.p, eta, z0, 200)]
+        got = exact_mse_curve(model, FixedNoise(eta), z0, 200).values
+        assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_iid_curve(self):
+        sys, dist, _, z0 = exact_curve_instances()[2]
+        model = build_model(sys, dist)
+        want = [float(v) for v in iid_curve(sys.a, model.p, 0.5, z0, 200)]
+        got = exact_mse_curve(model, IidNoise(0.5), z0, 200).values
+        assert np.allclose(got, want, rtol=1e-10, atol=0)
 
 
 class TestExactCurves:
