@@ -40,8 +40,8 @@ LANCZOS_MAX_STEPS = 1000
 V2_REL_TOL = 1e-10
 # adjoint iterates stepped and read out together by _lifted_curve
 CURVE_BLOCK = 16
-# _lifted_curve stops stepping W once all of W's remaining share of a curve
-# is at most this fraction of its floor, an eighth of the floor's ulp or less
+# _lifted_curve stops stepping W once W's remaining share of a curve is at most this
+# fraction of its floor (an eighth of its ulp or less), or ||W|| is the least normal double
 CURVE_STOP_REL = 2.0**-56
 # blocks of the geometric tail past that stop filled per chunk
 CURVE_TAIL_BLOCKS = 256
@@ -357,15 +357,15 @@ def _lifted_curve(model, z0, v, drive, k_max):
     out by one product with vec X_0, one with the readout, and one Toeplitz
     sum of the s_i. values[0] = ||z0||^2 exactly.
 
-    Stepping stops after the first block whose last iterate W_j has
-    owed ||W_j|| <= CURVE_STOP_REL floor, owed = ||X_0|| + sum_i |c_i| ||R_i||
-    / (1 - |lam_i|), or W_j = 0. ||Q||_2 <= 1, Q being a convex combination
-    of the orthogonal projectors P_i (x) P_i, so no later W moves a value by
-    more than that (Cauchy-Schwarz), and every later value is the geometric
-    tail floor + sum_i c_i lam_i^(k - k0) s_i[k0]. A curve with a zero floor
-    stops only at W = 0, so it keeps its whole decay. The stop does not
-    depend on k_max, and neither does any value. Runs in
-    O(k_stop m n^2 + k_max n), k_stop <= k_max the steps before the stop.
+    Stepping stops after the first block whose last W_j has owed ||W_j|| <=
+    max(CURVE_STOP_REL floor, owed tiny), owed = ||X_0|| + sum_i |c_i| ||R_i||
+    / (1 - |lam_i|), tiny the least normal double. ||Q||_2 <= 1, Q being a
+    convex combination of the orthogonal projectors P_i (x) P_i, so no later
+    W moves a value by more than that (Cauchy-Schwarz), and every later value
+    is the tail floor + sum_i c_i lam_i^(k - k0) s_i[k0]. hypot sums ||X_0||
+    and ||W_j|| free of underflow, so a zero floor decays until ||W|| = tiny,
+    below which apply_Q stalls in subnormals. Neither the stop nor any value
+    depends on k_max. Runs in O(k_stop m n^2 + k_max n), k_stop <= k_max.
     """
     n = z0.size
     x0, floor = np.outer(z0, z0), 0.0
@@ -380,8 +380,9 @@ def _lifted_curve(model, z0, v, drive, k_max):
         for i in range(n):
             readout[i] = op(model, u[:, i]).ravel()
     x0_vec = x0.reshape(n * n)
-    owed = np.linalg.norm(x0) + np.abs(c) @ (
+    owed = np.hypot.reduce(x0_vec) + np.abs(c) @ (
         np.sqrt(np.vecdot(readout, readout)) / (1.0 - np.abs(lam)))
+    stop = max(CURVE_STOP_REL * floor, owed * np.finfo(float).tiny)
     blk = CURVE_BLOCK
     # sums[t] = s[start + t] = lam^t s[start] + sum_{tau < t} lam^(t-1-tau) rho[tau]
     # for t = 0..blk, with rho[tau] = <W_{start+tau}, R_i>
@@ -402,8 +403,7 @@ def _lifted_curve(model, z0, v, drive, k_max):
         values[start:start + blk] = floor + flat @ x0_vec + sums[:blk] @ c
         s = sums[blk]
         start += blk
-        w_norm = np.linalg.norm(stack[-1])
-        if w_norm == 0.0 or (floor > 0.0 and owed * w_norm <= CURVE_STOP_REL * floor):
+        if owed * np.hypot.reduce(flat[-1]) <= stop:
             break
     while start < end:
         # s at each block's start, multiplied up block by block as above

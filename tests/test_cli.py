@@ -619,14 +619,27 @@ class TestConfigErrors:
          "line 10: data after the last declared value, on line 9"),
         ("x0", {}, "x0.path", "4\n0\n0\n0\n0\n\n0\n",
          "line 7: data after the last declared value, on line 5"),
+        ("matrix", {"kind": "file"}, "matrix.path", "", "line 1: empty file"),
+        ("matrix", {"kind": "file"}, "matrix.path", "8\n1 0 0 0\n",
+         'line 1: header must be "m n"'),
+        ("matrix", {"kind": "file"}, "matrix.path", "8 four\n1 0 0 0\n",
+         "line 1: non-integer header ("),
+        ("matrix", {"kind": "file"}, "matrix.path", "0 4\n",
+         "line 1: dimensions must be positive, got 0 x 4"),
+        ("noise", {"kind": "fixed"}, "noise.path", "", "line 1: empty file"),
+        ("noise", {"kind": "fixed"}, "noise.path", "eight\n0.1\n",
+         "line 1: non-integer length ("),
     ], ids=["matrix_rows", "matrix_width", "noise_length", "noise_negative",
-            "matrix_trailing", "noise_trailing", "x0_trailing"])
+            "matrix_trailing", "noise_trailing", "x0_trailing", "matrix_empty",
+            "matrix_one_field_header", "matrix_non_integer_header", "matrix_zero_rows",
+            "noise_empty", "noise_non_integer_length"])
     def test_header_past_file_rejected(
         self, tmp_path, eta8, capsys, section, desc, key, text, message
     ):
         # a file must hold exactly what its header declares: a PiB-sized header
-        # is refused by the line count, not by numpy's allocator, and data past
-        # the declared end is refused, not dropped
+        # is refused by the line count, not by numpy's allocator, data past
+        # the declared end is refused, not dropped, and a header line that
+        # declares no valid size is refused at line 1
         path = tmp_path / "input.txt"
         path.write_text(text)
         cfg = base_config(eta8)

@@ -580,6 +580,105 @@ class TestExactOracleCurves:
         got = exact_mse_curve(model, IidNoise(0.5), z0, 200).values
         assert np.allclose(got, want, rtol=1e-10, atol=0)
 
+    def test_fixed_curve_implicit_q(self, monkeypatch):
+        # with no q_table, every apply_Q takes the implicit form
+        monkeypatch.setattr(lifted, "DENSE_ORACLE_MAX_N", 0)
+        sys, dist, eta, z0 = exact_curve_instances()[2]
+        model = build_model(sys, dist)
+        assert model.q_table is None
+        want = [float(v) for v in fixed_curve(sys.a, model.p, eta, z0, 200)]
+        got = exact_mse_curve(model, FixedNoise(eta), z0, 200).values
+        assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+
+def forward_q(model, s):
+    """sum_i p_i P_i S P_i from its four rank-one terms:
+    S - G S - S G + sum_i p_i (a~_i^T S a~_i) a~_i a~_i^T, G = sum_i p_i a~_i a~_i^T."""
+    at, p = model.a_tilde, model.p
+    gram = at.T @ (p[:, None] * at)
+    quad = np.vecdot(at @ s, at)
+    return s - gram @ s - s @ gram + at.T @ ((p * quad)[:, None] * at)
+
+
+def forward_fixed_curve(model, eta, z0, k_max):
+    """tr S_k for k <= k_max, stepping z's first and second moments forward from
+    z0 under the noise vector eta: mu <- P mu + f and S <- Q S + C + C^T + e,
+    C = sum_i p_i eta~_i (P_i mu) a~_i^T."""
+    at, p = model.a_tilde, model.p
+    w = p * eta / model.row_norms              # p_i eta~_i
+    e = at.T @ ((w * eta / model.row_norms)[:, None] * at)
+    f = at.T @ w
+    pmat = np.eye(z0.size) - at.T @ (p[:, None] * at)
+    s, mu = np.outer(z0, z0), z0.copy()
+    values = [np.trace(s)]
+    for _ in range(k_max):
+        c = np.outer(mu, f) - at.T @ ((w * (at @ mu))[:, None] * at)
+        s = forward_q(model, s) + c + c.T + e
+        mu = pmat @ mu + f
+        values.append(np.trace(s))
+    return np.array(values)
+
+
+def forward_iid_curve(model, sigma2, z0, k_max):
+    """tr S_k + sigma2 tr B_k for k <= k_max: the noise-free second moment S from
+    z0 z0^T, and the second moment B of the noise-to-error map, whose mean M
+    (n x m) is carried beside it, from zero:
+    B <- Q B + K + K^T + sum_i (p_i/||a_i||^2) a~_i a~_i^T,
+    K = sum_i (p_i/||a_i||) (P_i M e_i) a~_i^T, M <- P M + A~^T diag(p/||a||)."""
+    at, p, norms = model.a_tilde, model.p, model.row_norms
+    n, m = z0.size, p.size
+    w = p / norms
+    e = at.T @ ((w / norms)[:, None] * at)
+    pmat = np.eye(n) - at.T @ (p[:, None] * at)
+    s, b, mmap = np.outer(z0, z0), np.zeros((n, n)), np.zeros((n, m))
+    values = [np.trace(s)]
+    for _ in range(k_max):
+        cols = mmap.T - np.vecdot(at, mmap.T)[:, None] * at   # rows (P_i M e_i)^T
+        k = cols.T @ (w[:, None] * at)
+        s = forward_q(model, s)
+        b = forward_q(model, b) + k + k.T + e
+        mmap = pmat @ mmap + at.T * w
+        values.append(np.trace(s) + sigma2 * np.trace(b))
+    return np.array(values)
+
+
+class TestForwardMomentCurves:
+    """Curves past the dense lift's n <= 12, where apply_Q takes the implicit
+    form, against the moments of z stepped forward from z0: no fixed point,
+    no eigh(P), no adjoint, no stop and no tail. The forward recursion
+    gathers rounding on the curve's scale, not the floor's, so each curve is
+    compared at 1e-10 of its largest value."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_gaussian_fixed(self):
+        sys = gen_gaussian(150, 50, 1.0, 1)
+        rng = np.random.default_rng(7)
+        z0, eta = rng.standard_normal(50), np.sqrt(1.6 / 150) * rng.standard_normal(150)
+        model = build_model(sys, row_norm_distribution(sys))
+        assert model.q_table is None
+        got = exact_mse_curve(model, FixedNoise(eta), z0, 500).values
+        self.assert_close(got, forward_fixed_curve(model, eta, z0, 500))
+
+    def test_gaussian_iid_past_the_stop(self, apply_q_calls):
+        k_max = 3000
+        sys, dist, _, z0 = random_instance(60, 20, 8)
+        model = build_model(sys, dist)
+        got = exact_mse_curve(model, IidNoise(1e-2), z0, k_max).values
+        # the count includes the floor's CG solve; below k_max, it shows that
+        # the stepping stopped early, so the geometric tail is compared too
+        assert len(apply_q_calls) < k_max
+        self.assert_close(got, forward_iid_curve(model, 1e-2, z0, k_max))
+
+    def test_tomography_iid(self):
+        sys = gen_tomography(10, 15, 10)
+        model = build_model(sys, row_norm_distribution(sys))
+        z0 = -sys.x_true
+        got = exact_mse_curve(model, IidNoise(2.25e-4), z0, 300).values
+        self.assert_close(got, forward_iid_curve(model, 2.25e-4, z0, 300))
+
 
 class TestExactCurves:
     def test_zero_everything(self):
@@ -747,14 +846,37 @@ class TestCurveStop:
 
     def test_zero_floor_not_truncated(self):
         # the noise-free identity curve ||z0||^2 (1 - 1/n)^k has floor 0, so
-        # W is stepped to k_max, where the curve has fallen to about 1e-150
-        n, k_max = 4, 1200
+        # W is stepped until the curve lies below the smallest normal double;
+        # at k_max it has fallen to about 7e-300, past where ||W||^2 underflows
+        n, k_max = 4, 2400
         z0 = rng_from(4, 0x570F).standard_normal(n)
         model = build_model(gen_identity(n), uniform_distribution(n))
         curve = exact_mse_curve(model, FixedNoise(np.zeros(n)), z0, k_max)
         closed = float(z0 @ z0) * (1 - 1 / n) ** np.arange(k_max + 1)
-        assert closed[-1] < 1e-148
+        assert closed[-1] < 1e-299
         assert np.allclose(curve.values, closed, rtol=1e-12, atol=0)
+
+    def test_zero_floor_large_z0_stops(self, apply_q_calls):
+        # with ||z0||^2 about 4e16, owed ||W|| <= tiny would need a subnormal
+        # ||W||, where apply_Q stalls; the stop fires once ||W|| reaches tiny,
+        # near k = 2,465, and every value before it keeps the closed form
+        n, k_max = 4, 10_000
+        z0 = 1e8 * rng_from(4, 0x570F).standard_normal(n)
+        model = build_model(gen_identity(n), uniform_distribution(n))
+        curve = exact_mse_curve(model, FixedNoise(np.zeros(n)), z0, k_max)
+        assert len(apply_q_calls) < 3000
+        closed = float(z0 @ z0) * (1 - 1 / n) ** np.arange(2400)
+        assert np.allclose(curve.values[:2400], closed, rtol=1e-12, atol=0)
+
+    def test_tiny_floor_not_truncated(self):
+        # a floor of about 1e-300 puts CURVE_STOP_REL floor below the smallest
+        # normal double: the curve decays smoothly onto it, with no step that
+        # drops it from where ||W||^2 underflows straight to the floor
+        sys = gen_gaussian(24, 8, 1.0, 3)
+        model = build_model(sys, row_norm_distribution(sys))
+        z0 = np.random.default_rng(1).standard_normal(8)
+        values = exact_mse_curve(model, IidNoise(1e-300), z0, 12_000).values
+        assert np.all(values[:-1] <= 2 * values[1:])
 
 
 class TestSpectra:
