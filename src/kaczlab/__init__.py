@@ -47,9 +47,7 @@ from .rka import (
     RowDistribution,
     make_distribution,
     monte_carlo_mse,
-    rka_step,
     row_norm_distribution,
-    sample_row,
     uniform_distribution,
 )
 from .validate import enumerated_mse_curve, run_suite

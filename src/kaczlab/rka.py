@@ -18,10 +18,20 @@ STEP_CHUNK = 128
 
 @dataclass(frozen=True)
 class RowDistribution:
-    """Row-selection probabilities with their inclusive prefix-sum table."""
+    """Row-selection probabilities, their inclusive prefix sums and guide table.
+
+    guide[b] is the smallest i with cum[i] > b / G, for G the least power of
+    two >= 4m (Chen & Asau, 1974; Devroye, Non-Uniform Random Variate
+    Generation, 1986, sec. III.2). G is a power of two, so b = floor(u G) and
+    b / G are exact: b / G <= u, hence guide[b] is at most the smallest i with
+    cum[i] > u, and b <= G - 1 for u < 1. sample_rows starts each uniform at
+    guide[b] and advances while cum[idx] <= u, on average at most m / G <= 1/4
+    steps per uniform, landing on exactly searchsorted's answer.
+    """
 
     p: np.ndarray
     cum: np.ndarray = field(init=False)
+    guide: np.ndarray = field(init=False)
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -31,7 +41,9 @@ class RowDistribution:
             raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
         cum = np.cumsum(p)
         cum[-1] = 1.0  # forced exact so u < 1 always lands in range
-        set_fields(self, p=p, cum=cum)
+        g = 1 << (4 * cum.size - 1).bit_length()
+        guide = np.searchsorted(cum, np.arange(g) / g, side="right").astype(np.int64)
+        set_fields(self, p=p, cum=cum, guide=guide)
 
     @property
     def m(self):
@@ -54,6 +66,9 @@ def make_distribution(weights):
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("all weights must be finite and > 0 (every row needs "
                          "nonzero selection probability)")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(w.sum()):  # finite weights whose sum overflows
+            w = w / w.max()
     return RowDistribution(w / w.sum())
 
 
@@ -66,42 +81,18 @@ def uniform_distribution(m):
     return make_distribution(np.ones(m))
 
 
-def sample_row(dist, u):
-    """Smallest i with cum[i] > u, for u in [0, 1)."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must be in [0, 1), got {u}")
-    return int(np.searchsorted(dist.cum, u, side="right"))
-
-
 def sample_rows(dist, u):
-    """Vectorized sample_row for an array of uniforms, through a guide table.
-
-    guide[b] is the smallest i with cum[i] > b / G, for G the least power of
-    two >= 4m (Chen & Asau, 1974; Devroye, Non-Uniform Random Variate
-    Generation, 1986, sec. III.2). G is a power of two, so b = floor(u G) and
-    b / G are exact: b / G <= u, hence guide[b] <= sample_row(dist, u), and
-    b <= G - 1 for u < 1. Each index then advances while cum[idx] <= u, on
-    average at most m / G <= 1/4 steps per uniform, and lands on exactly
-    searchsorted's answer.
-    """
+    """Row of each uniform u in [0, 1), the smallest i with dist.cum[i] > u,
+    looked up in dist's guide table."""
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
-    cum = dist.cum
-    g = 1 << (4 * cum.size - 1).bit_length()
-    guide = np.searchsorted(cum, np.arange(g) / g, side="right").astype(np.int64)
-    idx = guide[(flat * g).astype(np.int64)]
+    cum, guide = dist.cum, dist.guide
+    idx = guide[(flat * guide.size).astype(np.int64)]
     act = np.flatnonzero(cum[idx] <= flat)
     while act.size:
         idx[act] += 1
         act = act[cum[idx[act]] <= flat[act]]
     return idx.reshape(u.shape)
-
-
-def rka_step(x, a_i, norm_i, y_i):
-    """Project x onto the hyperplane {v : a_i^T v = y_i}."""
-    if norm_i <= 0.0:
-        raise ValueError("row norm must be positive")
-    return x + ((y_i - a_i @ x) / norm_i**2) * a_i
 
 
 def _batched_errors(a_unit, eta_unit, rows, z, out):

@@ -153,6 +153,23 @@ class TestRun:
         assert emp == exact
         assert float(stderr) == 0.0
 
+    def test_weights_whose_sum_overflows(self, tmp_path):
+        # finite weights whose sum is inf: p = (0.5, 0.5, 5e-309), no numpy warning
+        cfg = {
+            "matrix": {"kind": "gaussian", "m": 3, "n": 2, "seed": 1},
+            "noise": {"kind": "fixed", "values": [0.1, -0.2, 0.05]},
+            "distribution": {"weights": [1e308, 1e308, 1]},
+            "k_max": 20,
+            "trials": 5,
+            "seed": 0,
+            "outputs": ["empirical", "exact", "bound_zf", "floor"],
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "curves.csv")
+        assert header == ["k", "empirical", "empirical_stderr", "exact", "bound_zf"]
+        assert len(rows) == 21
+
     def test_avg_pipeline(self, tmp_path):
         cfg = {
             "matrix": {"kind": "gaussian", "m": 10, "n": 3, "seed": 2},

@@ -175,7 +175,7 @@ def value_objects():
     return {
         "LinearSystem": (LinearSystem, [sys.a.copy(), sys.x_true.copy()],
                          ["a", "x_true", "row_norms"]),
-        "RowDistribution": (RowDistribution, [dist.p.copy()], ["p", "cum"]),
+        "RowDistribution": (RowDistribution, [dist.p.copy()], ["p", "cum", "guide"]),
         "LiftedModel": (LiftedModel, [a_tilde, dist.p.copy(), sys.row_norms.copy()],
                         model_fields),
         "FixedNoise": (FixedNoise, [np.arange(8.0)], ["eta"]),

@@ -5,15 +5,14 @@ from kaczlab import (
     FixedNoise,
     IidNoise,
     build_model,
+    exact_mse_curve,
     gen_gaussian,
     gen_identity,
     limiting_mse,
     make_distribution,
     make_measurements,
     monte_carlo_mse,
-    rka_step,
     row_norm_distribution,
-    sample_row,
     uniform_distribution,
 )
 from kaczlab import lifted, rka
@@ -30,6 +29,20 @@ from conftest import random_instance, traced_peak
 
 MiB = 1 << 20
 C = rka.STEP_CHUNK
+
+
+def sample_row(dist, u):
+    """Reference for sample_rows: the smallest i with cum[i] > u, for u in [0, 1)."""
+    if not 0.0 <= u < 1.0:
+        raise ValueError(f"u must be in [0, 1), got {u}")
+    return int(np.searchsorted(dist.cum, u, side="right"))
+
+
+def rka_step(x, a_i, norm_i, y_i):
+    """Reference Kaczmarz step: project x onto the hyperplane {v : a_i^T v = y_i}."""
+    if norm_i <= 0.0:
+        raise ValueError("row norm must be positive")
+    return x + ((y_i - a_i @ x) / norm_i**2) * a_i
 
 
 class TestDistributions:
@@ -59,6 +72,12 @@ class TestDistributions:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             make_distribution([1.0, np.inf])
+
+    def test_weights_whose_sum_overflows(self):
+        # finite weights: rescaled by the largest, with no overflow warning
+        dist = make_distribution([1e308, 1e308, 1.0])
+        assert dist.p.tolist() == [0.5, 0.5, 5e-309]
+        assert dist.cum[-1] == 1.0
 
 
 class TestSampleRow:
@@ -371,6 +390,30 @@ def _streamed_and_one_shot(k_max, trials, noise_kind):
     sys, dist, eta, z0 = random_instance(30, 8, 23, noise_scale=0.2)
     args = (sys, NOISES[noise_kind](sys, eta, 31), dist, sys.x_true + z0, k_max, trials, 31)
     return monte_carlo_mse(*model_args(*args)), one_shot_mse(*args)
+
+
+class TestTallSystem:
+    def test_one_guide_table_and_the_exact_curve(self, monkeypatch):
+        # 5,000 x 3 over nine chunks: the run builds its one guide table,
+        # where a table per chunk would search the prefix sums nine times
+        sys = gen_gaussian(5000, 3, 1.0, 51)
+        model = build_model(sys, row_norm_distribution(sys))
+        z0 = np.random.default_rng(52).standard_normal(3)
+        noise, k_max = IidNoise(1e-2), 8 * C + 1
+        calls = []
+        searchsorted = np.searchsorted
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        curve = monte_carlo_mse(model, noise, z0, k_max, trials=30, seed=53)
+        monkeypatch.undo()
+        assert len(calls) <= 1
+        exact = exact_mse_curve(model, noise, z0, k_max).values
+        for k in (1, 10, 100, 1000):
+            assert abs(curve.mse_mean[k] - exact[k]) <= 4 * curve.mse_stderr[k], k
 
 
 class TestStreamedMonteCarlo:
