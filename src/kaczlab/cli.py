@@ -337,6 +337,14 @@ def _write_outputs(out_dir, curves, scalars, raw_config, k_max):
         if len(curves[name]) != k_max + 1:
             raise ValueError(f"curve {name} has {len(curves[name])} values, "
                              f"not k_max + 1 = {k_max + 1}")
+    # every row past the last one where some column's bits change repeats that
+    # row's text after its k; int64 views, so 0.0 and -0.0 differ
+    moved = np.zeros(k_max + 1, dtype=bool)
+    for name in names:
+        bits = np.asarray(curves[name], dtype=float).view(np.int64)
+        moved[1:] |= bits[1:] != bits[:-1]
+    settled = int(np.flatnonzero(moved).max(initial=0))
+    tail = (",%.17g" * len(names) + "\n") % tuple(float(curves[c][settled]) for c in names)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "curves.csv")
     row = "%d" + ",%.17g" * len(names) + "\n"
@@ -344,8 +352,10 @@ def _write_outputs(out_dir, curves, scalars, raw_config, k_max):
         fh.write(",".join(["k"] + names) + "\n")
         for start in range(0, k_max + 1, CSV_CHUNK_ROWS):
             stop = min(start + CSV_CHUNK_ROWS, k_max + 1)
-            cols = [np.asarray(curves[c][start:stop], dtype=float).tolist() for c in names]
-            fh.write("".join([row % vals for vals in zip(range(start, stop), *cols)]))
+            mid = min(stop, max(start, settled + 1))
+            cols = [np.asarray(curves[c][start:mid], dtype=float).tolist() for c in names]
+            fh.write("".join([row % vals for vals in zip(range(start, mid), *cols)]))
+            fh.write("".join([str(k) + tail for k in range(mid, stop)]))
     result = {
         "version": __version__,
         "generated_utc": datetime.now(timezone.utc).isoformat(),

@@ -17,7 +17,8 @@ no noise: _noise_terms alone maps either spec to a curve's fixed point and drive
 Everything n^2-dimensional is represented as an n x n matrix; vec/mat are
 implicit reshapes and never materialized. For n <= DENSE_ORACLE_MAX_N, Q is
 also held as a dense matrix on the n(n+1)/2-dimensional space of symmetric
-matrices, the only ones the curves and solvers give it (apply_Q).
+matrices, the only ones the curves and solvers give it (apply_Q), and the
+curves step in that space's coordinates.
 
 Q is self-adjoint, so each MSE curve is read from the adjoint iterates
 W_j = Q^j I: the error trace <I, Q^k X_0> is <W_k, X_0>, and the drive of
@@ -162,7 +163,17 @@ def apply_Q(model, s):
     form's cost is the dispatch of its numpy calls, not its arithmetic, and
     the table takes three calls to its nine. Any other S, and every S at
     larger n, takes _apply_q_implicit's O(mn^2) form.
+
+    A 1-D s holds the upper entries of a symmetric S, in q_table's
+    coordinates, and gets those of Q S: the product with the table alone,
+    bitwise the upper entries of the n x n form's result. Only a model with
+    q_table takes it; any other refuses it with a ValueError.
     """
+    if s.ndim == 1:
+        if model.q_table is None:
+            raise ValueError(f"apply_Q takes packed upper entries only for n <= "
+                             f"{DENSE_ORACLE_MAX_N}, got n = {model.a_tilde.shape[1]}")
+        return model.q_table[0] @ s
     if model.q_table is not None and s.tobytes() == s.T.tobytes():
         table, upper, full = model.q_table
         return (table @ s.ravel()[upper])[full].reshape(s.shape)
@@ -353,9 +364,10 @@ def _lifted_curve(model, z0, v, drive, k_max):
     drive is (c, op) with R_i = op(model, u_i), or None for an undriven
     curve. The rows vec(R_i) of the (n, n^2) readout are written one op
     result at a time, so no more than one is held beside it. W is stepped
-    by apply_Q in whole blocks of CURVE_BLOCK iterates; each block is read
-    out by one product with vec X_0, one with the readout, and one Toeplitz
-    sum of the s_i. values[0] = ||z0||^2 exactly.
+    by apply_Q in whole blocks of CURVE_BLOCK iterates, as n x n matrices
+    or, on a model with q_table, as their upper entries, unpacked once per
+    block; each block is read out by one product with vec X_0, one with the
+    readout, and one Toeplitz sum of the s_i. values[0] = ||z0||^2 exactly.
 
     Stepping stops after the first block whose last W_j has owed ||W_j|| <=
     max(CURVE_STOP_REL floor, owed tiny), owed = ||X_0|| + sum_i |c_i| ||R_i||
@@ -391,14 +403,20 @@ def _lifted_curve(model, z0, v, drive, k_max):
     toeplitz = np.where((lag > 0)[:, :, None], pw[np.maximum(lag - 1, 0)], 0.0)
     end = (k_max // blk + 1) * blk
     values = np.empty(end)
-    stack = np.empty((blk, n, n))
+    w0 = np.eye(n)
+    if model.q_table is not None:
+        _, upper, full = model.q_table
+        w0 = w0.ravel()[upper]
+    stack = np.empty((blk, *w0.shape))
     s = np.zeros(lam.size)
     start = 0
     while start < end:
         for t in range(blk):
             # stack[-1] is the previous block's last iterate
-            stack[t] = apply_Q(model, stack[t - 1]) if start + t else np.eye(n)
-        flat = stack.reshape(blk, n * n)
+            stack[t] = apply_Q(model, stack[t - 1]) if start + t else w0
+        # take, not stack[:, full]: a C-contiguous flat, as the n x n stack's view is,
+        # rounds the products below as that one does
+        flat = stack.reshape(blk, n * n) if w0.ndim == 2 else stack.take(full, axis=1)
         sums = pw * s + np.einsum("tui,ui->ti", toeplitz, flat @ readout.T)
         values[start:start + blk] = floor + flat @ x0_vec + sums[:blk] @ c
         s = sums[blk]

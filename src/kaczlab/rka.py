@@ -169,10 +169,13 @@ def monte_carlo_mse(model, noise, z0, k_max, trials, seed):
     z0 = check_vector(z0, n, "z0")
 
     if isinstance(noise, FixedNoise):
-        eta = draw_eta(noise, m)
+        eta_unit = draw_eta(noise, m) / model.row_norms
     else:
-        eta = np.stack([draw_eta(noise, m, trial_noise_seed(seed, t)) for t in range(trials)])
-    eta_unit = eta / model.row_norms
+        # filled draw by draw, so one (trials, m) array is all the noise held
+        eta_unit = np.empty((trials, m))
+        for t in range(trials):
+            np.divide(draw_eta(noise, m, trial_noise_seed(seed, t)), model.row_norms,
+                      out=eta_unit[t])
     dist = RowDistribution(model.p)
     z = np.tile(z0, (trials, 1))
     mean = np.empty(k_max + 1)

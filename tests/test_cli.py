@@ -257,6 +257,51 @@ def reference_csv(curves, k_max):
     return "".join(lines)
 
 
+def first_difference(got, want):
+    """(index, got's line, want's line) at the first line where two texts
+    differ, or None: a short report where pytest's diff of two long texts
+    takes minutes."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for k in range(max(len(got), len(want))):
+        pair = [lines[k] if k < len(lines) else None for lines in (got, want)]
+        if pair[0] != pair[1]:
+            return k, *pair
+    return None
+
+
+def settles(k_max, at):
+    """A column that changes at every row up to row at and repeats it after."""
+    return 1.0 / (1.0 + np.minimum(np.arange(k_max + 1), at))
+
+
+def signed_zeros(k_max, at, first):
+    """1, then zeros of the sign of first up to row at, then of the other sign."""
+    col = np.full(k_max + 1, -first)
+    col[:at] = first
+    col[0] = 1.0
+    return col
+
+
+CHUNK = cli.CSV_CHUNK_ROWS
+TAIL_K_MAX = 2 * CHUNK + 5
+# (k_max, curves) whose rows settle: every column repeats its bits from some
+# row on, the last of which the writer writes once and copies after each k
+SETTLED_TAILS = {
+    "columns_settle_at_different_rows": (
+        TAIL_K_MAX, {"a": settles(TAIL_K_MAX, 40), "b": settles(TAIL_K_MAX, CHUNK + 100),
+                     "c": settles(TAIL_K_MAX, 300)}),
+    "negative_zero_after_zero": (TAIL_K_MAX, {"a": signed_zeros(TAIL_K_MAX, 300, 0.0)}),
+    "zero_after_negative_zero": (TAIL_K_MAX, {"a": signed_zeros(TAIL_K_MAX, 300, -0.0)}),
+    "tail_starts_mid_chunk": (TAIL_K_MAX, {"a": settles(TAIL_K_MAX, CHUNK // 2)}),
+    "tail_starts_at_chunk": (TAIL_K_MAX, {"a": settles(TAIL_K_MAX, CHUNK - 1)}),
+    "tail_starts_after_chunk": (TAIL_K_MAX, {"a": settles(TAIL_K_MAX, CHUNK)}),
+    "constant_columns": (TAIL_K_MAX, {"a": np.full(TAIL_K_MAX + 1, 0.1),
+                                      "b": np.full(TAIL_K_MAX + 1, -0.0)}),
+    "k_max_0": (0, {"a": np.array([2.5])}),
+    "no_columns": (TAIL_K_MAX, {}),
+}
+
+
 class TestWriteOutputs:
     K_MAX = 2 * cli.CSV_CHUNK_ROWS + 5   # three chunks, the last one short
 
@@ -280,6 +325,13 @@ class TestWriteOutputs:
         text = Path(json_path).read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert json.loads(text)["scalars"] == {"floor_exact": 0.25}
+
+    @pytest.mark.parametrize("case", list(SETTLED_TAILS))
+    def test_settled_tail_bytes_match_reference(self, tmp_path, case):
+        k_max, curves = SETTLED_TAILS[case]
+        csv_path, _ = cli._write_outputs(str(tmp_path), curves, {}, {"k_max": k_max}, k_max)
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            assert first_difference(fh.read(), reference_csv(curves, k_max)) is None
 
     def test_rejects_wrong_length(self, tmp_path):
         curves = self.curves()

@@ -121,3 +121,44 @@ def test_only_noise_owners_name_iid_noise():
              if (isinstance(node, ast.Name) and node.id == "IidNoise")
              or (isinstance(node, ast.alias) and node.name == "IidNoise")]
     assert found == []
+
+
+# the function that may read the table matrix of LiftedModel.q_table. Every
+# application of Q is an apply_Q call, which the benchmark's tracer counts
+APPLIES_Q_TABLE = "apply_Q"
+
+
+def q_table_reads(tree):
+    """(enclosing function, line) of every read of .q_table outside apply_Q
+    that may reach its table: any but an `is None` test and an unpacking that
+    drops the table into `_`, as in `_, upper, full = model.q_table`. Also
+    every call of _tabulate_q but LiftedModel.__post_init__'s."""
+    safe, owner = set(), {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            owner[id(child)] = node.name if isinstance(node, ast.FunctionDef) else owner.get(
+                id(node), "<module>")
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))):
+            safe.add(id(node.left))
+        elif (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+              and isinstance(node.targets[0].elts[0], ast.Name)
+              and node.targets[0].elts[0].id == "_"):
+            safe.add(id(node.value))
+    for node in ast.walk(tree):
+        name = owner.get(id(node))
+        if (isinstance(node, ast.Attribute) and node.attr == "q_table"
+                and id(node) not in safe and name != APPLIES_Q_TABLE):
+            yield name, node.lineno
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_tabulate_q" and name != "__post_init__"):
+            yield name, node.lineno
+
+
+def test_only_apply_q_multiplies_by_the_table():
+    """No function but lifted.apply_Q reads q_table's table: _tabulate_q
+    builds it for LiftedModel, and any other function (_lifted_curve) may
+    only test q_table for None or read its upper and full indices."""
+    found = [f"{path.name}:{line} in {name}" for path in SOURCES
+             for name, line in q_table_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

@@ -225,6 +225,22 @@ class TestQForms:
         for s in (b, signed_zeros):
             assert apply_Q(model, s).tobytes() == lifted._apply_q_implicit(model, s).tobytes()
 
+    @pytest.mark.parametrize("n", SMALL_N)
+    def test_packed_input_is_upper_entries(self, n):
+        # a 1-D input is the upper entries of a symmetric S, in q_table's
+        # coordinates, and gets the upper entries of Q S bit for bit
+        model, _, _ = random_model(n + 3, n, 7)
+        upper = model.q_table[1]
+        b = np.random.default_rng(n).standard_normal((n, n))
+        s = b + b.T
+        assert np.array_equal(apply_Q(model, s.ravel()[upper]), apply_Q(model, s).ravel()[upper])
+
+    def test_packed_input_needs_the_table(self):
+        n = lifted.DENSE_ORACLE_MAX_N + 1
+        above, _, _ = random_model(n + 3, n, 2)
+        with pytest.raises(ValueError, match="packed"):
+            apply_Q(above, np.eye(n)[np.triu_indices(n)])
+
     def test_build_does_not_use_dense_oracle(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the table must not come from the dense oracle")
@@ -835,14 +851,41 @@ class TestCurveStop:
                            rtol=1e-10, atol=0)
 
     def test_apply_q_calls(self, horizon, apply_q_calls):
-        # each count includes the floor's CG solve
+        # each count includes the floor's CG solve; the curve's W_j stay one
+        # apply_Q call each in q_table's coordinates
         sys, dist, eta, z0 = horizon
         model = build_model(sys, dist)
         exact_mse_curve(model, FixedNoise(eta), z0, self.K_MAX)
-        assert len(apply_q_calls) < 1000
+        assert len(apply_q_calls) == 680
         apply_q_calls.clear()
         exact_mse_curve(model, IidNoise(1e-3), z0, self.K_MAX)
-        assert len(apply_q_calls) < 1000
+        assert len(apply_q_calls) == 679
+
+    def test_curve_steps_packed(self, horizon, monkeypatch):
+        # on a model with q_table, every W_j the curve steps is upper entries
+        sys, dist, _, z0 = horizon
+        model = build_model(sys, dist)
+        real, ndims = lifted.apply_Q, []
+
+        def spy(model, s):
+            ndims.append(s.ndim)
+            return real(model, s)
+
+        monkeypatch.setattr(lifted, "apply_Q", spy)
+        # noise-free, so no solve: 7 blocks of 16 iterates, the first of them I
+        exact_mse_curve(model, FixedNoise(np.zeros(24)), z0, 100)
+        assert ndims == [1] * (7 * 16 - 1)
+
+    def test_packed_iterates_match_matrix_path(self, horizon):
+        # unpacked, each packed W_j = Q^j I is the n x n path's W_j bit for bit
+        sys, dist, _, _ = horizon
+        model = build_model(sys, dist)
+        _, upper, full = model.q_table
+        w = np.eye(8)
+        packed = w.ravel()[upper]
+        for _ in range(64):
+            w, packed = apply_Q(model, w), apply_Q(model, packed)
+            assert np.array_equal(packed.take(full).reshape(8, 8), w)
 
     def test_zero_floor_not_truncated(self):
         # the noise-free identity curve ||z0||^2 (1 - 1/n)^k has floor 0, so

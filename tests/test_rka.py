@@ -462,6 +462,20 @@ class TestMonteCarloMemory:
         assert np.array_equal(curve.mse_mean, mean)
         assert np.array_equal(curve.mse_stderr, stderr)
 
+    def test_resampled_noise_held_once(self):
+        # resampled noise is one (trials, m) array of eta~, filled draw by
+        # draw; a stack of the draws beside it takes the peak to about 2.2x.
+        # The rest of the peak is the guide table's build, about 0.16x here
+        # and twice that at 50 trials
+        m, trials = 20_000, 100
+        sys = gen_gaussian(m, 4, 1.0, 44)
+        args = (sys, IidNoise(1e-2), row_norm_distribution(sys), np.zeros(4), 4, trials, 45)
+        curve, peak = traced_peak(monte_carlo_mse, *model_args(*args))
+        assert peak <= 1.3 * trials * m * np.dtype(float).itemsize
+        mean, stderr = one_shot_mse(*args)
+        assert np.array_equal(curve.mse_mean, mean)
+        assert np.array_equal(curve.mse_stderr, stderr)
+
 
 # the batched kernel behind monte_carlo_mse, against a loop of rka_step
 
