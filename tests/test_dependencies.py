@@ -128,16 +128,24 @@ def test_only_noise_owners_name_iid_noise():
 APPLIES_Q_TABLE = "apply_Q"
 
 
+def enclosing_functions(tree):
+    """{id(node): the name of the innermost function around node, or
+    "<module>"} for every node of tree but its root."""
+    owner = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            owner[id(child)] = node.name if isinstance(node, ast.FunctionDef) else owner.get(
+                id(node), "<module>")
+    return owner
+
+
 def q_table_reads(tree):
     """(enclosing function, line) of every read of .q_table outside apply_Q
     that may reach its table: any but an `is None` test and an unpacking that
     drops the table into `_`, as in `_, upper, full = model.q_table`. Also
     every call of _tabulate_q but LiftedModel.__post_init__'s."""
-    safe, owner = set(), {}
+    safe, owner = set(), enclosing_functions(tree)
     for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            owner[id(child)] = node.name if isinstance(node, ast.FunctionDef) else owner.get(
-                id(node), "<module>")
         if (isinstance(node, ast.Compare) and len(node.ops) == 1
                 and isinstance(node.ops[0], (ast.Is, ast.IsNot))):
             safe.add(id(node.left))
@@ -161,4 +169,24 @@ def test_only_apply_q_multiplies_by_the_table():
     only test q_table for None or read its upper and full indices."""
     found = [f"{path.name}:{line} in {name}" for path in SOURCES
              for name, line in q_table_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+# the functions that may name lifted._apply_q_implicit: apply_Q, and the build
+# of the table that apply_Q multiplies by. The benchmark's tracer counts
+# apply_Q calls, so every application of Q goes through it
+APPLIES_Q_IMPLICIT = {"apply_Q", "_tabulate_q"}
+
+
+def test_only_apply_q_applies_q():
+    """No function but lifted.apply_Q and lifted._tabulate_q names
+    _apply_q_implicit: the curves, the solvers and the Lanczos runs apply Q by
+    apply_Q, one counted call per application."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = enclosing_functions(tree)
+        found += [f"{path.name}:{node.lineno} in {owner[id(node)]}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "_apply_q_implicit"
+                  and owner[id(node)] not in APPLIES_Q_IMPLICIT]
     assert found == []

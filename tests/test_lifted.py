@@ -34,7 +34,7 @@ from kaczlab import (
     zf_general_bound_curve,
 )
 from kaczlab import bounds, lifted
-from kaczlab.lifted import dense_p, weighted_gram
+from kaczlab.lifted import CURVE_BLOCK, dense_p, weighted_gram
 from kaczlab.problems import LinearSystem
 from kaczlab.seeding import rng_from
 
@@ -658,6 +658,20 @@ def forward_iid_curve(model, sigma2, z0, k_max):
     return np.array(values)
 
 
+def ritz_reads(monkeypatch):
+    """A list that gains (steps of the run, last k) of each block
+    lifted._ritz_blocks reads."""
+    read, real = [], lifted._ritz_blocks
+
+    def spy(model, theta, z, y, cert, start, held):
+        for k, block in enumerate(real(model, theta, z, y, cert, start, held), start // CURVE_BLOCK):
+            read.append((theta.size, (k + 1) * CURVE_BLOCK - 1))
+            yield block
+
+    monkeypatch.setattr(lifted, "_ritz_blocks", spy)
+    return read
+
+
 class TestForwardMomentCurves:
     """Curves past the dense lift's n <= 12, where apply_Q takes the implicit
     form, against the moments of z stepped forward from z0: no fixed point,
@@ -684,9 +698,30 @@ class TestForwardMomentCurves:
         model = build_model(sys, dist)
         got = exact_mse_curve(model, IidNoise(1e-2), z0, k_max).values
         # the count includes the floor's CG solve; below k_max, it shows that
-        # the stepping stopped early, so the geometric tail is compared too
+        # W was not stepped to k_max
         assert len(apply_q_calls) < k_max
         self.assert_close(got, forward_iid_curve(model, 1e-2, z0, k_max))
+
+    @pytest.mark.parametrize("kind", ["fixed", "iid"])
+    def test_smallest_model_without_table_past_the_stop(self, kind, monkeypatch):
+        # 13 columns, the smallest n without q_table, so the readouts come from
+        # one Lanczos run; they end before k_max, so the geometric tail is
+        # compared too
+        k_max = 3000
+        sys = gen_gaussian(40, 13, 1.0, 2)
+        rng = np.random.default_rng(13)
+        z0, eta = rng.standard_normal(13), np.sqrt(1.6 / 40) * rng.standard_normal(40)
+        model = build_model(sys, row_norm_distribution(sys))
+        assert model.q_table is None
+        read = ritz_reads(monkeypatch)
+        if kind == "fixed":
+            got = exact_mse_curve(model, FixedNoise(eta), z0, k_max).values
+            want = forward_fixed_curve(model, eta, z0, k_max)
+        else:
+            got = exact_mse_curve(model, IidNoise(1e-2), z0, k_max).values
+            want = forward_iid_curve(model, 1e-2, z0, k_max)
+        assert 0 < max(k for _, k in read) < k_max
+        self.assert_close(got, want)
 
     def test_tomography_iid(self):
         sys = gen_tomography(10, 15, 10)
@@ -920,6 +955,83 @@ class TestCurveStop:
         z0 = np.random.default_rng(1).standard_normal(8)
         values = exact_mse_curve(model, IidNoise(1e-300), z0, 12_000).values
         assert np.all(values[:-1] <= 2 * values[1:])
+
+
+class TestRitzCurves:
+    """Curves of models without q_table, read from one Lanczos run on Q
+    (lifted._ritz_w) instead of stepping W = Q^j I."""
+
+    @staticmethod
+    def model_13(seed=2):
+        sys = gen_gaussian(40, 13, 1.0, seed)
+        rng = np.random.default_rng(seed)
+        return (build_model(sys, row_norm_distribution(sys)), rng.standard_normal(13),
+                FixedNoise(np.sqrt(1.6 / 40) * rng.standard_normal(40)))
+
+    def test_breakdown_identity(self, apply_q_calls):
+        # Q I = (1 - 1/n) I: the run ends at a zero beta, inside its first
+        # block, and the curve is ||z0||^2 (1 - 1/n)^k
+        n, k_max = 13, 1000
+        z0 = rng_from(4, 0x570F).standard_normal(n)
+        model = build_model(gen_identity(n), uniform_distribution(n))
+        curve = exact_mse_curve(model, FixedNoise(np.zeros(n)), z0, k_max)
+        assert len(apply_q_calls) < CURVE_BLOCK
+        closed = float(z0 @ z0) * (1 - 1 / n) ** np.arange(k_max + 1)
+        assert np.allclose(curve.values, closed, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("k_max,ks", [
+        (400, (0, 1, 15, 16, 17, 200, 399)),
+        # past the first horizons, whose values come from longer runs
+        (2100, (511, 512, 1023, 1024, 1500, 2047, 2048)),
+    ])
+    def test_values_do_not_depend_on_k_max(self, k_max, ks):
+        model, z0, fixed = self.model_13()
+        for noise in (fixed, IidNoise(1e-2)):
+            full = exact_mse_curve(model, noise, z0, k_max).values
+            for k in ks:
+                assert np.array_equal(exact_mse_curve(model, noise, z0, k).values, full[: k + 1])
+                assert exact_mse_at(model, noise, z0, k) == full[k]
+
+    def test_fixed_mc_calls(self, apply_q_calls):
+        # perfbench's fixed_mc shape: stepping made 511 calls for the curve
+        # and 33 for the floor's CG solve
+        sys = gen_gaussian(60, 20, 1.0, 1)
+        eta = np.random.default_rng(2).standard_normal(60)
+        eta *= 0.8 / np.linalg.norm(eta)
+        z0 = np.random.default_rng(7).standard_normal(20)
+        model = build_model(sys, row_norm_distribution(sys))
+        got = exact_mse_curve(model, FixedNoise(eta), z0, 500).values
+        assert len(apply_q_calls) <= 160
+        assert np.max(np.abs(got - forward_fixed_curve(model, eta, z0, 500))) <= (
+            1e-10 * np.max(got))
+
+    def test_uncertified_run_steps_the_rest(self, apply_q_calls, monkeypatch):
+        # 48 steps certify this model's first two horizons (k < 1024) but not
+        # the third: from k = 1024 on, W is stepped from W_0
+        sys = gen_tomography(5, 10, 5)
+        model, z0, k_max = build_model(sys, row_norm_distribution(sys)), -sys.x_true, 2500
+        want = exact_mse_curve(model, IidNoise(2.25e-4), z0, k_max).values
+        apply_q_calls.clear()
+        monkeypatch.setattr(lifted, "CURVE_LANCZOS_MAX_STEPS", 48)
+        got = exact_mse_curve(model, IidNoise(2.25e-4), z0, k_max).values
+        assert len(apply_q_calls) > 1024
+        assert np.array_equal(got[:1024], want[:1024])
+        assert np.max(np.abs(got - forward_iid_curve(model, 2.25e-4, z0, k_max))) <= (
+            1e-10 * np.max(got))
+
+    def test_stop_before_the_run_ends(self, monkeypatch):
+        # with no certificate to serve, the run grows until the stop falls on
+        # a k it reads exactly by structure
+        model, noise, z0 = random_model(8, 3, 21)
+        want = dense_exact_curve(model, noise, z0, 1000)
+        monkeypatch.setattr(lifted, "DENSE_ORACLE_MAX_N", 0)
+        monkeypatch.setattr(lifted, "CURVE_CERT_REL", -1.0)
+        model = build_model(*random_instance(8, 3, 21)[:2])
+        read = ritz_reads(monkeypatch)
+        got = exact_mse_curve(model, noise, z0, 1000).values
+        steps, last = read[-1]
+        assert last < min(steps, 1000)
+        assert np.allclose(got, want, rtol=1e-10, atol=0)
 
 
 class TestSpectra:
