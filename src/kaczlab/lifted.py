@@ -376,11 +376,11 @@ def _lanczos(model):
         q_prev, q = q, w / beta
 
 
-def _stepped_w(model, x0_vec, readout, owed, stop):
-    """Per block of CURVE_BLOCK iterates W_j = Q^j I, stepped by apply_Q: the
-    readouts (<W_j, X_0>, <W_j, R_i>). W is stepped as n x n matrices or, on
-    a model with q_table, as their upper entries, unpacked once per block.
-    The blocks end after the first whose last W_j has owed ||W_j|| <= stop."""
+def _stepped_w(model, x0_vec, readout):
+    """Per block of CURVE_BLOCK iterates W_j = Q^j I, stepped by apply_Q, without
+    end: the readouts (<W_j, X_0>, <W_j, R_i>) and ||W_j|| at the block's last
+    j. W is stepped as n x n matrices or, on a model with q_table, as their
+    upper entries, unpacked once per block."""
     n = model.a_tilde.shape[1]
     blk = CURVE_BLOCK
     w0 = np.eye(n)
@@ -396,36 +396,7 @@ def _stepped_w(model, x0_vec, readout, owed, stop):
         # take, not stack[:, full]: a C-contiguous flat, as the n x n stack's view is,
         # rounds the products below as that one does
         flat = stack.reshape(blk, n * n) if w0.ndim == 2 else stack.take(full, axis=1)
-        yield flat @ x0_vec, flat @ readout.T
-        if owed * np.hypot.reduce(flat[-1]) <= stop:
-            return
-        start += blk
-
-
-def _ritz_blocks(model, theta, z, y, cert, start, held):
-    """Per block of CURVE_BLOCK k from k = start on, the readouts sqrt(n) Y^T
-    T^k e_1 of a Lanczos run (_ritz_w) as one (CURVE_BLOCK, 1 + modes) array,
-    and held, a bound on ||W_k|| at the block's last k.
-
-    With T = Z diag(theta) Z^T, Z^T T^k e_1 = theta^k z_1 for z_1 Z's first
-    row, so a block is one power of theta and one product. V has s unit
-    columns, so ||sqrt(n) V T^k e_1|| <= sqrt(n s) ||T^k e_1||, and W_k is
-    that within sqrt(n) cert (exactly so for k < s). ||Q||_2 <=
-    lambda_max(P), as X -> X P - Q X is PSD on n x n matrices (<X, X P_i -
-    P_i X P_i> = ||(I - P_i) X P_i||^2), so held also carries the previous
-    block's bound, held, down by lambda_max(P)^CURVE_BLOCK; None at k = 0.
-    """
-    n = model.a_tilde.shape[1]
-    s, blk = theta.size, CURVE_BLOCK
-    coef = np.sqrt(n) * (z.T @ y)
-    decay = min(max(float(model.p_eigvals[-1]), 0.0), 1.0) ** blk
-    powers = theta ** np.arange(blk)[:, None] * z[0]
-    while True:
-        g = powers * theta ** start   # rows Z^T T^k e_1
-        direct = np.sqrt(n) * (np.sqrt(s) * np.hypot.reduce(g[-1])
-                               + (cert if start + blk > s else 0.0))
-        held = direct if held is None else min(direct, decay * held)
-        yield g @ coef, held
+        yield flat @ x0_vec, flat @ readout.T, np.hypot.reduce(flat[-1])
         start += blk
 
 
@@ -443,10 +414,11 @@ def _lanczos_cert(theta, z, beta, horizon):
     return beta * total
 
 
-def _ritz_w(model, x0_vec, readout, owed, stop):
-    """_stepped_w's blocks of readouts, read from one plain Lanczos run on Q
-    (_lanczos) that keeps no basis: per Lanczos vector q_j it records y_j =
-    (<q_j, X_0>, <q_j, R_i>), one product per block of vectors.
+def _ritz_w(model, x0_vec, readout):
+    """_stepped_w's blocks, read from one plain Lanczos run on Q (_lanczos)
+    that keeps no basis, with a proven bound on ||W_j|| at each block's last j
+    in place of ||W_j||: per Lanczos vector q_j the run records y_j = (<q_j,
+    X_0>, <q_j, R_i>), one product per block of vectors.
 
     The run's s vectors V and tridiagonal T = Z diag(theta) Z^T have Q V =
     V T + beta_s q_{s+1} e_s^T + F whatever V's orthogonality, F the
@@ -455,58 +427,61 @@ def _ritz_w(model, x0_vec, readout, owed, stop):
     E_k), E_k = sum_{j<k} Q^(k-1-j) beta_s q_{s+1} e_s^T T^j e_1, and as
     e_s^T T^j e_1 = 0 for j < s - 1 and ||Q|| <= 1, every k < H has ||E_k||
     <= cert = beta_s sum_{s-1 <= j < H-1} |e_s^T T^j e_1| (_lanczos_cert;
-    Saad, SIAM J. Numer. Anal. 29, 1992).
+    Saad, SIAM J. Numer. Anal. 29, 1992). Z^T T^k e_1 = theta^k z_1, for z_1
+    Z's first row, so a block's readouts sqrt(n) Y^T T^k e_1 are one power
+    of theta and one product.
 
     The k are read in horizons H = CURVE_RITZ_HORIZON, twice that, and so
-    on, each from the run's first s steps, s the least multiple of
-    CURVE_BLOCK (or the s of a zero beta_s) with cert <= CURVE_CERT_REL: no
-    ||W_k - sqrt(n) V T^k e_1|| exceeds that fraction of ||W_0|| = sqrt(n),
-    and which steps give a value depends on its k alone, never on k_max.
-    An s at which the stop falls on a block's last k < s also serves, as
-    every W_k up to it is exact by structure (s = H among them), so the run
-    never makes more apply_Q calls than stepping W to the end of the
-    horizon, or to where _ritz_blocks' bound stops it, plus one. If
-    CURVE_LANCZOS_MAX_STEPS steps do not serve, W is stepped from W_0
-    instead (_stepped_w), and read from the horizon's first k on.
+    on. The run serves a block once it is longer than the block's last k,
+    where every W_k is exact by structure, or once the cert of the horizon
+    holding the block is at most CURVE_CERT_REL, where no ||W_k - sqrt(n) V
+    T^k e_1|| exceeds that fraction of ||W_0|| = sqrt(n) (cert is 0 once
+    beta_s = 0, where the run ends). Until then the run grows by
+    CURVE_BLOCK steps, and only when asked for the next block. So which
+    steps give a value depends on its k alone, never on k_max. If
+    CURVE_LANCZOS_MAX_STEPS steps do not serve a block, W is stepped from
+    W_0 instead (_stepped_w), and read from that block on.
+
+    V has s unit columns, so ||sqrt(n) V T^k e_1|| <= sqrt(n s) ||T^k e_1||,
+    and W_k is that within sqrt(n) cert (exactly so for k < s). ||Q||_2 <=
+    lambda_max(P), as X -> X P - Q X is PSD on n x n matrices (<X, X P_i -
+    P_i X P_i> = ||(I - P_i) X P_i||^2), so each block's bound also carries
+    the previous one's down by lambda_max(P)^CURVE_BLOCK.
     """
     n = model.a_tilde.shape[1]
     blk = CURVE_BLOCK
+    decay = min(max(float(model.p_eigvals[-1]), 0.0), 1.0) ** blk
     steps, alphas, betas, ys = _lanczos(model), [], [], []
     stack = np.empty((blk, n, n))
-    start, held, horizon = 0, None, CURVE_RITZ_HORIZON
+    start, held, horizon, s, cert = 0, None, CURVE_RITZ_HORIZON, 0, np.inf
     while True:
-        while True:
-            if alphas:
-                s = len(alphas)
-                tri = np.diag(alphas)
-                tri[range(s - 1), range(1, s)] = tri[range(1, s), range(s - 1)] = betas[:-1]
-                theta, z = np.linalg.eigh(tri)
-                y = np.vstack(ys)
-                cert = _lanczos_cert(theta, z, beta, horizon)
-                # the stop on a block's last k < s, where W_k is exact by structure
-                capped = islice(_ritz_blocks(model, theta, z, y, cert, start, held),
-                                max(min(s, horizon) - start, 0) // blk)
-                fits = cert <= CURVE_CERT_REL or any(owed * h <= stop for _, h in capped)
-                if fits or not beta or s >= CURVE_LANCZOS_MAX_STEPS:
-                    break
+        if start == horizon:
+            horizon *= 2
+            cert = _lanczos_cert(theta, z, beta, horizon)
+        while s < start + blk and cert > CURVE_CERT_REL:
+            if s >= CURVE_LANCZOS_MAX_STEPS:
+                yield from islice(_stepped_w(model, x0_vec, readout), start // blk, None)
+                return
             for t, (q, alpha, beta) in zip(range(blk), steps):
                 stack[t] = q
                 alphas.append(alpha)
                 betas.append(beta)
             flat = stack[:t + 1].reshape(t + 1, n * n)
             ys.append(np.column_stack([flat @ x0_vec, flat @ readout.T]))
-        if not fits:
-            # a stop among the blocks skipped also holds from start on
-            yield from islice(_stepped_w(model, x0_vec, readout, owed, stop), start // blk, None)
-            return
-        for out, held in _ritz_blocks(model, theta, z, y, cert, start, held):
-            yield out[:, 0], out[:, 1:]
-            start += blk
-            if owed * held <= stop:
-                return
-            if start == horizon:
-                break
-        horizon *= 2
+            s = len(alphas)
+            tri = np.diag(alphas)
+            tri[range(s - 1), range(1, s)] = tri[range(1, s), range(s - 1)] = betas[:-1]
+            theta, z = np.linalg.eigh(tri)
+            coef = np.sqrt(n) * (z.T @ np.vstack(ys))
+            powers = theta ** np.arange(blk)[:, None] * z[0]
+            cert = _lanczos_cert(theta, z, beta, horizon)
+        g = powers * theta ** start   # rows Z^T T^k e_1
+        direct = np.sqrt(n) * (np.sqrt(s) * np.hypot.reduce(g[-1])
+                               + (cert if start + blk > s else 0.0))
+        held = direct if held is None else min(direct, decay * held)
+        out = g @ coef
+        yield out[:, 0], out[:, 1:], held
+        start += blk
 
 
 def _lifted_curve(model, z0, v, drive, k_max):
@@ -524,19 +499,21 @@ def _lifted_curve(model, z0, v, drive, k_max):
     drive is (c, op) with R_i = op(model, u_i), or None for an undriven
     curve. The rows vec(R_i) of the (n, n^2) readout are written one op
     result at a time, so no more than one is held beside it. The readouts
-    <W_j, X_0> and <W_j, R_i> come in whole blocks of CURVE_BLOCK j from one
-    of two sources. On a model with q_table, _stepped_w steps W by apply_Q,
-    one call per j; on any other, _ritz_w reads them from one Lanczos run of
-    tens of calls, certified to CURVE_CERT_REL of ||W_0|| for every j (and
-    steps W itself if CURVE_LANCZOS_MAX_STEPS steps do not certify it). Each
-    block is read out by one Toeplitz sum of the s_i. values[0] = ||z0||^2
-    exactly. The split ends once the benchmark's tracer self-test no longer
-    needs its 6 x 3 run to make at least 100 apply_Q calls.
+    <W_j, X_0> and <W_j, R_i> come in whole blocks of CURVE_BLOCK j, each
+    with a bound on ||W_j|| at its last j, from one of two sources that hand
+    out blocks without end. On a model with q_table, _stepped_w steps W by
+    apply_Q, one call per j, and its bound is ||W_j|| itself; on any other,
+    _ritz_w reads them from one Lanczos run of tens of calls, certified to
+    CURVE_CERT_REL of ||W_0|| for every j, and its bound is a proven one (it
+    steps W itself if CURVE_LANCZOS_MAX_STEPS steps do not serve a block).
+    Each block is read out by one Toeplitz sum of the s_i. values[0] =
+    ||z0||^2 exactly. The split ends once the benchmark's tracer self-test
+    no longer needs its 6 x 3 run to make at least 100 apply_Q calls.
 
-    The blocks end after the first whose last W_j has owed ||W_j|| <=
-    max(CURVE_STOP_REL floor, owed tiny), owed = ||X_0|| + sum_i |c_i| ||R_i||
-    / (1 - |lam_i|), tiny the least normal double; the Lanczos source tests
-    a proven bound on ||W_j|| in place of ||W_j||. ||Q||_2 <= 1, Q being a
+    This loop alone stops reading, after the first block with owed bound <=
+    max(CURVE_STOP_REL floor, owed tiny), owed = ||X_0|| + sum_i |c_i|
+    ||R_i|| / (1 - |lam_i|), tiny the least normal double; a source steps
+    only when asked for its next block. ||Q||_2 <= 1, Q being a
     convex combination of the orthogonal projectors P_i (x) P_i, so no later
     W moves a value by more than that (Cauchy-Schwarz), and every later value
     is the tail floor + sum_i c_i lam_i^(k - k0) s_i[k0]. hypot sums ||X_0||
@@ -572,12 +549,12 @@ def _lifted_curve(model, z0, v, drive, k_max):
     source = _stepped_w if model.q_table is not None else _ritz_w
     s = np.zeros(lam.size)
     start = 0
-    for x0_reads, reads in source(model, x0_vec, readout, owed, stop):
+    for x0_reads, reads, bound in source(model, x0_vec, readout):
         sums = pw * s + np.einsum("tui,ui->ti", toeplitz, reads)
         values[start:start + blk] = floor + x0_reads + sums[:blk] @ c
         s = sums[blk]
         start += blk
-        if start == end:
+        if start == end or owed * bound <= stop:
             break
     while start < end:
         # s at each block's start, multiplied up block by block as above

@@ -135,6 +135,29 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--out", str(out2)]) == 0
         assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
 
+    def test_csv_against_blas_threads(self, tmp_path, monkeypatch):
+        # the Monte Carlo and bound columns keep their bits at one and two
+        # BLAS threads; the exact curve may round differently, within 1e-13
+        write_config(tmp_path, {
+            "matrix": {"kind": "tomography", "grid": 10, "angles": 15, "rays": 10},
+            "noise": {"kind": "iid", "sigma2": 2.25e-4, "resample": True},
+            "x0": "zero", "k_max": 200, "trials": 20, "seed": 5,
+            "outputs": ["empirical", "exact_avg", "bound_zf_avg", "floor"],
+        })
+        curves = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            done = fresh_python(["-m", "kaczlab.cli", "run", "--config", "config.json",
+                                 "--out", threads], tmp_path)
+            assert done.returncode == 0, done.stderr
+            header, rows = read_csv(tmp_path / threads / "curves.csv")
+            curves[threads] = dict(zip(header, np.array(rows, dtype=float).T))
+        one, two = curves["1"], curves["2"]
+        for name in ("empirical", "empirical_stderr", "bound_zf_avg"):
+            assert one[name].tobytes() == two[name].tobytes(), name
+        exact = np.max(np.abs(one["exact_avg"] - two["exact_avg"]))
+        assert exact <= 1e-13 * np.max(np.abs(one["exact_avg"]))
+
     def test_threads_flag_is_usage_error(self, tmp_path, eta8, capsys):
         cfg_path = write_config(tmp_path, base_config(eta8))
         with pytest.raises(SystemExit) as exc:

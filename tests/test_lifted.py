@@ -659,16 +659,23 @@ def forward_iid_curve(model, sigma2, z0, k_max):
 
 
 def ritz_reads(monkeypatch):
-    """A list that gains (steps of the run, last k) of each block
-    lifted._ritz_blocks reads."""
-    read, real = [], lifted._ritz_blocks
+    """A list that gains (steps of the Lanczos run so far, last k) of each
+    block lifted._ritz_w hands out."""
+    read, steps = [], []
+    real_lanczos, real_ritz_w = lifted._lanczos, lifted._ritz_w
 
-    def spy(model, theta, z, y, cert, start, held):
-        for k, block in enumerate(real(model, theta, z, y, cert, start, held), start // CURVE_BLOCK):
-            read.append((theta.size, (k + 1) * CURVE_BLOCK - 1))
+    def lanczos(model):
+        for step in real_lanczos(model):
+            steps.append(None)
+            yield step
+
+    def ritz_w(model, x0_vec, readout):
+        for k, block in enumerate(real_ritz_w(model, x0_vec, readout)):
+            read.append((len(steps), (k + 1) * CURVE_BLOCK - 1))
             yield block
 
-    monkeypatch.setattr(lifted, "_ritz_blocks", spy)
+    monkeypatch.setattr(lifted, "_lanczos", lanczos)
+    monkeypatch.setattr(lifted, "_ritz_w", ritz_w)
     return read
 
 
@@ -1018,6 +1025,28 @@ class TestRitzCurves:
         assert np.array_equal(got[:1024], want[:1024])
         assert np.max(np.abs(got - forward_iid_curve(model, 2.25e-4, z0, k_max))) <= (
             1e-10 * np.max(got))
+
+    @pytest.mark.parametrize("case", ["gaussian_fixed", "tomography_iid"])
+    def test_sources_agree(self, case):
+        # block by block for k < 2048, the Lanczos source hands out the stepped
+        # readouts to 1e-12 of their scale, and a bound no smaller than ||W||
+        if case == "gaussian_fixed":
+            model, z0, noise = self.model_13()
+        else:
+            sys = gen_tomography(5, 10, 5)
+            model = build_model(sys, row_norm_distribution(sys))
+            z0, noise = -sys.x_true, IidNoise(2.25e-4)
+        v, (_, op) = lifted._noise_terms(model, noise, z0)
+        x0 = np.outer(z0, z0) - v
+        readout = np.array([op(model, u).ravel() for u in model.p_eigvecs.T])
+        tol = 1e-12 * np.sqrt(z0.size) * (
+            np.linalg.norm(x0) + np.max(np.linalg.norm(readout, axis=1)))
+        sources = (lifted._ritz_w(model, x0.ravel(), readout),
+                   lifted._stepped_w(model, x0.ravel(), readout))
+        for _, ritz, stepped in zip(range(2048 // CURVE_BLOCK), *sources):
+            assert np.max(np.abs(ritz[0] - stepped[0])) <= tol
+            assert np.max(np.abs(ritz[1] - stepped[1])) <= tol
+            assert ritz[2] >= stepped[2]
 
     def test_stop_before_the_run_ends(self, monkeypatch):
         # with no certificate to serve, the run grows until the stop falls on
