@@ -37,16 +37,16 @@ from .problems import IidNoise, fixed_eta
 DENSE_ORACLE_MAX_N = 12
 CG_REL_TOL = 1e-11
 LANCZOS_REL_TOL = 1e-10
-LANCZOS_CHECK_EVERY = 10
-LANCZOS_MAX_STEPS = 1000
+# Lanczos steps past which lambda_max_Q raises and _ritz_w steps W instead
+LANCZOS_MAX_STEPS = 1024
 V2_REL_TOL = 1e-10
-# adjoint iterates stepped and read out together by _lifted_curve
+# adjoint iterates stepped and read out together by _lifted_curve, and Lanczos
+# steps per block of _lanczos
 CURVE_BLOCK = 16
 # _ritz_w certifies every W_k it reads to this fraction of ||W_0||, k < H from the
-# first horizon H on, within this many Lanczos steps, or W is stepped
+# first horizon H on
 CURVE_CERT_REL = 1e-12
 CURVE_RITZ_HORIZON = 512
-CURVE_LANCZOS_MAX_STEPS = 512
 # _lifted_curve stops stepping W once W's remaining share of a curve is at most this
 # fraction of its floor (an eighth of its ulp or less), or ||W|| is the least normal double
 CURVE_STOP_REL = 2.0**-56
@@ -356,24 +356,46 @@ def solve_v1(model, noise):
 
 
 def _lanczos(model):
-    """The plain three-term Lanczos recurrence on Q from q_1 = I / sqrt(n),
-    on n x n matrices under the Frobenius inner product: (q_j, alpha_j,
-    beta_j) per step, one apply_Q each, ending after a zero beta. It holds
-    two Lanczos vectors and no basis. apply_Q keeps an exactly symmetric
-    input exactly symmetric, and the recurrence works element by element,
-    so every Lanczos vector stays so."""
+    """The plain three-term Lanczos recurrence on Q from q_1 = I / sqrt(n), on
+    n x n matrices under the Frobenius inner product, in blocks of CURVE_BLOCK
+    steps of one apply_Q each: (rows, beta, theta, z), the block's Lanczos
+    vectors as a (t, n^2) array the next block overwrites, beta after its
+    last step, and eigh(T) = (theta, z) of the run's tridiagonal T so far.
+    The run ends after the block whose last beta is 0.
+
+    It holds two Lanczos vectors and one block of rows, no basis. apply_Q
+    keeps an exactly symmetric input exactly symmetric, and the recurrence
+    works element by element, so every Lanczos vector stays so. Without
+    reorthogonalization the vectors lose orthogonality, but only as Ritz
+    values converge: the loss adds "ghost" copies of them, and a Ritz value
+    with a small residual still lies that close to an eigenvalue of Q
+    (Paige, 1976 and 1980; Parlett, The Symmetric Eigenvalue Problem, ch.
+    13). So there is no exit at the Krylov space's dimension n(n+1)/2. Q =
+    sum_i p_i P_i (x) P_i is PSD and maps the PSD cone into itself, so its
+    top eigenspace holds a PSD V, and <I, V> = tr V >= ||V||_F gives q_1 an
+    overlap of at least 1/sqrt(n) with it.
+    """
     n = model.a_tilde.shape[1]
     q_prev, q, beta = np.zeros((n, n)), np.eye(n) / np.sqrt(n), 0.0
+    alphas, betas, rows = [], [], np.empty((CURVE_BLOCK, n * n))
     while True:
-        w = apply_Q(model, q)
-        alpha = frob_dot(q, w)
-        w -= alpha * q
-        w -= beta * q_prev
-        beta = float(np.linalg.norm(w))
-        yield q, alpha, beta
+        for t in range(CURVE_BLOCK):
+            rows[t] = q.ravel()
+            w = apply_Q(model, q)
+            alphas.append(frob_dot(q, w))
+            w -= alphas[-1] * q
+            w -= beta * q_prev
+            beta = float(np.linalg.norm(w))
+            betas.append(beta)
+            if beta == 0.0:
+                break
+            q_prev, q = q, w / beta
+        s = len(alphas)
+        tri = np.diag(alphas)
+        tri[range(s - 1), range(1, s)] = tri[range(1, s), range(s - 1)] = betas[:-1]
+        yield rows[:t + 1], beta, *np.linalg.eigh(tri)
         if beta == 0.0:
             return
-        q_prev, q = q, w / beta
 
 
 def _stepped_w(model, x0_vec, readout):
@@ -415,10 +437,10 @@ def _lanczos_cert(theta, z, beta, horizon):
 
 
 def _ritz_w(model, x0_vec, readout):
-    """_stepped_w's blocks, read from one plain Lanczos run on Q (_lanczos)
-    that keeps no basis, with a proven bound on ||W_j|| at each block's last j
-    in place of ||W_j||: per Lanczos vector q_j the run records y_j = (<q_j,
-    X_0>, <q_j, R_i>), one product per block of vectors.
+    """_stepped_w's blocks, read from one Lanczos run on Q (_lanczos), with a
+    proven bound on ||W_j|| at each block's last j in place of ||W_j||: per
+    Lanczos vector q_j it records y_j = (<q_j, X_0>, <q_j, R_i>), one product
+    per block of the run.
 
     The run's s vectors V and tridiagonal T = Z diag(theta) Z^T have Q V =
     V T + beta_s q_{s+1} e_s^T + F whatever V's orthogonality, F the
@@ -439,8 +461,8 @@ def _ritz_w(model, x0_vec, readout):
     beta_s = 0, where the run ends). Until then the run grows by
     CURVE_BLOCK steps, and only when asked for the next block. So which
     steps give a value depends on its k alone, never on k_max. If
-    CURVE_LANCZOS_MAX_STEPS steps do not serve a block, W is stepped from
-    W_0 instead (_stepped_w), and read from that block on.
+    LANCZOS_MAX_STEPS steps do not serve a block, W is stepped from W_0
+    instead (_stepped_w), and read from that block on.
 
     V has s unit columns, so ||sqrt(n) V T^k e_1|| <= sqrt(n s) ||T^k e_1||,
     and W_k is that within sqrt(n) cert (exactly so for k < s). ||Q||_2 <=
@@ -451,27 +473,19 @@ def _ritz_w(model, x0_vec, readout):
     n = model.a_tilde.shape[1]
     blk = CURVE_BLOCK
     decay = min(max(float(model.p_eigvals[-1]), 0.0), 1.0) ** blk
-    steps, alphas, betas, ys = _lanczos(model), [], [], []
-    stack = np.empty((blk, n, n))
+    run, ys = _lanczos(model), []
     start, held, horizon, s, cert = 0, None, CURVE_RITZ_HORIZON, 0, np.inf
     while True:
         if start == horizon:
             horizon *= 2
             cert = _lanczos_cert(theta, z, beta, horizon)
         while s < start + blk and cert > CURVE_CERT_REL:
-            if s >= CURVE_LANCZOS_MAX_STEPS:
+            if s >= LANCZOS_MAX_STEPS:
                 yield from islice(_stepped_w(model, x0_vec, readout), start // blk, None)
                 return
-            for t, (q, alpha, beta) in zip(range(blk), steps):
-                stack[t] = q
-                alphas.append(alpha)
-                betas.append(beta)
-            flat = stack[:t + 1].reshape(t + 1, n * n)
-            ys.append(np.column_stack([flat @ x0_vec, flat @ readout.T]))
-            s = len(alphas)
-            tri = np.diag(alphas)
-            tri[range(s - 1), range(1, s)] = tri[range(1, s), range(s - 1)] = betas[:-1]
-            theta, z = np.linalg.eigh(tri)
+            rows, beta, theta, z = next(run)
+            ys.append(np.column_stack([rows @ x0_vec, rows @ readout.T]))
+            s += len(rows)
             coef = np.sqrt(n) * (z.T @ np.vstack(ys))
             powers = theta ** np.arange(blk)[:, None] * z[0]
             cert = _lanczos_cert(theta, z, beta, horizon)
@@ -505,7 +519,7 @@ def _lifted_curve(model, z0, v, drive, k_max):
     apply_Q, one call per j, and its bound is ||W_j|| itself; on any other,
     _ritz_w reads them from one Lanczos run of tens of calls, certified to
     CURVE_CERT_REL of ||W_0|| for every j, and its bound is a proven one (it
-    steps W itself if CURVE_LANCZOS_MAX_STEPS steps do not serve a block).
+    steps W itself if LANCZOS_MAX_STEPS steps do not serve a block).
     Each block is read out by one Toeplitz sum of the s_i. values[0] =
     ||z0||^2 exactly. The split ends once the benchmark's tracer self-test
     no longer needs its 6 x 3 run to make at least 100 apply_Q calls.
@@ -595,42 +609,20 @@ def lambda_max_P(model):
 
 
 def lambda_max_Q(model):
-    """Largest eigenvalue of Q by the plain three-term Lanczos recurrence
-    (_lanczos), which holds two n x n vectors and no basis; the check below
-    adds the tridiagonal matrix, O(steps^2). The start is I / sqrt(n): Q =
-    sum_i p_i P_i (x) P_i is PSD and maps the PSD cone into itself, so its
-    top eigenspace holds a PSD matrix V, and <I, V> = tr V >= ||V||_F gives
-    the start an overlap of at least 1/sqrt(n) with it.
-
-    Every LANCZOS_CHECK_EVERY steps, and on a small beta, the top Ritz pair
-    (theta, y) of the tridiagonal matrix is computed; theta is returned once
-    the Ritz residual |beta_k y_k| <= LANCZOS_REL_TOL |theta| certifies it
-    (Golub & Van Loan, ch. 10). Without reorthogonalization the vectors lose
-    orthogonality, but only as Ritz values converge: the loss adds "ghost"
-    copies of converged Ritz values, and a Ritz value with a small residual
-    still lies that close to an eigenvalue of Q (Paige, 1976 and 1980;
-    Parlett, The Symmetric Eigenvalue Problem, ch. 13). So the step count
-    proves nothing about the Krylov space, and there is no exit at its
-    dimension n(n+1)/2. A SolverError is raised if no check certifies theta
-    within LANCZOS_MAX_STEPS.
+    """Largest eigenvalue of Q: the top Ritz value theta of the first block of
+    _lanczos's run whose Ritz residual beta |z_s|, z_s its Ritz vector's last
+    entry, is at most LANCZOS_REL_TOL |theta| (Golub & Van Loan, ch. 10); a
+    zero beta certifies. Q is PSD, so a negative theta is rounding and reads
+    0. A SolverError is raised if LANCZOS_MAX_STEPS steps do not certify it.
     """
-    alphas, betas, resid = [], [], np.inf
-    for k, (_, alpha, beta) in enumerate(islice(_lanczos(model), LANCZOS_MAX_STEPS), 1):
-        alphas.append(alpha)
-        # theta >= alphas[0], so a tiny beta already certifies the Ritz value;
-        # magnitudes, as rounding can make both -eps when Q = 0 (n = 1), and
-        # beta = 0 must certify rather than divide
-        if k % LANCZOS_CHECK_EVERY == 0 or beta <= LANCZOS_REL_TOL * abs(alphas[0]):
-            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            thetas, ys = np.linalg.eigh(tri)
-            theta = float(thetas[-1])
-            resid = beta * abs(ys[-1, -1])
-            if resid <= LANCZOS_REL_TOL * abs(theta):
-                # Q is PSD, so a negative theta is rounding (-eps at n = 1, Q = 0)
-                return max(theta, 0.0)
-        betas.append(beta)
+    steps, resid = 0, np.inf
+    for rows, beta, theta, z in islice(_lanczos(model), LANCZOS_MAX_STEPS // CURVE_BLOCK):
+        steps += len(rows)
+        resid = beta * abs(z[-1, -1])
+        if resid <= LANCZOS_REL_TOL * abs(theta[-1]):
+            return max(float(theta[-1]), 0.0)
     raise SolverError(
-        f"Lanczos on Q did not certify lambda_max in {LANCZOS_MAX_STEPS} steps "
+        f"Lanczos on Q did not certify lambda_max in {steps} steps "
         f"(Ritz residual {resid:.3e})"
     )
 

@@ -42,8 +42,9 @@ class RowDistribution:
         cum = np.cumsum(p)
         cum[-1] = 1.0  # forced exact so u < 1 always lands in range
         g = 1 << (4 * cum.size - 1).bit_length()
-        guide = np.searchsorted(cum, np.arange(g) / g, side="right").astype(np.int64)
-        set_fields(self, p=p, cum=cum, guide=guide)
+        # the guide is copied before p and cum, so only cum is held beside it and its copy
+        set_fields(self, guide=np.searchsorted(cum, np.arange(g, dtype=float) / g, side="right"))
+        set_fields(self, p=p, cum=cum)
 
     @property
     def m(self):

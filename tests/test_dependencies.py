@@ -190,3 +190,19 @@ def test_only_apply_q_applies_q():
                   if isinstance(node, ast.Name) and node.id == "_apply_q_implicit"
                   and owner[id(node)] not in APPLIES_Q_IMPLICIT]
     assert found == []
+
+
+# the functions of lifted.py that may call np.linalg.eigh: LiftedModel's one
+# eigh of P, and _lanczos's of its run's tridiagonal
+DIAGONALIZES = {"__post_init__", "_lanczos"}
+
+
+def test_only_lanczos_diagonalizes_a_tridiagonal():
+    """lambda_max_Q and _ritz_w read the Ritz pairs _lanczos hands out with
+    each block, and every eigenpair of P is the model's p_eigvals and
+    p_eigvecs, so no other function of lifted.py calls eigh."""
+    tree = ast.parse((PACKAGE / "lifted.py").read_text(encoding="utf-8"))
+    owner = enclosing_functions(tree)
+    callers = [(owner[id(node)], node.lineno) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "eigh"]
+    assert {name for name, _ in callers} == DIAGONALIZES, callers

@@ -665,13 +665,13 @@ def ritz_reads(monkeypatch):
     real_lanczos, real_ritz_w = lifted._lanczos, lifted._ritz_w
 
     def lanczos(model):
-        for step in real_lanczos(model):
-            steps.append(None)
-            yield step
+        for block in real_lanczos(model):
+            steps.append(len(block[0]))
+            yield block
 
     def ritz_w(model, x0_vec, readout):
         for k, block in enumerate(real_ritz_w(model, x0_vec, readout)):
-            read.append((len(steps), (k + 1) * CURVE_BLOCK - 1))
+            read.append((sum(steps), (k + 1) * CURVE_BLOCK - 1))
             yield block
 
     monkeypatch.setattr(lifted, "_lanczos", lanczos)
@@ -1019,7 +1019,7 @@ class TestRitzCurves:
         model, z0, k_max = build_model(sys, row_norm_distribution(sys)), -sys.x_true, 2500
         want = exact_mse_curve(model, IidNoise(2.25e-4), z0, k_max).values
         apply_q_calls.clear()
-        monkeypatch.setattr(lifted, "CURVE_LANCZOS_MAX_STEPS", 48)
+        monkeypatch.setattr(lifted, "LANCZOS_MAX_STEPS", 48)
         got = exact_mse_curve(model, IidNoise(2.25e-4), z0, k_max).values
         assert len(apply_q_calls) > 1024
         assert np.array_equal(got[:1024], want[:1024])
@@ -1061,6 +1061,61 @@ class TestRitzCurves:
         steps, last = read[-1]
         assert last < min(steps, 1000)
         assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+
+class TestOneLanczosRun:
+    """lambda_max_Q and the curves of models without q_table read their Ritz
+    pairs from blocks of one run type, lifted._lanczos."""
+
+    @staticmethod
+    def blocks_read(monkeypatch):
+        """A list that gains, per _lanczos run from here on, the list of (beta,
+        theta) of each block its reader takes."""
+        runs, real = [], lifted._lanczos
+
+        def lanczos(model):
+            runs.append([])
+            for block in real(model):
+                runs[-1].append(block[1:3])
+                yield block
+
+        monkeypatch.setattr(lifted, "_lanczos", lanczos)
+        return runs
+
+    @pytest.mark.parametrize("case", ["gaussian_fixed", "tomography_iid"])
+    def test_lambda_and_curve_read_one_recurrence(self, case, monkeypatch):
+        # the fixed_mc and avg_mc systems: the curve's run repeats, bitwise, every
+        # block lambda_max_Q read, and reads past them
+        if case == "gaussian_fixed":
+            sys = gen_gaussian(60, 20, 1.0, 1)
+            eta = np.random.default_rng(2).standard_normal(60)
+            noise, z0 = FixedNoise(0.8 * eta / np.linalg.norm(eta)), np.ones(20)
+        else:
+            sys = gen_tomography(5, 10, 5)
+            noise, z0 = IidNoise(2.25e-4), -sys.x_true
+        model = build_model(sys, row_norm_distribution(sys))
+        runs = self.blocks_read(monkeypatch)
+        lambda_max_Q(model)
+        exact_mse_curve(model, noise, z0, 600)
+        lam_run, curve_run = runs
+        assert 1 <= len(lam_run) <= len(curve_run)
+        for (beta, theta), (curve_beta, curve_theta) in zip(lam_run, curve_run):
+            assert beta == curve_beta
+            assert np.array_equal(theta, curve_theta)
+
+    @pytest.mark.parametrize("case", ["identity_4", "identity_8", "gaussian_5x2", "gaussian_6x3"])
+    def test_early_breakdown(self, case):
+        # runs whose beta (nearly) vanishes within their first block, where a
+        # tiny beta steps on into a vector of rounding
+        kind, shape = case.split("_")
+        if kind == "identity":
+            n = int(shape)
+            model = build_model(gen_identity(n), uniform_distribution(n))
+        else:
+            sys = gen_gaussian(*map(int, shape.split("x")), 1.0, 5)
+            model = build_model(sys, row_norm_distribution(sys))
+        dense = dense_lift_oracle(model, FixedNoise(np.zeros(model.p.size)))
+        assert abs(lambda_max_Q(model) - np.linalg.eigvalsh(dense.Q)[-1]) <= 1e-12
 
 
 class TestSpectra:

@@ -19,6 +19,7 @@ from kaczlab import lifted, rka
 from kaczlab._num import sq_norm
 from kaczlab.problems import LinearSystem
 from kaczlab.rka import (
+    RowDistribution,
     _batched_errors,
     sample_rows,
     trial_noise_seed,
@@ -72,6 +73,15 @@ class TestDistributions:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             make_distribution([1.0, np.inf])
+
+    def test_guide_build_peak(self):
+        # m = 100,000: the guide's 2^19 entries take 4 MiB, and at the peak only
+        # cum (0.19 of that) is held beside the guide and its read-only copy
+        m = 100_000
+        dist, peak = traced_peak(RowDistribution, np.full(m, 1.0 / m))
+        g = dist.guide.size
+        assert np.array_equal(dist.guide, np.searchsorted(dist.cum, np.arange(g) / g, side="right"))
+        assert peak <= 2.25 * dist.guide.nbytes
 
     def test_weights_whose_sum_overflows(self):
         # finite weights: rescaled by the largest, with no overflow warning
