@@ -331,18 +331,18 @@ def _noise_terms(model, noise, z0):
     average, with E[D M f] = sigma2 g(M), has the fixed point E v1 = sigma2
     (I-Q)^{-1} [vec_e(IidNoise(1)) + g((I-P)^{-1})] and the
     drive -sigma2 g(P^l (I-P)^{-1}): c_i = -sigma2 / (1 - lam_i), R_i =
-    g(u_i u_i^T). Zero noise of either kind is (None, None), the undriven
-    curve, with no (I - P) or (I - Q) solve. Anything else is a TypeError.
+    g(u_i u_i^T). Zero noise of either kind is the zero n x n fixed point and
+    the empty drive (no c, no op), with no (I - P) or (I - Q) solve. Anything
+    else is a TypeError.
     """
+    n = model.a_tilde.shape[1]
+    if not (noise.sigma2 if isinstance(noise, IidNoise) else _scaled_eta(model, noise).any()):
+        return np.zeros((n, n)), (np.empty(0), None)
     if isinstance(noise, IidNoise):
-        if noise.sigma2 == 0.0:
-            return None, None
         gap, u = i_minus_p_eigvals(model), model.p_eigvecs
         rhs = vec_e(model, IidNoise(1.0)) + g_apply(model, (u / gap) @ u.T)
         return noise.sigma2 * _solve_i_minus_q(model, rhs), (
             -noise.sigma2 / gap, lambda model, u: g_apply(model, np.outer(u, u)))
-    if not _scaled_eta(model, noise).any():
-        return None, None
     v2 = solve_v2(model, noise)
     v1 = _solve_i_minus_q(model, vec_e(model, noise) + apply_D(model, noise, v2))
     return v1, (model.p_eigvecs.T @ (z0 - v2), lambda model, u: apply_D(model, noise, u))
@@ -350,9 +350,7 @@ def _noise_terms(model, noise, z0):
 
 def solve_v1(model, noise):
     """mat(v1) of a FixedNoise or E v1 of an IidNoise; zero for zero noise."""
-    n = model.a_tilde.shape[1]
-    v, _ = _noise_terms(model, noise, np.zeros(n))   # the drive is not read
-    return np.zeros((n, n)) if v is None else v
+    return _noise_terms(model, noise, np.zeros(model.a_tilde.shape[1]))[0]   # drive unread
 
 
 def _lanczos(model):
@@ -398,11 +396,12 @@ def _lanczos(model):
             return
 
 
-def _stepped_w(model, x0_vec, readout):
+def _stepped_w(model, reads):
     """Per block of CURVE_BLOCK iterates W_j = Q^j I, stepped by apply_Q, without
-    end: the readouts (<W_j, X_0>, <W_j, R_i>) and ||W_j|| at the block's last
-    j. W is stepped as n x n matrices or, on a model with q_table, as their
-    upper entries, unpacked once per block."""
+    end: the products <W_j, row> with each row of reads, a (t, n^2) array, as a
+    (CURVE_BLOCK, t) array, and ||W_j|| at the block's last j. W is stepped as
+    n x n matrices or, on a model with q_table, as their upper entries,
+    unpacked once per block."""
     n = model.a_tilde.shape[1]
     blk = CURVE_BLOCK
     w0 = np.eye(n)
@@ -418,7 +417,7 @@ def _stepped_w(model, x0_vec, readout):
         # take, not stack[:, full]: a C-contiguous flat, as the n x n stack's view is,
         # rounds the products below as that one does
         flat = stack.reshape(blk, n * n) if w0.ndim == 2 else stack.take(full, axis=1)
-        yield flat @ x0_vec, flat @ readout.T, np.hypot.reduce(flat[-1])
+        yield flat @ reads.T, np.hypot.reduce(flat[-1])
         start += blk
 
 
@@ -436,11 +435,11 @@ def _lanczos_cert(theta, z, beta, horizon):
     return beta * total
 
 
-def _ritz_w(model, x0_vec, readout):
-    """_stepped_w's blocks, read from one Lanczos run on Q (_lanczos), with a
-    proven bound on ||W_j|| at each block's last j in place of ||W_j||: per
-    Lanczos vector q_j it records y_j = (<q_j, X_0>, <q_j, R_i>), one product
-    per block of the run.
+def _ritz_w(model, reads):
+    """_stepped_w's blocks of products with the rows of reads, read from one
+    Lanczos run on Q (_lanczos), with a proven bound on ||W_j|| at each block's
+    last j in place of ||W_j||: per Lanczos vector q_j it records its products
+    y_j with the rows of reads, one product per block of the run.
 
     The run's s vectors V and tridiagonal T = Z diag(theta) Z^T have Q V =
     V T + beta_s q_{s+1} e_s^T + F whatever V's orthogonality, F the
@@ -481,10 +480,9 @@ def _ritz_w(model, x0_vec, readout):
             cert = _lanczos_cert(theta, z, beta, horizon)
         while s < start + blk and cert > CURVE_CERT_REL:
             if s >= LANCZOS_MAX_STEPS:
-                yield from islice(_stepped_w(model, x0_vec, readout), start // blk, None)
-                return
+                yield from islice(_stepped_w(model, reads), start // blk, None)
             rows, beta, theta, z = next(run)
-            ys.append(np.column_stack([rows @ x0_vec, rows @ readout.T]))
+            ys.append(rows @ reads.T)
             s += len(rows)
             coef = np.sqrt(n) * (z.T @ np.vstack(ys))
             powers = theta ** np.arange(blk)[:, None] * z[0]
@@ -493,8 +491,7 @@ def _ritz_w(model, x0_vec, readout):
         direct = np.sqrt(n) * (np.sqrt(s) * np.hypot.reduce(g[-1])
                                + (cert if start + blk > s else 0.0))
         held = direct if held is None else min(direct, decay * held)
-        out = g @ coef
-        yield out[:, 0], out[:, 1:], held
+        yield g @ coef, held
         start += blk
 
 
@@ -502,25 +499,26 @@ def _lifted_curve(model, z0, v, drive, k_max):
     """The one lifted recursion behind every exact MSE curve.
 
     Each curve is values[k] = floor + trace(X_k) for X_k = Q X_{k-1} +
-    F_{k-1} from X_0 = z0 z0^T - v, centred on its fixed point v (None for
-    zero) whose trace is the floor, with a drive F_l = sum_i c_i lam_i^l R_i
-    that decays along the eigenpairs (lam_i, u_i) of the model's eigh(P). Q
-    is self-adjoint, so with W_j = Q^j I
+    F_{k-1} from X_0 = z0 z0^T - v, centred on its fixed point v (zero for
+    zero noise) whose trace is the floor, with a drive F_l = sum_i c_i lam_i^l
+    R_i that decays along the first c.size eigenpairs (lam_i, u_i) of the
+    model's eigh(P). Q is self-adjoint, so with W_j = Q^j I
 
         values[k] = floor + <W_k, X_0> + sum_i c_i s_i[k],
         s_i[k] = lam_i s_i[k-1] + <W_{k-1}, R_i>,   s_i[0] = 0.
 
-    drive is (c, op) with R_i = op(model, u_i), or None for an undriven
-    curve. The rows vec(R_i) of the (n, n^2) readout are written one op
-    result at a time, so no more than one is held beside it. The readouts
-    <W_j, X_0> and <W_j, R_i> come in whole blocks of CURVE_BLOCK j, each
-    with a bound on ||W_j|| at its last j, from one of two sources that hand
-    out blocks without end. On a model with q_table, _stepped_w steps W by
-    apply_Q, one call per j, and its bound is ||W_j|| itself; on any other,
-    _ritz_w reads them from one Lanczos run of tens of calls, certified to
-    CURVE_CERT_REL of ||W_0|| for every j, and its bound is a proven one (it
-    steps W itself if LANCZOS_MAX_STEPS steps do not serve a block).
-    Each block is read out by one Toeplitz sum of the s_i. values[0] =
+    drive is (c, op) with R_i = op(model, u_i); an undriven curve has an
+    empty c and reads no op. Each source reads W against one array, reads:
+    row 0 is vec(X_0) and rows 1.. the mode rows vec(R_i), written one op
+    result at a time, so no more than one is held beside it. The products
+    come in whole blocks of CURVE_BLOCK j, each with a bound on ||W_j|| at
+    its last j, from one of two sources that hand out blocks without end.
+    On a model with q_table, _stepped_w steps W by apply_Q, one call per j,
+    and its bound is ||W_j|| itself; on any other, _ritz_w reads them from
+    one Lanczos run of tens of calls, certified to CURVE_CERT_REL of ||W_0||
+    for every j, and its bound is a proven one (it steps W itself if
+    LANCZOS_MAX_STEPS steps do not serve a block). Each block is read out
+    by one Toeplitz sum of the s_i. values[0] =
     ||z0||^2 exactly. The split ends once the benchmark's tracer self-test
     no longer needs its 6 x 3 run to make at least 100 apply_Q calls.
 
@@ -536,21 +534,15 @@ def _lifted_curve(model, z0, v, drive, k_max):
     Lanczos run, nor any value depends on k_max. Stepping runs in O(k_stop m
     n^2 + k_max n), k_stop <= k_max.
     """
-    n = z0.size
-    x0, floor = np.outer(z0, z0), 0.0
-    if v is not None:
-        x0 -= v
-        floor = float(np.trace(v))
-    if drive is None:
-        lam, c, readout = np.empty(0), np.empty(0), np.empty((0, n * n))
-    else:
-        (c, op), lam, u = drive, model.p_eigvals, model.p_eigvecs
-        readout = np.empty((n, n * n))
-        for i in range(n):
-            readout[i] = op(model, u[:, i]).ravel()
-    x0_vec = x0.reshape(n * n)
-    owed = np.hypot.reduce(x0_vec) + np.abs(c) @ (
-        np.sqrt(np.vecdot(readout, readout)) / (1.0 - np.abs(lam)))
+    n, (c, op), floor = z0.size, drive, float(np.trace(v))
+    lam, u = model.p_eigvals[:c.size], model.p_eigvecs
+    reads = np.empty((c.size + 1, n * n))
+    reads[0] = (np.outer(z0, z0) - v).ravel()
+    for i in range(c.size):
+        reads[i + 1] = op(model, u[:, i]).ravel()
+    modes = reads[1:]
+    owed = np.hypot.reduce(reads[0]) + np.abs(c) @ (
+        np.sqrt(np.vecdot(modes, modes)) / (1.0 - np.abs(lam)))
     stop = max(CURVE_STOP_REL * floor, owed * np.finfo(float).tiny)
     blk = CURVE_BLOCK
     # sums[t] = s[start + t] = lam^t s[start] + sum_{tau < t} lam^(t-1-tau) rho[tau]
@@ -563,9 +555,9 @@ def _lifted_curve(model, z0, v, drive, k_max):
     source = _stepped_w if model.q_table is not None else _ritz_w
     s = np.zeros(lam.size)
     start = 0
-    for x0_reads, reads, bound in source(model, x0_vec, readout):
-        sums = pw * s + np.einsum("tui,ui->ti", toeplitz, reads)
-        values[start:start + blk] = floor + x0_reads + sums[:blk] @ c
+    for got, bound in source(model, reads):
+        sums = pw * s + np.einsum("tui,ui->ti", toeplitz, got[:, 1:])
+        values[start:start + blk] = floor + got[:, 0] + sums[:blk] @ c
         s = sums[blk]
         start += blk
         if start == end or owed * bound <= stop:

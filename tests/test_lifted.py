@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -399,7 +401,8 @@ class TestNoiseFree:
         for model, z0 in noise_free_instances():
             noise = zero_specs(model)[kind]
             curve = exact_mse_curve(model, noise, z0, 300)
-            undriven = lifted._lifted_curve(model, z0, None, None, 300)
+            undriven = lifted._lifted_curve(
+                model, z0, np.zeros((z0.size, z0.size)), (np.empty(0), None), 300)
             assert curve.values.tobytes() == undriven.values.tobytes()
             assert curve.floor == 0.0 and limiting_mse(model, noise) == 0.0
             bound = zf_general_bound_curve(model, noise, z0, 300)
@@ -449,6 +452,14 @@ class TestFixedPoints:
         g = weighted_gram(model)
         f = vec_f(model, noise)
         assert np.linalg.norm(g @ v2 - f) <= 1e-10 * np.linalg.norm(f)
+
+    def test_v2_residual_refused(self, monkeypatch):
+        # no solve meets a negative tolerance: the error names lambda_max(P)
+        model, noise, _ = random_model(20, 6, 21)
+        monkeypatch.setattr(lifted, "V2_REL_TOL", -1.0)
+        message = rf"too large; lambda_max\(P\) = {re.escape(repr(lambda_max_P(model)))}$"
+        with pytest.raises(SolverError, match=message):
+            solve_v2(model, noise)
 
     def test_v1_zero_noise(self):
         sys, dist, _, _ = random_instance(4, 3, 22)
@@ -658,6 +669,14 @@ def forward_iid_curve(model, sigma2, z0, k_max):
     return np.array(values)
 
 
+def curve_reads(model, noise, z0):
+    """The rows _lifted_curve reads W against for a curve: vec(X_0), X_0 =
+    z0 z0^T - v, then its drive's mode rows op(u_i)."""
+    v, (c, op) = lifted._noise_terms(model, noise, z0)
+    modes = [op(model, u).ravel() for u in model.p_eigvecs.T[:c.size]]
+    return np.vstack([(np.outer(z0, z0) - v).ravel(), *modes])
+
+
 def ritz_reads(monkeypatch):
     """A list that gains (steps of the Lanczos run so far, last k) of each
     block lifted._ritz_w hands out."""
@@ -669,8 +688,8 @@ def ritz_reads(monkeypatch):
             steps.append(len(block[0]))
             yield block
 
-    def ritz_w(model, x0_vec, readout):
-        for k, block in enumerate(real_ritz_w(model, x0_vec, readout)):
+    def ritz_w(model, reads):
+        for k, block in enumerate(real_ritz_w(model, reads)):
             read.append((sum(steps), (k + 1) * CURVE_BLOCK - 1))
             yield block
 
@@ -762,6 +781,11 @@ class TestExactCurves:
         enum = enumerated_mse_curve(sys, eta, dist, z0, 4)
         curve = exact_mse_curve(model, noise, z0, 4)
         assert np.allclose(curve.values, enum, rtol=1e-10)
+
+    def test_enumeration_refuses_past_its_limit(self):
+        sys, dist, eta, z0 = random_instance(10, 2, 0)
+        with pytest.raises(ValueError, match=r"^enumeration over 10\^6 sequences exceeds 100000$"):
+            enumerated_mse_curve(sys, eta, dist, z0, 6)
 
     def test_closed_form_matches_recursion(self):
         model, noise, z0 = random_model(6, 3, 29)
@@ -1036,17 +1060,34 @@ class TestRitzCurves:
             sys = gen_tomography(5, 10, 5)
             model = build_model(sys, row_norm_distribution(sys))
             z0, noise = -sys.x_true, IidNoise(2.25e-4)
-        v, (_, op) = lifted._noise_terms(model, noise, z0)
-        x0 = np.outer(z0, z0) - v
-        readout = np.array([op(model, u).ravel() for u in model.p_eigvecs.T])
+        reads = curve_reads(model, noise, z0)
         tol = 1e-12 * np.sqrt(z0.size) * (
-            np.linalg.norm(x0) + np.max(np.linalg.norm(readout, axis=1)))
-        sources = (lifted._ritz_w(model, x0.ravel(), readout),
-                   lifted._stepped_w(model, x0.ravel(), readout))
+            np.linalg.norm(reads[0]) + np.max(np.linalg.norm(reads[1:], axis=1)))
+        sources = lifted._ritz_w(model, reads), lifted._stepped_w(model, reads)
         for _, ritz, stepped in zip(range(2048 // CURVE_BLOCK), *sources):
             assert np.max(np.abs(ritz[0] - stepped[0])) <= tol
-            assert np.max(np.abs(ritz[1] - stepped[1])) <= tol
-            assert ritz[2] >= stepped[2]
+            assert ritz[1] >= stepped[1]
+
+    @pytest.mark.parametrize("shape", [(40, 13), (24, 8)])
+    def test_a_source_reads_any_stack_of_rows(self, shape):
+        # a source shared by several curves reads their rows stacked: each
+        # gets the products of a run of its own rows, and every block the
+        # same bound. 40 x 13 takes the Lanczos source, 24 x 8 the stepped one
+        sys = gen_gaussian(*shape, 1.0, 1)
+        model = build_model(sys, row_norm_distribution(sys))
+        eta = np.random.default_rng(2).standard_normal(shape[0])
+        z0 = np.random.default_rng(7).standard_normal(shape[1])
+        noises = FixedNoise(0.1 * eta), IidNoise(1e-2)
+        stacks = [curve_reads(model, noise, z0) for noise in noises]
+        source = lifted._stepped_w if model.q_table is not None else lifted._ritz_w
+        blocks = 2048 // CURVE_BLOCK
+        both = list(islice(source(model, np.vstack(stacks)), blocks))
+        alone = [list(islice(source(model, rows), blocks)) for rows in stacks]
+        for block, *ones in zip(both, *alone):
+            assert all(block[1] == one[1] for one in ones)
+        want = np.hstack([np.vstack([one[0] for one in run]) for run in alone])
+        got = np.vstack([block[0] for block in both])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.max(np.abs(want), axis=0))
 
     def test_stop_before_the_run_ends(self, monkeypatch):
         # with no certificate to serve, the run grows until the stop falls on

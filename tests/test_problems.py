@@ -166,6 +166,12 @@ class TestMeasurements:
         with pytest.raises(ValueError, match="length"):
             make_measurements(sys, FixedNoise(np.zeros(4)))
 
+    @pytest.mark.parametrize("eta", [[1.0, np.nan], [np.inf, 0.0], np.zeros((2, 2))],
+                             ids=["nan", "inf", "2d"])
+    def test_fixed_rejects_bad_eta(self, eta):
+        with pytest.raises(ValueError, match="^eta must be a finite 1-D vector$"):
+            FixedNoise(eta)
+
 
 class TestFileFormat:
     def test_round_trip_exact(self, tmp_path):
@@ -257,6 +263,10 @@ class TestLinearSystemInvariants:
         message = f"a must be a 2-D matrix, got shape {np.shape(a)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LinearSystem(a, np.zeros(1))
+
+    def test_rejects_underdetermined(self):
+        with pytest.raises(ValueError, match=r"^m must be >= n, got 2 x 3$"):
+            LinearSystem(np.ones((2, 3)), np.zeros(3))
 
     def test_rejects_non_finite_x_true(self):
         with pytest.raises(ValueError, match="x_true must be finite"):

@@ -74,6 +74,20 @@ class TestDistributions:
         with pytest.raises(ValueError):
             make_distribution([1.0, np.inf])
 
+    @pytest.mark.parametrize("weights", [[], [[1.0, 2.0]]], ids=["empty", "2d"])
+    def test_rejects_non_vector_weights(self, weights):
+        with pytest.raises(ValueError, match="^weights must be a non-empty 1-D vector$"):
+            make_distribution(weights)
+
+    @pytest.mark.parametrize("p", [[0.5, 0.5, 0.0], [1.5, -0.5]], ids=["zero", "negative"])
+    def test_rejects_non_positive_p(self, p):
+        with pytest.raises(ValueError, match="^all probabilities must be finite and > 0$"):
+            RowDistribution(np.array(p))
+
+    def test_rejects_p_not_summing_to_one(self):
+        with pytest.raises(ValueError, match="^probabilities must sum to 1, got "):
+            RowDistribution(np.array([0.5, 0.6]))
+
     def test_guide_build_peak(self):
         # m = 100,000: the guide's 2^19 entries take 4 MiB, and at the peak only
         # cum (0.19 of that) is held beside the guide and its read-only copy
