@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._num import check_int, check_vector, set_fields
-from .seeding import rng_from
+from .seeding import rng_from, rngs_from
 
 # Full-column-rank gate: lambda_min(A^T A) must exceed this times lambda_max.
 RANK_RTOL = 1e-12
@@ -180,10 +180,17 @@ def gen_tomography(grid, num_angles, rays_per_angle):
 
 def draw_eta(noise, m, seed=0):
     """The one noise draw of m entries: a FixedNoise's checked vector (seed
-    unused), or i.i.d. normal(0, sigma2) drawn from the seed for an IidNoise."""
-    if isinstance(noise, IidNoise):
+    unused), or i.i.d. normal(0, sigma2) drawn from the seed for an IidNoise;
+    a 1-D int array of seeds draws one row per seed, bitwise its scalar draw."""
+    if not isinstance(noise, IidNoise):
+        return fixed_eta(noise, m)
+    if np.ndim(seed) == 0:
         return np.sqrt(noise.sigma2) * rng_from(seed, 0xE7A).standard_normal(m)
-    return fixed_eta(noise, m)
+    eta = np.empty((len(seed), m))
+    for row, rng in zip(eta, rngs_from(seed, 0xE7A)):
+        rng.standard_normal(out=row)
+    eta *= np.sqrt(noise.sigma2)
+    return eta
 
 
 def make_measurements(sys, noise, seed=0):

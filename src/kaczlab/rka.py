@@ -6,7 +6,7 @@ import numpy as np
 
 from ._num import check_int, check_vector, set_fields, sq_norm
 from .problems import FixedNoise, draw_eta
-from .seeding import mix_seed
+from .seeding import mix_seed, mix_seeds, rngs_from
 
 # tags separating the row-choice and noise-draw streams of one experiment seed
 _ROWS_TAG = 0x52
@@ -38,7 +38,7 @@ class RowDistribution:
         if p.ndim != 1 or not np.all(np.isfinite(p)) or np.any(p <= 0.0):
             raise ValueError("all probabilities must be finite and > 0")
         if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
+            raise ValueError(f"probabilities must sum to 1, got {float(p.sum())!r}")
         cum = np.cumsum(p)
         cum[-1] = 1.0  # forced exact so u < 1 always lands in range
         g = 1 << (4 * cum.size - 1).bit_length()
@@ -121,13 +121,14 @@ def _batched_errors(a_unit, eta_unit, rows, z, out):
     eta_rows = np.broadcast_to(eta_unit, (trials, a_unit.shape[0]))[np.arange(trials), rows]
     u = np.empty_like(z)
     c = np.empty(z.shape[0])
-    for k in range(rows.shape[0]):
-        np.take(a_unit, rows[k], axis=0, out=u)
+    take, c_col = a_unit.take, c[:, None]   # bound once: small steps are dispatch-bound
+    for row, eta_row, err in zip(rows, eta_rows, out):
+        take(row, axis=0, out=u)
         np.vecdot(u, z, out=c)
-        np.subtract(eta_rows[k], c, out=c)
-        u *= c[:, None]
+        np.subtract(eta_row, c, out=c)
+        u *= c_col
         z += u
-        np.vecdot(z, z, out=out[k])
+        np.vecdot(z, z, out=err)
 
 
 def trial_row_seed(seed, trial):
@@ -153,16 +154,19 @@ def monte_carlo_mse(model, noise, z0, k_max, trials, seed):
     is redrawn per trial, draw_eta(noise, m, trial_noise_seed(seed, trial)).
     trials=1 is the one-run call.
 
+    All trials' seeds are hashed together (seeding.mix_seeds and rngs_from),
+    bitwise these streams; each row stream is built when it is drawn.
+
     All trials advance together in one batched kernel, STEP_CHUNK steps at a
     time: each chunk draws the next uniforms of every trial's stream, samples
     and gathers only that chunk's rows and noise, carries the (trials, n)
     error state on, and reduces its errors to its rows of the curve. Working
-    memory is O(trials (m + n + STEP_CHUNK)) floats, plus about 1 KiB per
+    memory is O(trials (m + n + STEP_CHUNK)) floats, plus about 0.8 KiB per
     trial for the streams kept live between chunks, instead of
     O(trials k_max). A stream yields the same doubles in pieces as in one
     call, and every reduction is over one step's trials, so the curve is
     bitwise the same whatever STEP_CHUNK is. A run of k_max <= 2 STEP_CHUNK
-    steps is one chunk and keeps no stream live.
+    steps is one chunk and holds one stream and one 8 KiB block of seeds.
     """
     trials = check_int(trials, "trials", minimum=1)
     k_max = check_int(k_max, "k_max")
@@ -172,11 +176,9 @@ def monte_carlo_mse(model, noise, z0, k_max, trials, seed):
     if isinstance(noise, FixedNoise):
         eta_unit = draw_eta(noise, m) / model.row_norms
     else:
-        # filled draw by draw, so one (trials, m) array is all the noise held
-        eta_unit = np.empty((trials, m))
-        for t in range(trials):
-            np.divide(draw_eta(noise, m, trial_noise_seed(seed, t)), model.row_norms,
-                      out=eta_unit[t])
+        # scaled in place, so one (trials, m) array is all the noise held
+        eta_unit = draw_eta(noise, m, mix_seeds(seed, _NOISE_TAG, np.arange(trials)))
+        eta_unit /= model.row_norms
     dist = RowDistribution(model.p)
     z = np.tile(z0, (trials, 1))
     mean = np.empty(k_max + 1)
@@ -184,7 +186,7 @@ def monte_carlo_mse(model, noise, z0, k_max, trials, seed):
     # common z0 across trials: index 0 is exact by construction
     mean[0] = sq_norm(z0)
 
-    streams = (np.random.default_rng(trial_row_seed(seed, t)) for t in range(trials))
+    streams = rngs_from(seed, _ROWS_TAG, np.arange(trials))
     if k_max > 2 * STEP_CHUNK:
         chunk = STEP_CHUNK
         streams = list(streams)

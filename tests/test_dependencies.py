@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fresh_python
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kaczlab"
 # pyproject.toml declares numpy as the only runtime dependency
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "kaczlab"}
@@ -206,3 +208,13 @@ def test_only_lanczos_diagonalizes_a_tridiagonal():
     callers = [(owner[id(node)], node.lineno) for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr == "eigh"]
     assert {name for name, _ in callers} == DIAGONALIZES, callers
+
+
+def test_import_leaves_numpy_random_unimported(tmp_path):
+    """numpy.random's first import takes about 10 ms, so importing the CLI
+    must not pull it in: a run pays it when it first draws, and the set-up
+    time of a run measured apart from it stays what importing kaczlab costs."""
+    done = fresh_python(["-c", "import sys, kaczlab.cli; print('numpy.random' in sys.modules)"],
+                        tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

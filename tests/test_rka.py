@@ -85,7 +85,7 @@ class TestDistributions:
             RowDistribution(np.array(p))
 
     def test_rejects_p_not_summing_to_one(self):
-        with pytest.raises(ValueError, match="^probabilities must sum to 1, got "):
+        with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got 1\.1$"):
             RowDistribution(np.array([0.5, 0.6]))
 
     def test_guide_build_peak(self):
