@@ -302,10 +302,12 @@ def run_experiment(cfg, verbose=False):
 
     model = build_model(sys_obj, dist)
 
-    curves = {}
+    curves, bounds = {}, {}
+    # lambda_max_q keeps its place; it is read after the curves, from the
+    # record of the Lanczos run they made
     scalars = {
         "m": m, "n": n, "sigma_min": sys_obj.sigma_min, "kappa": sys_obj.kappa,
-        "lambda_max_p": lambda_max_P(model), "lambda_max_q": lambda_max_Q(model),
+        "lambda_max_p": lambda_max_P(model), "lambda_max_q": None,
     }
     if isinstance(noise, FixedNoise):
         scalars["eta_sq_norm"] = float(noise.eta @ noise.eta)
@@ -321,8 +323,12 @@ def run_experiment(cfg, verbose=False):
         elif kind in ("exact", "exact_avg"):
             curve = exact_mse_curve(model, spec, z0, k_max)
             curves[kind], scalars[FLOOR_KEYS[CURVE_KINDS[kind]]] = curve.values, curve.floor
-        elif kind != "floor":   # every bound kind; bound_sv reads no noise and gets zero
-            curves[kind] = zf_general_bound_curve(model, spec or IidNoise(0.0), z0, k_max)
+        elif kind != "floor":   # every bound kind, once per spec; bound_sv reads zero noise
+            if CURVE_KINDS[kind] not in bounds:
+                bounds[CURVE_KINDS[kind]] = zf_general_bound_curve(
+                    model, spec or IidNoise(0.0), z0, k_max)
+            curves[kind] = bounds[CURVE_KINDS[kind]]
+    scalars["lambda_max_q"] = lambda_max_Q(model)
     if "floor" in outputs:
         # a floor that exact or exact_avg solved for already is not solved again
         for reads, key in FLOOR_KEYS.items():

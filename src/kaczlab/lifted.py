@@ -71,6 +71,11 @@ class LiftedModel:
     _apply_q_implicit applied to B_j, so dense_lift_oracle stays a reference
     independent of it. Bounding n by the oracle's limit keeps every table
     where that oracle can check it, at most 78^2 doubles (48 KB).
+
+    lanczos_record holds, per block of the model's Lanczos recurrence
+    (_lanczos) that some run has reached, (steps, Ritz residual, top theta):
+    three floats, no vectors. Every run is the same deterministic recurrence,
+    so it does not matter which run wrote a block; lambda_max_Q reads it.
     """
 
     a_tilde: np.ndarray           # (m, n), unit rows
@@ -80,6 +85,7 @@ class LiftedModel:
     p_eigvals: np.ndarray = field(init=False)   # (n,) ascending, P's one eigh
     p_eigvecs: np.ndarray = field(init=False)   # (n, n) as columns
     q_table: tuple = field(init=False)          # (table, upper, full) or None
+    lanczos_record: list = field(init=False, default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         set_fields(self, a_tilde=self.a_tilde, p=self.p, row_norms=self.row_norms)
@@ -359,7 +365,9 @@ def _lanczos(model):
     steps of one apply_Q each: (rows, beta, theta, z), the block's Lanczos
     vectors as a (t, n^2) array the next block overwrites, beta after its
     last step, and eigh(T) = (theta, z) of the run's tridiagonal T so far.
-    The run ends after the block whose last beta is 0.
+    The run ends after the block whose last beta is 0. Each block that no
+    earlier run of the model reached is appended to model.lanczos_record
+    before it is handed out.
 
     It holds two Lanczos vectors and one block of rows, no basis. apply_Q
     keeps an exactly symmetric input exactly symmetric, and the recurrence
@@ -391,7 +399,10 @@ def _lanczos(model):
         s = len(alphas)
         tri = np.diag(alphas)
         tri[range(s - 1), range(1, s)] = tri[range(1, s), range(s - 1)] = betas[:-1]
-        yield rows[:t + 1], beta, *np.linalg.eigh(tri)
+        theta, z = np.linalg.eigh(tri)
+        if len(model.lanczos_record) * CURVE_BLOCK < s:
+            model.lanczos_record.append((s, float(beta * abs(z[-1, -1])), float(theta[-1])))
+        yield rows[:t + 1], beta, theta, z
         if beta == 0.0:
             return
 
@@ -606,13 +617,20 @@ def lambda_max_Q(model):
     entry, is at most LANCZOS_REL_TOL |theta| (Golub & Van Loan, ch. 10); a
     zero beta certifies. Q is PSD, so a negative theta is rounding and reads
     0. A SolverError is raised if LANCZOS_MAX_STEPS steps do not certify it.
+
+    The blocks are read from model.lanczos_record, which the Lanczos run of
+    any earlier curve of the model wrote. Only past the record does it step
+    a run of its own, from q_1, and that run extends the record.
     """
+    record = model.lanczos_record
+    run = islice(_lanczos(model), len(record), None)   # steps nothing until taken from
     steps, resid = 0, np.inf
-    for rows, beta, theta, z in islice(_lanczos(model), LANCZOS_MAX_STEPS // CURVE_BLOCK):
-        steps += len(rows)
-        resid = beta * abs(z[-1, -1])
-        if resid <= LANCZOS_REL_TOL * abs(theta[-1]):
-            return max(float(theta[-1]), 0.0)
+    for b in range(LANCZOS_MAX_STEPS // CURVE_BLOCK):
+        if b == len(record):
+            next(run)
+        steps, resid, theta = record[b]
+        if resid <= LANCZOS_REL_TOL * abs(theta):
+            return max(theta, 0.0)
     raise SolverError(
         f"Lanczos on Q did not certify lambda_max in {steps} steps "
         f"(Ritz residual {resid:.3e})"

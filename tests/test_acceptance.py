@@ -11,6 +11,7 @@ import pytest
 from kaczlab import (
     FixedNoise,
     IidNoise,
+    apply_Q,
     build_model,
     dense_lift_oracle,
     exact_mse_curve,
@@ -221,35 +222,38 @@ def test_criterion_8_sigma2_linearity():
 
 
 def test_criterion_9_complexity_scaling():
-    # m large enough that both sizes stream from memory; at small m the
-    # n=50 working set fits L2 while n=100 spills, and the timing ratio
-    # measures the cache cliff instead of the algorithm
+    # one apply_Q on a symmetric n x n input: the O(m n^2) layer that every
+    # exact curve, (I - Q) solve and lambda_max(Q) run steps. A whole curve
+    # also holds fixed O(m n^3) work (its n mode readouts), which is not per step.
+    # m large enough that both sizes stream from memory; at small m the n=50
+    # working set fits L2 while n=100 spills, and the timing ratio measures
+    # the cache cliff instead of the algorithm
     m = 1000
-    steps = 150
+    calls = 40
     runs = {}
     for n in (50, 100):
         sys = gen_gaussian(m, n, 1.0, 9000 + n)
-        dist = row_norm_distribution(sys)
-        eta = rng_from(n, 0xACC9).standard_normal(m) * 0.1
-        model, noise = build_model(sys, dist), FixedNoise(eta)
-        z0 = rng_from(n, 0xACCA).standard_normal(n)
-        exact_mse_curve(model, noise, z0, 10)  # warm-up
-        runs[n] = (model, noise, z0)
+        model = build_model(sys, row_norm_distribution(sys))
+        x = rng_from(n, 0xACCA).standard_normal((n, n))
+        s = x + x.T   # its bytes equal those of its transpose
+        apply_Q(model, s)  # warm-up
+        runs[n] = (model, s)
 
-    def per_step(n):
+    def per_call(n):
         t0 = time.perf_counter()
-        exact_mse_curve(*runs[n], steps)
-        return (time.perf_counter() - t0) / steps
+        for _ in range(calls):
+            apply_Q(*runs[n])
+        return (time.perf_counter() - t0) / calls
 
     # the two sizes are timed pair by pair, in alternating order, so both
     # samples of a pair see the same load on the host
     samples = {50: [], 100: []}
     for i in range(5):
         for n in ((50, 100), (100, 50))[i % 2]:
-            samples[n].append(per_step(n))
+            samples[n].append(per_call(n))
     ratio = float(np.median(np.divide(samples[100], samples[50])))
     times = {n: float(np.median(s)) for n, s in samples.items()}
     ok = ratio <= 4.5
     report(9, "O(m n^2) complexity scaling", ok,
-           f"per-step median: n=50 {times[50]*1e3:.3f}ms, n=100 {times[100]*1e3:.3f}ms, "
+           f"apply_Q median: n=50 {times[50]*1e3:.3f}ms, n=100 {times[100]*1e3:.3f}ms, "
            f"median per-pair ratio {ratio:.2f} (<= 4.5)")

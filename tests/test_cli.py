@@ -401,6 +401,19 @@ class TestComputeOnce:
         assert calls["solve_v2"] <= 1
         assert calls["eigvalsh"] == 1   # LinearSystem's rank gate
 
+    def test_each_bound_once_per_spec(self, monkeypatch):
+        # bound_zf and bound_zf_general read the same spec: one curve, both names
+        calls, real = [], cli.zf_general_bound_curve
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "zf_general_bound_curve", counted)
+        curves, _ = run_experiment(shared_iid_config())
+        assert len(calls) == 3   # bound_sv, the fixed spec and the iid spec
+        assert curves["bound_zf"].tobytes() == curves["bound_zf_general"].tobytes()
+
     def test_floor_reuses_curve_solves(self, monkeypatch):
         # floor asks for the fixed points exact and exact_avg solve for anyway;
         # in either order a run solves (I - Q) once for v1 and once for E v1
@@ -595,6 +608,20 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "did not certify" in err
+        assert not (tmp_path / "result.json").exists()
+
+    def test_uncertified_lambda_q_after_its_curve(self, tmp_path, capsys, monkeypatch):
+        # lambda_max(Q) is read after the curve, from its run's record: the
+        # run still exits 1, with the message of a model no curve ran on
+        monkeypatch.setattr(lifted, "LANCZOS_MAX_STEPS", 20)
+        cfg = shared_iid_config(matrix={"kind": "tomography", "grid": 5, "angles": 10, "rays": 5},
+                                outputs=["exact", "exact_avg"])
+        sys_ = cli._build_matrix(cfg["matrix"])
+        with pytest.raises(lifted.SolverError) as want:
+            lifted.lambda_max_Q(lifted.build_model(sys_, row_norm_distribution(sys_)))
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {want.value}\n"
         assert not (tmp_path / "result.json").exists()
 
     @pytest.mark.parametrize("key, value", [("k_max", True), ("trials", True), ("seed", 1.7)])

@@ -35,7 +35,8 @@ from kaczlab import (
     vec_f,
     zf_general_bound_curve,
 )
-from kaczlab import bounds, lifted
+from kaczlab import bounds, cli, lifted
+from kaczlab.cli import run_experiment
 from kaczlab.lifted import CURVE_BLOCK, dense_p, weighted_gram
 from kaczlab.problems import LinearSystem
 from kaczlab.seeding import rng_from
@@ -1143,6 +1144,87 @@ class TestOneLanczosRun:
         for (beta, theta), (curve_beta, curve_theta) in zip(lam_run, curve_run):
             assert beta == curve_beta
             assert np.array_equal(theta, curve_theta)
+
+    @staticmethod
+    def workload_config(case):
+        """The benchmark's fixed_mc and avg_mc configs at seed 0."""
+        if case == "fixed_mc":
+            eta = np.random.default_rng(2).standard_normal(60)
+            eta *= np.sqrt(0.64) / np.linalg.norm(eta)
+            return {
+                "matrix": {"kind": "gaussian", "m": 60, "n": 20, "seed": 1},
+                "noise": {"kind": "fixed", "values": eta.tolist()},
+                "x0": {"random_seed": 7}, "k_max": 500, "trials": 100, "seed": 99,
+                "outputs": ["empirical", "exact", "bound_zf", "bound_zf_general", "floor"],
+            }
+        return {
+            "matrix": {"kind": "tomography", "grid": 5, "angles": 10, "rays": 5},
+            "noise": {"kind": "iid", "sigma2": 2.25e-4, "resample": True},
+            "x0": "zero", "k_max": 600, "trials": 60, "seed": 5,
+            "outputs": ["empirical", "exact_avg", "bound_zf_avg", "floor"],
+        }
+
+    @pytest.mark.parametrize("case, total", [("fixed_mc", 81), ("avg_mc", 97)])
+    def test_run_reads_lambda_from_the_curve_record(self, case, total, apply_q_calls,
+                                                     monkeypatch):
+        # lambda_max_q is read after the curves, from their run's record alone,
+        # and is bitwise lambda_max_Q on a fresh model; a run with no exact
+        # curve steps its own run to the same value
+        inside, real = [], cli.lambda_max_Q
+
+        def counted(model):
+            before = len(apply_q_calls)
+            lam = real(model)
+            inside.append(len(apply_q_calls) - before)
+            return lam
+
+        monkeypatch.setattr(cli, "lambda_max_Q", counted)
+        cfg = self.workload_config(case)
+        _, scalars = run_experiment(cfg)
+        assert inside == [0]
+        assert len(apply_q_calls) == total
+        sys = cli._build_matrix(cfg["matrix"])
+        fresh = lambda_max_Q(build_model(sys, row_norm_distribution(sys)))
+        assert scalars["lambda_max_q"].hex() == fresh.hex()
+        _, alone = run_experiment(dict(cfg, outputs=["empirical"], trials=2))
+        assert inside[1] > 0
+        assert alone["lambda_max_q"].hex() == fresh.hex()
+
+    def test_lambda_steps_past_a_short_record(self, apply_q_calls):
+        # the README config 1 system: lambda_max(Q) needs more blocks than
+        # the curve's run made. The record keeps the curve's blocks, its own
+        # run (from q_1: it keeps no vectors to resume from) appends the rest,
+        # and every entry and the value are bitwise those of a fresh model
+        sys = gen_gaussian(150, 50, 1.0, 1)
+        model, fresh = (build_model(sys, row_norm_distribution(sys)) for _ in range(2))
+        eta = np.random.default_rng(2).standard_normal(150)
+        noise = FixedNoise(eta * (np.sqrt(1.6) / np.linalg.norm(eta)))
+        exact_mse_curve(model, noise, rng_from(7, 0x5D).standard_normal(50) - sys.x_true, 2000)
+        curve_record = list(model.lanczos_record)
+        apply_q_calls.clear()
+        want = lambda_max_Q(fresh)
+        steps = len(apply_q_calls)
+        apply_q_calls.clear()
+        assert lambda_max_Q(model).hex() == want.hex()
+        assert curve_record[-1][0] < steps == len(apply_q_calls)
+        assert model.lanczos_record[:len(curve_record)] == curve_record
+        assert model.lanczos_record == fresh.lanczos_record
+        assert model.lanczos_record[-1][0] == steps
+
+    def test_uncertified_after_a_curve(self, monkeypatch):
+        # a record the curve's run wrote past the cap still does not certify,
+        # and the error is the one a fresh model raises
+        monkeypatch.setattr(lifted, "LANCZOS_MAX_STEPS", 20)
+        sys = gen_tomography(5, 10, 5)
+        model, fresh = (build_model(sys, row_norm_distribution(sys)) for _ in range(2))
+        exact_mse_curve(model, IidNoise(2.25e-4), -sys.x_true, 600)
+        assert len(model.lanczos_record) > 1
+        with pytest.raises(SolverError, match="did not certify") as want:
+            lambda_max_Q(fresh)
+        with pytest.raises(SolverError, match="did not certify") as got:
+            lambda_max_Q(model)
+        assert str(got.value) == str(want.value)
+        assert "in 16 steps" in str(got.value)
 
     @pytest.mark.parametrize("case", ["identity_4", "identity_8", "gaussian_5x2", "gaussian_6x3"])
     def test_early_breakdown(self, case):
