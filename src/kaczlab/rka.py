@@ -131,16 +131,9 @@ def _batched_errors(a_unit, eta_unit, rows, z, out):
         np.vecdot(z, z, out=err)
 
 
-def trial_row_seed(seed, trial):
-    """Seed of the row-choice stream of one Monte Carlo trial."""
-    return mix_seed(seed, _ROWS_TAG, trial)
-
-
-def trial_noise_seed(seed, trial=None):
-    """Seed of the noise draw; trial=None is the draw all trials share."""
-    if trial is None:
-        return mix_seed(seed, _NOISE_TAG)
-    return mix_seed(seed, _NOISE_TAG, trial)
+def trial_noise_seed(seed):
+    """Seed of the noise draw that all trials of seed share."""
+    return mix_seed(seed, _NOISE_TAG)
 
 
 def monte_carlo_mse(model, noise, z0, k_max, trials, seed):
@@ -151,11 +144,9 @@ def monte_carlo_mse(model, noise, z0, k_max, trials, seed):
     trial draws rows from an independent stream hashed from (seed, trial),
     so results depend only on (seed, trial), not on how many trials run
     together. A FixedNoise is one eta shared by all trials; any other spec
-    is redrawn per trial, draw_eta(noise, m, trial_noise_seed(seed, trial)).
-    trials=1 is the one-run call.
-
-    All trials' seeds are hashed together (seeding.mix_seeds and rngs_from),
-    bitwise these streams; each row stream is built when it is drawn.
+    is redrawn per trial, draw_eta(noise, m, mix_seeds(seed, _NOISE_TAG,
+    trial)), and a trial's rows come from rngs_from(seed, _ROWS_TAG, trial),
+    each call over the array of all trials. trials=1 is the one-run call.
 
     All trials advance together in one batched kernel, STEP_CHUNK steps at a
     time: each chunk draws the next uniforms of every trial's stream, samples

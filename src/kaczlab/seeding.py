@@ -1,6 +1,8 @@
 """Seed derivation for reproducible, order-independent random streams: mix_seed
-and rng_from through numpy's SeedSequence, and mix_seeds and rngs_from,
-bitwise the same, as one uint32 array hash over many seeds."""
+and rng_from hash one seed through numpy's SeedSequence, and mix_seeds and
+rngs_from, bitwise the same, many as one uint32 array. Every argument is an int,
+or for the array forms a 1-D int array, all broadcast together; negatives enter
+in 64-bit two's complement and wider ints are masked to 64 bits."""
 
 import numpy as np
 
@@ -16,13 +18,9 @@ _BLOCK = 256   # seeds that rngs_from hashes at once
 
 
 def mix_seed(seed, *key):
-    """Derive a child seed by hashing (seed, *key) through SeedSequence.
-
-    Trials keyed by index are mutually independent and can be generated in
-    any order. Negative seeds are mapped to their 64-bit two's complement.
-    """
-    entropy = [check_int(seed, "seed", minimum=None) & _MASK64] + [int(k) & _MASK64 for k in key]
-    ss = np.random.SeedSequence(entropy)
+    """A child seed hashed from the ints (seed, *key) by SeedSequence: trials
+    keyed by index are independent and can be generated in any order."""
+    ss = np.random.SeedSequence([int(w) for w in (_words(seed, "seed"), *map(_words, key))])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -32,7 +30,7 @@ def rng_from(seed, *key):
 
 
 def _words(value, name=None):
-    """value as uint64 as mix_seed masks it: an int (checked if named) or an int array."""
+    """value as uint64, the one coercion of a seed or key (an int is checked if named)."""
     if np.ndim(value) == 0:
         return np.uint64((check_int(value, name, minimum=None) if name else int(value)) & _MASK64)
     value = np.asarray(value)
@@ -83,17 +81,24 @@ def _hash(cols, n):
     return out
 
 
+def _columns(seed, key):
+    """_words of seed and of each key, broadcast together to 1-D uint64 columns."""
+    cols = np.broadcast_arrays(*map(np.atleast_1d, (_words(seed, "seed"), *map(_words, key))))
+    if cols[0].ndim != 1:
+        raise ValueError(f"seed and keys must broadcast to one 1-D shape, got {cols[0].shape}")
+    return cols
+
+
 def mix_seeds(seed, *key):
-    """mix_seed over arrays: seed and each key broadcast to one 1-D shape,
-    and entry i of the uint64 result is mix_seed of their entries i."""
-    cols = np.broadcast_arrays(_words(seed, "seed"), *map(_words, key))
-    return _hash([np.atleast_1d(col) for col in cols], 1)[:, 0]
+    """mix_seed over arrays, as the module docstring reads its arguments:
+    entry i of the uint64 result is mix_seed of entry i of each column."""
+    return _hash(_columns(seed, key), 1)[:, 0]
 
 
 def rngs_from(seed, *key):
-    """rng_from over arrays, lazily: bitwise rng_from(s, *k) for each entry of
-    seed and key broadcast to one 1-D shape. The seeds are hashed _BLOCK at a
-    time, and each Generator is built only when it is drawn."""
+    """rng_from over arrays, lazily, as the module docstring reads its
+    arguments: bitwise rng_from of entry i of each column. The seeds are
+    hashed _BLOCK at a time, and each Generator is built only when it is drawn."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -104,7 +109,7 @@ def rngs_from(seed, *key):
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    cols = np.broadcast_arrays(_words(seed, "seed"), *map(_words, key))
+    cols = _columns(seed, key)
     for start in range(0, cols[0].size, _BLOCK):
         seeds = _hash([col[start:start + _BLOCK] for col in cols], 1)[:, 0]
         for words in _hash([seeds], 4):

@@ -9,9 +9,22 @@ import pytest
 import kaczlab
 from kaczlab import (FixedNoise, build_model, dense_lift_oracle, gen_gaussian, lifted,
                      make_distribution)
-from kaczlab.seeding import rng_from
+from kaczlab.rka import _NOISE_TAG, _ROWS_TAG
+from kaczlab.seeding import mix_seed, rng_from
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def trial_row_seed(seed, trial):
+    """Seed of one Monte Carlo trial's row-choice stream, one at a time: the
+    reference for monte_carlo_mse's rngs_from(seed, _ROWS_TAG, trials)."""
+    return mix_seed(seed, _ROWS_TAG, trial)
+
+
+def trial_noise_seed(seed, trial):
+    """Seed of one Monte Carlo trial's noise draw, one at a time: the
+    reference for monte_carlo_mse's mix_seeds(seed, _NOISE_TAG, trials)."""
+    return mix_seed(seed, _NOISE_TAG, trial)
 
 
 def random_instance(m, n, seed, noise_scale=1.0):

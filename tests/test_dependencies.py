@@ -210,6 +210,31 @@ def test_only_lanczos_diagonalizes_a_tridiagonal():
     assert {name for name, _ in callers} == DIAGONALIZES, callers
 
 
+def names_in(node):
+    """Every name that node's subtree reads, imports or calls: each Name, each
+    attribute after a dot and each imported name."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    """Every top-level function and class of the package is named outside its
+    own definition: called, imported, or re-exported by kaczlab/__init__.py. So
+    a helper that only the tests call lives in the tests, not in the package."""
+    statements = [(path.name, node) for path in SOURCES
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    unnamed = [f"{path}:{node.name}" for path, node in statements
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not any(node.name in names_in(other) for _, other in statements
+                           if other is not node)]
+    assert unnamed == []
+
+
 def test_import_leaves_numpy_random_unimported(tmp_path):
     """numpy.random's first import takes about 10 ms, so importing the CLI
     must not pull it in: a run pays it when it first draws, and the set-up

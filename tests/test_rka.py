@@ -18,15 +18,9 @@ from kaczlab import (
 from kaczlab import lifted, rka
 from kaczlab._num import sq_norm
 from kaczlab.problems import LinearSystem
-from kaczlab.rka import (
-    RowDistribution,
-    _batched_errors,
-    sample_rows,
-    trial_noise_seed,
-    trial_row_seed,
-)
+from kaczlab.rka import RowDistribution, _batched_errors, sample_rows
 
-from conftest import random_instance, traced_peak
+from conftest import random_instance, traced_peak, trial_noise_seed, trial_row_seed
 
 MiB = 1 << 20
 C = rka.STEP_CHUNK
@@ -365,7 +359,7 @@ class TestMonteCarlo:
 
 def shared_draw(sys, noise, seed):
     """FixedNoise of the draw of noise that every trial of seed shares."""
-    return FixedNoise(make_measurements(sys, noise, trial_noise_seed(seed))[1])
+    return FixedNoise(make_measurements(sys, noise, rka.trial_noise_seed(seed))[1])
 
 
 def one_shot_mse(sys, noise, dist, x0, k_max, trials, seed):

@@ -6,8 +6,10 @@ import pytest
 
 from kaczlab import FixedNoise, IidNoise, seeding
 from kaczlab.problems import draw_eta
-from kaczlab.rka import _NOISE_TAG, _ROWS_TAG, trial_noise_seed, trial_row_seed
+from kaczlab.rka import _NOISE_TAG, _ROWS_TAG
 from kaczlab.seeding import _BLOCK, _hash, mix_seed, mix_seeds, rng_from, rngs_from
+
+from conftest import trial_noise_seed, trial_row_seed
 
 EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
@@ -86,6 +88,45 @@ class TestStreams:
         assert sizes == []
         next(streams)
         assert sizes == [_BLOCK, _BLOCK]   # the key's mix, then the Generators' state
+
+
+class TestOneArgumentPath:
+    """mix_seeds and rngs_from read their arguments one way: an int or a 1-D
+    int array each, broadcast together to 1-D columns."""
+
+    def test_scalar_arguments_yield_one_stream(self):
+        streams = list(rngs_from(3, 4))
+        assert len(streams) == 1
+        assert np.array_equal(streams[0].random(64), rng_from(3, 4).random(64))
+
+    @pytest.mark.parametrize("seed, key", [
+        (3, (4,)),
+        (3, (_ROWS_TAG, np.arange(5))),
+        (np.array([-2, 0, 7, 2**40], dtype=np.int64), (_NOISE_TAG,)),
+    ], ids=["scalars", "array_key", "array_seed"])
+    def test_rngs_from_hashes_the_seeds_of_mix_seeds(self, monkeypatch, seed, key):
+        hashed, real = [], seeding._hash
+
+        def spy(cols, n):   # n = 4 is the Generators' state, hashed from the seeds
+            if n == 4:
+                hashed.append(cols[0].copy())
+            return real(cols, n)
+
+        monkeypatch.setattr(seeding, "_hash", spy)
+        streams = list(rngs_from(seed, *key))
+        want = mix_seeds(seed, *key)
+        assert len(streams) == want.size
+        assert np.concatenate(hashed).tolist() == want.tolist()
+
+    def test_a_2d_seed_is_refused(self):
+        seeds = np.zeros((2, 3), dtype=np.int64)
+        message = r"^seed and keys must broadcast to one 1-D shape, got \(2, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            mix_seeds(seeds, _NOISE_TAG)
+        with pytest.raises(ValueError, match=message):
+            next(rngs_from(seeds, _ROWS_TAG))
+        with pytest.raises(ValueError, match=message):
+            draw_eta(IidNoise(1.0), 4, seeds)
 
 
 class TestNoise:
